@@ -91,13 +91,13 @@ if pytest is not None:
         return _build_streamed_trace(tmp_path_factory.mktemp("engine-trace"))
 
     def test_engines_agree_exactly(streamed_trace, experiment):
-        reference = run_simulation(streamed_trace, CONFIGURATION, experiment)
+        reference = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
         batch = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch")
         _assert_parity(reference, batch)
 
     def test_reference_engine(benchmark, streamed_trace, experiment):
         result = benchmark.pedantic(
-            lambda: run_simulation(streamed_trace, CONFIGURATION, experiment),
+            lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference"),
             rounds=ROUNDS, iterations=1,
         )
         print("reference: %.0f accesses/s (ipc %.4f)"

@@ -56,14 +56,14 @@ def _throughput(benchmark, result_ipc: float) -> None:
 
 
 def test_stream_vs_memory_results_identical(in_memory_trace, streamed_trace, experiment):
-    baseline = run_simulation(in_memory_trace, CONFIGURATION, experiment)
-    streamed = run_simulation(streamed_trace, CONFIGURATION, experiment)
+    baseline = run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference")
+    streamed = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
     assert streamed.total_ipc == baseline.total_ipc
     assert streamed.memory_stats == baseline.memory_stats
 
 
 def test_batch_engine_parity_on_both_paths(in_memory_trace, streamed_trace, experiment):
-    reference = run_simulation(in_memory_trace, CONFIGURATION, experiment)
+    reference = run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference")
     for trace in (in_memory_trace, streamed_trace):
         batch = run_simulation(trace, CONFIGURATION, experiment, engine="batch")
         assert batch.total_ipc == reference.total_ipc
@@ -72,7 +72,7 @@ def test_batch_engine_parity_on_both_paths(in_memory_trace, streamed_trace, expe
 
 def test_simulate_in_memory(benchmark, in_memory_trace, experiment):
     result = benchmark.pedantic(
-        lambda: run_simulation(in_memory_trace, CONFIGURATION, experiment),
+        lambda: run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference"),
         rounds=3, iterations=1,
     )
     _throughput(benchmark, result.total_ipc)
@@ -80,7 +80,7 @@ def test_simulate_in_memory(benchmark, in_memory_trace, experiment):
 
 def test_simulate_streamed(benchmark, streamed_trace, experiment):
     result = benchmark.pedantic(
-        lambda: run_simulation(streamed_trace, CONFIGURATION, experiment),
+        lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference"),
         rounds=3, iterations=1,
     )
     _throughput(benchmark, result.total_ipc)

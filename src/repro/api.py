@@ -192,10 +192,11 @@ class Session:
     def with_engine(self, engine: Optional[EngineLike]) -> "Session":
         """Select the simulation engine for every run this session executes.
 
-        ``"reference"`` is the per-access object model, ``"batch"`` the
-        vectorized chunk engine (bit-identical results, roughly an order of
-        magnitude faster); ``None`` restores the library default.  Unknown
-        names raise :class:`~repro.errors.UnknownEngineError` immediately.
+        ``"batch"`` (the library default) is the vectorized chunk engine,
+        ``"reference"`` the per-access object model it reproduces bit for
+        bit at roughly a tenth of the speed; ``None`` restores the default.
+        Unknown names raise :class:`~repro.errors.UnknownEngineError`
+        immediately.
         """
         self.engine = engine if engine is None else resolve_engine(engine)
         return self

@@ -242,7 +242,9 @@ def _run_engines(ctx: BenchContext) -> Dict[str, float]:
     with tempfile.TemporaryDirectory(prefix="repro-bench-engines-") as tmp:
         _, streamed = _streamed_timing_trace(Path(tmp), accesses)
         reference_seconds, reference = _best_of(
-            lambda: run_simulation(streamed, _TIMING_CONFIGURATION, experiment),
+            lambda: run_simulation(
+                streamed, _TIMING_CONFIGURATION, experiment, engine="reference"
+            ),
             ctx.rounds,
         )
         batch_seconds, batch = _best_of(
@@ -283,12 +285,17 @@ def _run_trace_streaming(ctx: BenchContext) -> Dict[str, float]:
     experiment = ExperimentConfig(num_accesses=accesses, num_cores=_TIMING_CORES)
     with tempfile.TemporaryDirectory(prefix="repro-bench-traces-") as tmp:
         in_memory, streamed = _streamed_timing_trace(Path(tmp), accesses)
+        # The object model's two trace cursors (record list vs chunked store).
         memory_seconds, reference = _best_of(
-            lambda: run_simulation(in_memory, _TIMING_CONFIGURATION, experiment),
+            lambda: run_simulation(
+                in_memory, _TIMING_CONFIGURATION, experiment, engine="reference"
+            ),
             ctx.rounds,
         )
         streamed_seconds, streamed_result = _best_of(
-            lambda: run_simulation(streamed, _TIMING_CONFIGURATION, experiment),
+            lambda: run_simulation(
+                streamed, _TIMING_CONFIGURATION, experiment, engine="reference"
+            ),
             ctx.rounds,
         )
     return {
@@ -393,10 +400,13 @@ def _run_obs(ctx: BenchContext) -> Dict[str, float]:
 
     accesses = ctx.timing_accesses
     experiment = ExperimentConfig(num_accesses=accesses, num_cores=_TIMING_CORES)
+    # Pinned to the reference engine: its "no recorder costs one is-None
+    # check" contract is what this guard has always measured.
     job = SimulationJob(
         configuration=_TIMING_CONFIGURATION,
         workload=_TIMING_WORKLOAD,
         experiment=experiment,
+        engine="reference",
     )
 
     def cold_pass():

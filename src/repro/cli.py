@@ -128,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every registry as one JSON document (the same serializer "
         "the experiment service's GET /registries uses)",
     )
-    subparsers.add_parser("configs", help="list the named secure-memory configurations")
-    subparsers.add_parser("workloads", help="list the available workloads")
     subparsers.add_parser("attack", help="run the attack campaign and print the detection matrix")
     subparsers.add_parser("power", help="print the Table II power-overhead model")
     subparsers.add_parser("security", help="print the Section III security arithmetic")
@@ -518,9 +516,9 @@ def _add_timeline_arguments(subparser: argparse.ArgumentParser) -> None:
 def _add_engine_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="simulation engine: 'reference' (default; the per-access object "
-        "model) or 'batch' (vectorized, bit-identical results, ~10x faster); "
-        "run 'repro list' for the engine registry",
+        help="simulation engine: 'batch' (default; vectorized, ~10x faster) or "
+        "'reference' (the per-access object model batch reproduces bit for "
+        "bit); run 'repro list' for the engine registry",
     )
 
 
@@ -653,19 +651,21 @@ def _cmd_list(args: argparse.Namespace) -> int:
         sys.stdout.write(dump_payload(registries_payload()).decode("utf-8"))
         return 0
     print("Configuration registry (%d entries)" % len(CONFIGURATIONS))
-    print("%-28s %-10s %-10s %s" % ("name", "mechanism", "encryption", "figure"))
+    print("%-28s %-12s %-10s %-4s %s" % ("name", "mechanism", "encryption", "RAP", "figure"))
     for name in configuration_names():
         spec = CONFIGURATIONS[name]
-        print("%-28s %-10s %-10s %s" % (
-            name, spec.mechanism, spec.encryption.value, spec.figure or "-",
+        print("%-28s %-12s %-10s %-4s %s" % (
+            name, spec.mechanism, spec.encryption.value,
+            "yes" if spec.replay_protection else "no", spec.figure or "-",
         ))
     print()
     print("Workload registry (%d entries)" % len(ALL_WORKLOADS))
-    print("%-14s %-10s %8s %s" % ("name", "suite", "MPKI", "memory-intensive"))
+    print("%-14s %-10s %8s %7s %s" % ("name", "suite", "MPKI", "writes", "memory-intensive"))
     for name in workload_names():
         spec = ALL_WORKLOADS[name]
-        print("%-14s %-10s %8.1f %s" % (
-            name, spec.suite, spec.mpki, "yes" if spec.memory_intensive else "no",
+        print("%-14s %-10s %8.1f %6.0f%% %s" % (
+            name, spec.suite, spec.mpki, 100 * spec.write_fraction,
+            "yes" if spec.memory_intensive else "no",
         ))
     print()
     print("Figure registry (%d entries; run with 'repro reproduce --figures KEY,...')"
@@ -688,13 +688,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print("%-16s %-8d %s" % (key, len(spec.metrics), spec.title))
     print()
     print("Engine registry (%d entries; select with --engine or engine=)" % len(ENGINES))
-    print("%-12s %-11s %-16s %s" % ("name", "vectorized", "parity-verified", "description"))
+    print("%-12s %-11s %s" % ("name", "vectorized", "description"))
     for engine in ENGINES:
-        print("%-12s %-11s %-16s %s" % (
-            engine.name,
-            "yes" if engine.vectorized else "no",
-            "yes" if engine.parity_verified else "no",
-            engine.description,
+        print("%-12s %-11s %s" % (
+            engine.name, "yes" if engine.vectorized else "no", engine.description,
         ))
     print()
     _print_attack_registry()
@@ -718,27 +715,6 @@ def _print_attack_registry() -> None:
     print("%-18s %-10s %s" % ("kind", "needs", "description"))
     for kind, action in TAMPER_ACTIONS.items():
         print("%-18s %-10s %s" % (kind, action.detected_by, action.description))
-
-
-def _cmd_configs() -> int:
-    print("%-28s %-10s %-6s %s" % ("name", "encryption", "RAP", "description"))
-    for name in configuration_names():
-        spec = CONFIGURATIONS[name]
-        print("%-28s %-10s %-6s %s" % (
-            name, spec.encryption.value, "yes" if spec.replay_protection else "no", spec.description,
-        ))
-    return 0
-
-
-def _cmd_workloads() -> int:
-    print("%-14s %-10s %8s %8s %s" % ("name", "suite", "MPKI", "writes", "memory-intensive"))
-    for name in workload_names():
-        spec = ALL_WORKLOADS[name]
-        print("%-14s %-10s %8.1f %7.0f%% %s" % (
-            name, spec.suite, spec.mpki, 100 * spec.write_fraction,
-            "yes" if spec.memory_intensive else "no",
-        ))
-    return 0
 
 
 def _cmd_attack() -> int:
@@ -1295,10 +1271,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_list(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "configs":
-        return _cmd_configs()
-    if args.command == "workloads":
-        return _cmd_workloads()
     if args.command == "attack":
         return _cmd_attack()
     if args.command == "power":

@@ -123,9 +123,9 @@ def reproduce(
     """Reproduce the selected figures (default: all) in one cached pass.
 
     ``engine`` selects the simulation engine for every job in the pass (see
-    :mod:`repro.sim.engines`); parity-verified engines share cache keys, so
-    a pass run on the batch engine warms exactly the entries a later
-    reference pass would read.
+    :mod:`repro.sim.engines`); engines share cache keys, so a pass run on
+    the batch engine warms exactly the entries a later reference pass would
+    read.
     """
     specs = resolve_figures(list(figures) if figures is not None else None)
     started = time.perf_counter()

@@ -21,7 +21,6 @@ registered specs, so a figure's definition lives in exactly one place.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -228,30 +227,12 @@ def comparison_jobs(
 
     The signature mirrors :func:`repro.sim.experiment.run_comparison`
     (``configurations, workloads, baseline=..., experiment=...,
-    engine=...``), so the two call vocabularies stay interchangeable.  The
-    historical order put ``experiment`` third (positionally); that spelling
-    still works under a :class:`DeprecationWarning`.
+    engine=...``), so the two call vocabularies stay interchangeable.
 
     Mirrors the runner's matrix construction: the baseline is prepended
     unless a configuration with its name is already selected, and each
     (workload, configuration) pair becomes one self-contained job.
     """
-    if isinstance(baseline, ExperimentConfig):
-        # Legacy call order: comparison_jobs(configs, workloads, experiment
-        # [, baseline]).  Detectable unambiguously -- a baseline is a name or
-        # a SystemConfiguration, never an ExperimentConfig.
-        warnings.warn(
-            "comparison_jobs(configurations, workloads, experiment, baseline) "
-            "is deprecated; the canonical order is comparison_jobs("
-            "configurations, workloads, baseline=..., experiment=...) "
-            "matching run_comparison",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        baseline, experiment = (
-            experiment if experiment is not None else "tdx_baseline",
-            baseline,
-        )
     experiment = experiment or ExperimentConfig()
     config_list = list(configurations)
     names = {c if isinstance(c, str) else c.name for c in config_list}

@@ -6,7 +6,8 @@ substrate (memory controller, metadata cache, DRAM channel):
 
 * :mod:`repro.secure.base` -- the common ``SecureMemorySystem`` machinery:
   metadata address-space layout, metadata-cache filtering, and the
-  read/write expansion pipeline.
+  read/write expansion pipeline that executes each mechanism's
+  ``MetadataPath`` (the one description both simulation engines read).
 * :mod:`repro.secure.encryption` -- counter-mode and AES-XTS encryption
   engine models (counter storage, counter-cache behaviour, critical-path
   latencies).
@@ -23,7 +24,7 @@ substrate (memory controller, metadata cache, DRAM channel):
   configuration that appears in Figures 6, 8, 10 and 12.
 """
 
-from repro.secure.base import AccessBreakdown, SecureMemorySystem, MetadataLayout
+from repro.secure.base import AccessBreakdown, SecureMemorySystem, MetadataLayout, MetadataPath
 from repro.secure.encryption import (
     EncryptionMode,
     CounterModeEncryption,
@@ -50,6 +51,7 @@ __all__ = [
     "AccessBreakdown",
     "SecureMemorySystem",
     "MetadataLayout",
+    "MetadataPath",
     "EncryptionMode",
     "CounterModeEncryption",
     "XTSEncryption",

@@ -10,18 +10,26 @@ processor-side cryptographic latency on the critical path.
 The CPU model only sees the final ``(completion_cycle, extra_cpu_cycles)``
 pair, which is exactly the interface difference between the evaluated
 systems.
+
+What a mechanism costs is stated once, as a frozen :class:`MetadataPath`:
+the reference model executes it access by access, and the batch engine
+(:mod:`repro.sim.engines`) reads the same description, so the two engines
+cannot disagree about a mechanism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import MemoryController
 from repro.dram.commands import MemoryRequest, MetadataKind, RequestType
 
-__all__ = ["MetadataLayout", "AccessBreakdown", "SecureMemorySystem"]
+if TYPE_CHECKING:  # pragma: no cover - integrity_tree imports this module
+    from repro.secure.integrity_tree import IntegrityTree
+
+__all__ = ["MetadataLayout", "MetadataPath", "AccessBreakdown", "SecureMemorySystem"]
 
 LINE_BYTES = 64
 
@@ -56,6 +64,28 @@ class MetadataLayout:
         data_line = data_address // self.line_bytes
         mac_line = data_line // macs_per_line
         return self.mac_region_base + mac_line * self.line_bytes
+
+
+@dataclass(frozen=True)
+class MetadataPath:
+    """What one demand access costs under a mechanism.
+
+    A read touches the metadata line covering its data line (when ``base``
+    is not None) and, after a miss there, walks ``tree`` from that leaf
+    until the first cached node.  A write dirties the same lines.  The read
+    then pays ``extra_hit`` or ``extra_miss`` CPU cycles on its critical
+    path, by the outcome of its metadata line; with no metadata every read
+    pays ``extra_hit``.
+    """
+
+    extra_hit: float = 0.0
+    extra_miss: float = 0.0
+    #: Address of the leaf metadata region; None means no metadata traffic.
+    base: Optional[int] = None
+    #: Data lines covered by one metadata line.
+    lines_per_entry: int = 1
+    kind: MetadataKind = MetadataKind.ENCRYPTION_COUNTER
+    tree: Optional["IntegrityTree"] = None
 
 
 @dataclass
@@ -94,10 +124,12 @@ class SecureMemoryStats:
 class SecureMemorySystem:
     """Base class: no integrity metadata, no encryption latency.
 
-    Subclasses override :meth:`_expand_read` and :meth:`_expand_write` to add
-    their metadata traffic and critical-path latencies, using the
-    :meth:`_metadata_access` helper so that all configurations share the same
-    metadata-cache and writeback behaviour.
+    Subclasses describe their metadata traffic and critical-path latencies
+    by setting :attr:`path` in ``__init__``; the generic :meth:`_expand_read`
+    and :meth:`_expand_write` execute it through :meth:`_metadata_access`, so
+    all configurations share the same metadata-cache and writeback
+    behaviour.  A subclass that overrides any method besides ``__init__``
+    runs on the reference engine only.
     """
 
     name = "unprotected"
@@ -113,6 +145,7 @@ class SecureMemorySystem:
         self.metadata_cache = metadata_cache or MetadataCache()
         self.layout = layout or MetadataLayout()
         self.crypto_latency_cpu_cycles = crypto_latency_cpu_cycles
+        self.path = MetadataPath()
         self.stats = SecureMemoryStats()
         self._total_instructions_hint = 0
         #: Live :class:`repro.obs.timeline.TimelineSeries` while a timeline
@@ -164,24 +197,54 @@ class SecureMemorySystem:
         )
 
     # ------------------------------------------------------------------
-    # Hooks for subclasses
+    # Executing the metadata path
     # ------------------------------------------------------------------
     def _expand_read(self, address: int, cycle: int) -> Tuple[float, float, int, int]:
         """Metadata work for a demand read.
 
         Returns ``(metadata_completion_cycle, extra_cpu_cycles,
-        metadata_lines_touched, metadata_misses)``.  The base class has no
-        metadata and no crypto latency.
+        metadata_lines_touched, metadata_misses)``.
         """
-        return cycle, 0.0, 0, 0
+        path = self.path
+        if path.base is None:
+            return cycle, path.extra_hit, 0, 0
+        hit, completion, touched, missed = self._walk(address, cycle, dirty=False)
+        return completion, path.extra_hit if hit else path.extra_miss, touched, missed
 
     def _expand_write(self, address: int, cycle: int) -> None:
-        """Metadata work for a demand write (default: none)."""
-        return None
+        """Metadata work for a demand write: dirty the read's metadata lines."""
+        if self.path.base is not None:
+            self._walk(address, cycle, dirty=True)
 
-    # ------------------------------------------------------------------
-    # Helpers shared by subclasses
-    # ------------------------------------------------------------------
+    def _walk(self, address: int, cycle: int, dirty: bool) -> Tuple[bool, float, int, int]:
+        """Access the leaf metadata line and, on a miss, the tree path.
+
+        Returns ``(leaf_hit, completion, touched, missed)``.  Traversal stops
+        at the first cached tree node (it is considered verified); when the
+        leaf line itself hits, no tree node is accessed at all.  All fetches
+        are issued in parallel, so the completion is the max over them.
+        """
+        path = self.path
+        line_bytes = self.layout.line_bytes
+        leaf = address // line_bytes // path.lines_per_entry
+        hit, completion = self._metadata_access(
+            path.base + leaf * line_bytes, cycle, dirty, path.kind
+        )
+        completion = max(cycle, completion)
+        touched, missed = 1, 0 if hit else 1
+        if not hit and path.tree is not None:
+            leaf = min(leaf, path.tree.geometry.leaf_lines - 1)
+            for node_address in path.tree.path_for_leaf(leaf):
+                node_hit, node_completion = self._metadata_access(
+                    node_address, cycle, dirty, MetadataKind.TREE_NODE
+                )
+                completion = max(completion, node_completion)
+                touched += 1
+                if node_hit:
+                    break
+                missed += 1
+        return hit, completion, touched, missed
+
     def _metadata_access(
         self,
         metadata_address: int,

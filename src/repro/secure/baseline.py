@@ -12,13 +12,15 @@ path.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import MemoryController
-from repro.dram.commands import MetadataKind
 from repro.secure.base import MetadataLayout, SecureMemorySystem
-from repro.secure.encryption import CounterModeEncryption, EncryptionMode, XTSEncryption
+from repro.secure.encryption import (
+    CounterModeEncryption,
+    EncryptionMode,
+    XTSEncryption,
+    encryption_path,
+)
 from repro.secure.mac_store import MacPlacement, MacStore
 
 __all__ = ["EncryptOnlySystem", "TdxBaselineSystem"]
@@ -54,26 +56,7 @@ class EncryptOnlySystem(SecureMemorySystem):
             self.encryption = XTSEncryption(crypto_latency_cpu_cycles=crypto_latency_cpu_cycles)
         else:
             self.encryption = None
-
-    # ------------------------------------------------------------------
-    def _expand_read(self, address: int, cycle: int) -> Tuple[float, float, int, int]:
-        if self.encryption_mode is EncryptionMode.COUNTER:
-            counter_address = self.encryption.counter_address(address)
-            hit, completion = self._metadata_access(
-                counter_address, cycle, dirty=False, kind=MetadataKind.ENCRYPTION_COUNTER
-            )
-            extra_cpu = self.encryption.read_critical_latency(hit)
-            return completion, extra_cpu, 1, 0 if hit else 1
-        if self.encryption_mode is EncryptionMode.XTS:
-            return cycle, self.encryption.read_critical_latency(), 0, 0
-        return cycle, 0.0, 0, 0
-
-    def _expand_write(self, address: int, cycle: int) -> None:
-        if self.encryption_mode is EncryptionMode.COUNTER:
-            counter_address = self.encryption.counter_address(address)
-            self._metadata_access(
-                counter_address, cycle, dirty=True, kind=MetadataKind.ENCRYPTION_COUNTER
-            )
+        self.path = encryption_path(self.encryption)
 
 
 class TdxBaselineSystem(EncryptOnlySystem):

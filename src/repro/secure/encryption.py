@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Union
 
-from repro.secure.base import MetadataLayout
+from repro.dram.commands import MetadataKind
+from repro.secure.base import MetadataLayout, MetadataPath
 
-__all__ = ["EncryptionMode", "CounterModeEncryption", "XTSEncryption"]
+__all__ = ["EncryptionMode", "CounterModeEncryption", "XTSEncryption", "encryption_path"]
 
 
 class EncryptionMode(enum.Enum):
@@ -94,3 +95,28 @@ class XTSEncryption:
     def write_touches(self, data_address: int) -> List[int]:
         """XTS keeps no per-line metadata."""
         return []
+
+
+def encryption_path(
+    encryption: Optional[Union[CounterModeEncryption, XTSEncryption]],
+    mac_cycles: float = 0.0,
+) -> MetadataPath:
+    """The :class:`MetadataPath` of an encryption engine (None: no encryption).
+
+    Counter mode reads the counter line covering each access and pays the
+    AES latency only after a counter miss; AES-XTS keeps no metadata and
+    pays its decryption latency on every read.  ``mac_cycles`` is added to
+    every read on top (InvisiMem's per-transaction channel MACs).
+    """
+    if encryption is None:
+        return MetadataPath(extra_hit=mac_cycles, extra_miss=mac_cycles)
+    if encryption.mode is EncryptionMode.COUNTER:
+        return MetadataPath(
+            extra_hit=encryption.read_critical_latency(True) + mac_cycles,
+            extra_miss=encryption.read_critical_latency(False) + mac_cycles,
+            base=encryption.layout.counter_region_base,
+            lines_per_entry=encryption.counters_per_line,
+            kind=MetadataKind.ENCRYPTION_COUNTER,
+        )
+    extra = encryption.read_critical_latency() + mac_cycles
+    return MetadataPath(extra_hit=extra, extra_miss=extra)

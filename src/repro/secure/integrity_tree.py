@@ -12,14 +12,14 @@ Morphable-style tree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import MemoryController
 from repro.dram.commands import MetadataKind
 from repro.secure.base import MetadataLayout, SecureMemorySystem
-from repro.secure.encryption import CounterModeEncryption, XTSEncryption
+from repro.secure.encryption import CounterModeEncryption, XTSEncryption, encryption_path
 from repro.secure.mac_store import MacPlacement, MacStore
 
 __all__ = [
@@ -179,52 +179,7 @@ class CounterIntegrityTreeSystem(SecureMemorySystem):
         counter_lines = (data_lines + counters_per_line - 1) // counters_per_line
         self.tree = IntegrityTree(TreeGeometry.build(arity, counter_lines), self.layout)
         self.counters_per_line = counters_per_line
-
-    # ------------------------------------------------------------------
-    def _counter_leaf_index(self, address: int) -> int:
-        counter_address = self.encryption.counter_address(address)
-        return (counter_address - self.layout.counter_region_base) // LINE_BYTES
-
-    def _walk(self, address: int, cycle: int, dirty: bool) -> Tuple[float, int, int, bool]:
-        """Access counter line + tree path through the metadata cache.
-
-        Returns (completion, touched, missed, counter_hit).  Traversal stops
-        at the first cached tree node (it is considered verified); when the
-        counter line itself hits, no tree node is accessed at all.
-        """
-        completion: float = cycle
-        touched = 0
-        missed = 0
-        counter_address = self.encryption.counter_address(address)
-        counter_hit, counter_completion = self._metadata_access(
-            counter_address, cycle, dirty, MetadataKind.ENCRYPTION_COUNTER
-        )
-        completion = max(completion, counter_completion)
-        touched += 1
-        if not counter_hit:
-            missed += 1
-            leaf_index = min(
-                self._counter_leaf_index(address), self.tree.geometry.leaf_lines - 1
-            )
-            for node_address in self.tree.path_for_leaf(leaf_index):
-                node_hit, node_completion = self._metadata_access(
-                    node_address, cycle, dirty, MetadataKind.TREE_NODE
-                )
-                completion = max(completion, node_completion)
-                touched += 1
-                if node_hit:
-                    break
-                missed += 1
-        return completion, touched, missed, counter_hit
-
-    # ------------------------------------------------------------------
-    def _expand_read(self, address: int, cycle: int) -> Tuple[float, float, int, int]:
-        completion, touched, missed, counter_hit = self._walk(address, cycle, dirty=False)
-        extra_cpu = self.encryption.read_critical_latency(counter_hit)
-        return completion, extra_cpu, touched, missed
-
-    def _expand_write(self, address: int, cycle: int) -> None:
-        self._walk(address, cycle, dirty=True)
+        self.path = replace(encryption_path(self.encryption), tree=self.tree)
 
 
 class HashMerkleTreeSystem(SecureMemorySystem):
@@ -256,40 +211,11 @@ class HashMerkleTreeSystem(SecureMemorySystem):
         )
         self.tree = IntegrityTree(geometry, self.layout)
         self.macs_per_line = macs_per_line
-
-    # ------------------------------------------------------------------
-    def _mac_leaf_index(self, address: int) -> int:
-        mac_address = self.layout.mac_line_address(address, self.macs_per_line)
-        return (mac_address - self.layout.mac_region_base) // LINE_BYTES
-
-    def _walk(self, address: int, cycle: int, dirty: bool) -> Tuple[float, int, int]:
-        completion: float = cycle
-        touched = 0
-        missed = 0
-        mac_address = self.layout.mac_line_address(address, self.macs_per_line)
-        mac_hit, mac_completion = self._metadata_access(
-            mac_address, cycle, dirty, MetadataKind.MAC
+        # The XTS decrypt latency is paid whatever the MAC line's outcome.
+        self.path = replace(
+            encryption_path(self.encryption),
+            base=self.layout.mac_region_base,
+            lines_per_entry=macs_per_line,
+            kind=MetadataKind.MAC,
+            tree=self.tree,
         )
-        completion = max(completion, mac_completion)
-        touched += 1
-        if not mac_hit:
-            missed += 1
-            leaf_index = min(self._mac_leaf_index(address), self.tree.geometry.leaf_lines - 1)
-            for node_address in self.tree.path_for_leaf(leaf_index):
-                node_hit, node_completion = self._metadata_access(
-                    node_address, cycle, dirty, MetadataKind.TREE_NODE
-                )
-                completion = max(completion, node_completion)
-                touched += 1
-                if node_hit:
-                    break
-                missed += 1
-        return completion, touched, missed
-
-    def _expand_read(self, address: int, cycle: int) -> Tuple[float, float, int, int]:
-        completion, touched, missed = self._walk(address, cycle, dirty=False)
-        extra_cpu = self.encryption.read_critical_latency()
-        return completion, extra_cpu, touched, missed
-
-    def _expand_write(self, address: int, cycle: int) -> None:
-        self._walk(address, cycle, dirty=True)

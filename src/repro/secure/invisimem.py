@@ -18,13 +18,15 @@ controller configuration the factory in :mod:`repro.secure.configs` builds.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import MemoryController
-from repro.dram.commands import MetadataKind
 from repro.secure.base import MetadataLayout, SecureMemorySystem
-from repro.secure.encryption import CounterModeEncryption, EncryptionMode, XTSEncryption
+from repro.secure.encryption import (
+    CounterModeEncryption,
+    EncryptionMode,
+    XTSEncryption,
+    encryption_path,
+)
 from repro.secure.mac_store import MacPlacement, MacStore
 
 __all__ = ["InvisiMemSystem"]
@@ -59,6 +61,12 @@ class InvisiMemSystem(SecureMemorySystem):
             )
         else:
             self.encryption = XTSEncryption(crypto_latency_cpu_cycles=crypto_latency_cpu_cycles)
+        # Every read pays the 2x per-transaction MAC latency on its critical
+        # path.  Memory-side write verification happens after the burst lands
+        # and is off the core's critical path (writes are posted).
+        self.path = encryption_path(
+            self.encryption, mac_cycles=2.0 * crypto_latency_cpu_cycles
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -74,28 +82,3 @@ class InvisiMemSystem(SecureMemorySystem):
     def requires_trusted_module(self) -> bool:
         """The security argument only holds if the whole DIMM is trusted."""
         return True
-
-    def _channel_mac_latency(self) -> float:
-        """The 2x per-transaction MAC latency on the read critical path."""
-        return 2.0 * self.crypto_latency_cpu_cycles
-
-    # ------------------------------------------------------------------
-    def _expand_read(self, address: int, cycle: int) -> Tuple[float, float, int, int]:
-        mac_overhead = self._channel_mac_latency()
-        if self.encryption_mode is EncryptionMode.COUNTER:
-            counter_address = self.encryption.counter_address(address)
-            hit, completion = self._metadata_access(
-                counter_address, cycle, dirty=False, kind=MetadataKind.ENCRYPTION_COUNTER
-            )
-            extra_cpu = self.encryption.read_critical_latency(hit) + mac_overhead
-            return completion, extra_cpu, 1, 0 if hit else 1
-        return cycle, self.encryption.read_critical_latency() + mac_overhead, 0, 0
-
-    def _expand_write(self, address: int, cycle: int) -> None:
-        if self.encryption_mode is EncryptionMode.COUNTER:
-            counter_address = self.encryption.counter_address(address)
-            self._metadata_access(
-                counter_address, cycle, dirty=True, kind=MetadataKind.ENCRYPTION_COUNTER
-            )
-        # Memory-side write verification happens after the burst lands and is
-        # off the core's critical path (writes are posted).

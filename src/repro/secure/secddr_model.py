@@ -21,13 +21,15 @@ this module only captures the performance behaviour.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import MemoryController
-from repro.dram.commands import MetadataKind
 from repro.secure.base import MetadataLayout, SecureMemorySystem
-from repro.secure.encryption import CounterModeEncryption, EncryptionMode, XTSEncryption
+from repro.secure.encryption import (
+    CounterModeEncryption,
+    EncryptionMode,
+    XTSEncryption,
+    encryption_path,
+)
 from repro.secure.mac_store import MacPlacement, MacStore
 
 __all__ = ["SecDDRSystem", "SECDDR_WRITE_BURST_BEATS_DDR4", "SECDDR_WRITE_BURST_BEATS_DDR5"]
@@ -70,6 +72,10 @@ class SecDDRSystem(SecureMemorySystem):
             )
         else:
             self.encryption = XTSEncryption(crypto_latency_cpu_cycles=crypto_latency_cpu_cycles)
+        # E-MAC decryption is a XOR with a precomputed OTP: free.  The eWCRC
+        # travels in the extended burst; its cost is the extra bus cycle the
+        # controller configuration already charges.
+        self.path = encryption_path(self.encryption)
 
     # ------------------------------------------------------------------
     @property
@@ -85,24 +91,3 @@ class SecDDRSystem(SecureMemorySystem):
     def write_burst_beats(self) -> int:
         """DDR4 write burst length implied by this configuration."""
         return SECDDR_WRITE_BURST_BEATS_DDR4 if self.ewcrc_enabled else 8
-
-    # ------------------------------------------------------------------
-    def _expand_read(self, address: int, cycle: int) -> Tuple[float, float, int, int]:
-        if self.encryption_mode is EncryptionMode.COUNTER:
-            counter_address = self.encryption.counter_address(address)
-            hit, completion = self._metadata_access(
-                counter_address, cycle, dirty=False, kind=MetadataKind.ENCRYPTION_COUNTER
-            )
-            # E-MAC decryption is a XOR with a precomputed OTP: free.
-            extra_cpu = self.encryption.read_critical_latency(hit)
-            return completion, extra_cpu, 1, 0 if hit else 1
-        return cycle, self.encryption.read_critical_latency(), 0, 0
-
-    def _expand_write(self, address: int, cycle: int) -> None:
-        if self.encryption_mode is EncryptionMode.COUNTER:
-            counter_address = self.encryption.counter_address(address)
-            self._metadata_access(
-                counter_address, cycle, dirty=True, kind=MetadataKind.ENCRYPTION_COUNTER
-            )
-        # The eWCRC itself travels in the extended burst; its cost is the
-        # extra bus cycle already charged by the controller configuration.

@@ -108,11 +108,7 @@ def registries_payload() -> Dict[str, object]:
             "description": spec.description,
         }
     engines = {
-        engine.name: {
-            "vectorized": engine.vectorized,
-            "parity_verified": engine.parity_verified,
-            "description": engine.description,
-        }
+        engine.name: {"vectorized": engine.vectorized, "description": engine.description}
         for engine in ENGINES
     }
     attacks = {

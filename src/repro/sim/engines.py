@@ -12,14 +12,15 @@ flattened state machine without allocating a single per-access object.
 Both engines are registered in :data:`ENGINES` and selected by the
 ``engine=`` parameter threaded through :func:`repro.sim.experiment.run_simulation`,
 :class:`repro.sim.runner.ParallelRunner`, :class:`repro.api.Session`, the
-figure pipeline and the CLI ``--engine`` flag.
+figure pipeline and the CLI ``--engine`` flag.  ``batch`` is the default;
+``reference`` is the parity oracle.
 
-Parity contract: an engine with ``parity_verified = True`` promises
-bit-identical :class:`~repro.sim.results.SimulationResult` values (IPC,
-cycles, every stats key) for every registered mechanism; the test suite
-enforces this across seeded random traces, and the result cache exploits it
-by sharing cache keys between parity-verified engines.  Engines that are not
-parity-verified get their name folded into the cache key instead.
+Parity contract: every registered engine produces bit-identical
+:class:`~repro.sim.results.SimulationResult` values (IPC, cycles, every
+stats key) to the reference model; the test suite enforces this across
+every mechanism and seeded random traces, and the result cache exploits it
+by keying results without the engine.  Both engines read each mechanism's
+one description, :class:`repro.secure.base.MetadataPath`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "engine_names",
     "resolve_engine",
-    "engine_cache_token",
     "register_engine",
     "ReferenceEngine",
     "BatchEngine",
@@ -48,14 +48,16 @@ __all__ = [
 ]
 
 #: Engine used everywhere an ``engine=`` parameter is omitted.
-DEFAULT_ENGINE = "reference"
+DEFAULT_ENGINE = "batch"
 
 
 class BatchEngineUnsupported(ValueError):
     """The batch engine cannot model this configuration exactly.
 
-    Raised for user-registered mechanism factories the vectorized fast path
-    knows nothing about; rerun with ``engine="reference"``.
+    Raised when a mechanism's system class overrides any
+    :class:`~repro.secure.base.SecureMemorySystem` method instead of only
+    setting ``self.path``, or its factory passes in its own controller or
+    metadata-cache class; rerun with ``engine="reference"``.
     """
 
 
@@ -73,9 +75,6 @@ class Engine:
     name: str = "abstract"
     #: Whether the engine consumes traces as whole numpy chunks.
     vectorized: bool = False
-    #: Whether the engine promises results identical to the reference model
-    #: (parity-verified engines share result-cache entries).
-    parity_verified: bool = False
     description: str = ""
 
     def simulate(self, trace, spec, experiment):
@@ -151,24 +150,13 @@ def resolve_engine(engine: Optional[EngineLike] = None) -> Engine:
 
 
 def register_engine(engine: Engine, replace: bool = False) -> Engine:
-    """Register a custom engine in the default registry."""
-    return ENGINES.register(engine, replace=replace)
+    """Register a custom engine in the default registry.
 
-
-def engine_cache_token(engine: Optional[EngineLike]) -> Optional[str]:
-    """The result-cache discriminator for ``engine``.
-
-    ``None`` for parity-verified engines -- their results are identical to
-    the reference model by contract, so they share cache entries (a warm
-    reference cache serves batch runs and vice versa).  Non-parity engines
-    return their name, which the runner folds into the cache key.
+    The engine must reproduce the reference model's results byte for byte:
+    result-cache keys do not name the engine, so its entries serve every
+    other engine's runs.
     """
-    try:
-        resolved = resolve_engine(engine)
-    except UnknownEngineError:
-        # An unknown name still poisons the key; execution will raise later.
-        return engine if isinstance(engine, str) else None
-    return None if resolved.parity_verified else resolved.name
+    return ENGINES.register(engine, replace=replace)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +167,6 @@ class ReferenceEngine(Engine):
 
     name = "reference"
     vectorized = False
-    parity_verified = True  # it *is* the parity baseline
     description = "Cycle-level object model; one Python object dance per access"
 
     def simulate(self, trace, spec, experiment):
@@ -235,7 +222,7 @@ class ReferenceEngine(Engine):
 # Batch engine: chunk-array precompute + flat replay loop
 # ---------------------------------------------------------------------------
 _MODE_PLAIN = 0  # no metadata traffic; constant critical-path latency
-_MODE_META = 1  # one metadata-line access per read (counter-mode encryption)
+_MODE_META = 1  # one metadata-line access per access, no tree
 _MODE_WALK = 2  # metadata line + integrity-tree walk on a miss
 
 
@@ -253,115 +240,76 @@ class BatchEngine(Engine):
 
     name = "batch"
     vectorized = True
-    parity_verified = True
     description = "Chunk-array precompute + flat replay loop (exact parity)"
 
     def simulate(self, trace, spec, experiment):
         return _simulate_batch(trace, spec, experiment)
 
 
-def _batch_mode(spec, layout, crypto_latency: int):
-    """Map a configuration spec onto the batch engine's mode parameters.
+def _batch_unsupported(memory):
+    """Why the batch engine cannot replay ``memory`` exactly, or None.
 
-    Returns ``(mode, extra_hit, extra_miss, meta_base, meta_per_line, tree)``
-    mirroring how :func:`repro.secure.configs.build_configuration` dispatches
-    on ``spec.mechanism`` / ``spec.encryption``.
+    The replay models the stock controller and metadata cache executing the
+    system's :class:`~repro.secure.base.MetadataPath` on 64-byte lines; any
+    other behaviour it would silently ignore.
     """
-    from repro.secure.encryption import EncryptionMode
-    from repro.secure.integrity_tree import (
-        IntegrityTree,
-        TreeGeometry,
-        hash_merkle_tree_geometry,
-    )
-    from repro.secure.configs import PROTECTED_MEMORY_BYTES
+    from repro.cache.metadata_cache import MetadataCache
+    from repro.controller.memory_controller import MemoryController
+    from repro.secure.base import SecureMemorySystem
 
-    crypto = float(crypto_latency)
-    mech = spec.mechanism
-    enc = spec.encryption
-    if mech in ("none", "tdx_baseline", "secddr", "invisimem"):
-        # InvisiMem pays 2x MAC latency on every read's critical path.
-        mac_overhead = 2.0 * crypto_latency if mech == "invisimem" else 0.0
-        if enc is EncryptionMode.COUNTER:
-            return (
-                _MODE_META,
-                0.0 + mac_overhead,
-                crypto + mac_overhead,
-                layout.counter_region_base,
-                spec.counters_per_line,
-                None,
-            )
-        if enc is EncryptionMode.XTS or mech in ("secddr", "invisimem"):
-            # SecDDR/InvisiMem treat any non-counter mode as XTS.
-            extra = crypto + mac_overhead
-            return (_MODE_PLAIN, extra, extra, 0, 1, None)
-        return (_MODE_PLAIN, 0.0, 0.0, 0, 1, None)
-    if mech == "tree":
-        counters_per_line = spec.counters_per_line
-        data_lines = max(1, PROTECTED_MEMORY_BYTES // 64)
-        counter_lines = (data_lines + counters_per_line - 1) // counters_per_line
-        tree = IntegrityTree(
-            TreeGeometry.build(spec.tree_arity or 64, counter_lines), layout
-        )
-        return (
-            _MODE_WALK,
-            0.0,
-            crypto,
-            layout.counter_region_base,
-            counters_per_line,
-            tree,
-        )
-    if mech == "hash_tree":
-        geometry = hash_merkle_tree_geometry(
-            PROTECTED_MEMORY_BYTES, arity=spec.tree_arity or 8, macs_per_line=8
-        )
-        tree = IntegrityTree(geometry, layout)
-        # XTS latency is paid regardless of the MAC-line cache outcome.
-        return (_MODE_WALK, crypto, crypto, layout.mac_region_base, 8, tree)
-    raise BatchEngineUnsupported(
-        "the batch engine has no vectorized model for mechanism %r; "
-        "run it with engine=\"reference\"" % mech
-    )
+    system_class = type(memory)
+    for name, method in vars(SecureMemorySystem).items():
+        if callable(method) and name != "__init__" and getattr(system_class, name) is not method:
+            return "%s overrides %s" % (system_class.__name__, name)
+    for part, stock in ((memory.controller, MemoryController), (memory.metadata_cache, MetadataCache)):
+        if type(part) is not stock:
+            return "%s uses %s" % (system_class.__name__, type(part).__name__)
+    if memory.layout.line_bytes != 64 or memory.metadata_cache.config.line_bytes != 64:
+        return "%s uses metadata lines that are not 64 bytes" % system_class.__name__
+    return None
 
 
 def _simulate_batch(trace, spec, experiment):
     """Run one simulation on the batch engine (see :class:`BatchEngine`)."""
-    from repro.cache.metadata_cache import MetadataCache
     from repro.cache.prefetcher import StreamPrefetcher
-    from repro.controller.memory_controller import ControllerConfig
     from repro.cpu.core import CoreConfig
     from repro.cpu.system import SystemConfig
-    from repro.dram.address_mapping import AddressMapping
-    from repro.secure.base import MetadataLayout
-    from repro.secure.configs import CRYPTO_LATENCY_CPU_CYCLES
+    from repro.secure.configs import build_configuration
     from repro.sim.results import SimulationResult
     from repro.traces.streaming import iter_memory_trace_chunks
 
-    timing = spec.timing
-    controller_config = ControllerConfig(
-        timing=timing, write_burst_cycles=spec.write_burst_cycles
-    )
-    mapping = AddressMapping(
-        ranks=controller_config.ranks,
-        bank_groups=controller_config.bank_groups,
-        banks_per_group=controller_config.banks_per_group,
-    )
-    layout = MetadataLayout()
-    mode, extra_hit, extra_miss, meta_base, meta_per_line, tree = _batch_mode(
-        spec, layout, CRYPTO_LATENCY_CPU_CYCLES
-    )
-
-    # Metadata-cache geometry (the MetadataCache constructor validates it the
-    # same way the reference build does).
-    cache_geometry = MetadataCache(size_bytes=experiment.metadata_cache_bytes)
-    num_sets = cache_geometry.config.num_sets
-    assoc = cache_geometry.config.associativity
+    # The same system the reference engine builds; its description and its
+    # controller / metadata-cache geometry drive the replay below.
+    memory = build_configuration(spec, metadata_cache_bytes=experiment.metadata_cache_bytes)
+    reason = _batch_unsupported(memory)
+    if reason is not None:
+        raise BatchEngineUnsupported(
+            "%s, which the batch engine cannot replay; run it with "
+            "engine=\"reference\"" % reason
+        )
+    path = memory.path
+    extra_hit = path.extra_hit
+    extra_miss = path.extra_miss
+    meta_base = path.base
+    meta_per_line = path.lines_per_entry
+    tree = path.tree
+    if meta_base is None:
+        mode = _MODE_PLAIN
+    else:
+        mode = _MODE_META if tree is None else _MODE_WALK
+    controller_config = memory.controller.config
+    mapping = memory.controller.mapping
+    timing = controller_config.timing
+    metadata_cache = memory.metadata_cache
+    num_sets = metadata_cache.config.num_sets
+    assoc = metadata_cache.config.associativity
 
     core_config = CoreConfig(
         issue_width=experiment.issue_width,
         rob_entries=experiment.rob_entries,
         mshr_entries=experiment.mshr_entries,
         cpu_freq_mhz=experiment.cpu_freq_mhz,
-        dram_freq_mhz=timing.freq_mhz,
+        dram_freq_mhz=spec.timing.freq_mhz,
     )
     system_config = SystemConfig(
         num_cores=experiment.num_cores,
@@ -931,7 +879,7 @@ def _simulate_batch(trace, spec, experiment):
         if with_meta:
             meta_line_a = lines_a // meta_per_line
             maddr_a = meta_base + meta_line_a * 64
-            mset_a, mtag_a = cache_geometry.index_and_tag_arrays(maddr_a)
+            mset_a, mtag_a = metadata_cache.index_and_tag_arrays(maddr_a)
             mdec = mapping.decode_arrays(maddr_a)
             col_maddr[c] = maddr_a.tolist()
             col_mset[c] = mset_a.tolist()

@@ -14,7 +14,6 @@ names or pre-built :class:`MemoryTrace` instances.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -100,9 +99,9 @@ def run_simulation(
     InvisiMem variants), so frequency-derating effects are captured
     automatically.
 
-    ``engine`` selects the executor: ``"reference"`` (the default; the
-    per-access object model) or ``"batch"`` (the vectorized chunk engine,
-    bit-identical results at a fraction of the runtime), or any
+    ``engine`` selects the executor: ``"batch"`` (the default; the
+    vectorized chunk engine) or ``"reference"`` (the per-access object
+    model the batch engine reproduces bit for bit), or any
     :class:`~repro.sim.engines.Engine` registered via
     :func:`~repro.sim.engines.register_engine`.
     """
@@ -114,8 +113,8 @@ def run_simulation(
 
 
 def run_comparison(
-    configurations: Optional[Iterable[ConfigurationLike]] = None,
-    workloads: Optional[Iterable[Union[str, MemoryTrace]]] = None,
+    configurations: Iterable[ConfigurationLike],
+    workloads: Iterable[Union[str, MemoryTrace]],
     baseline: ConfigurationLike = "tdx_baseline",
     experiment: Optional[ExperimentConfig] = None,
     jobs: int = 1,
@@ -123,7 +122,6 @@ def run_comparison(
     cache_dir: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressHook] = None,
     engine: Optional[EngineLike] = None,
-    configs: Optional[Iterable[ConfigurationLike]] = None,
     failures: str = "raise",
 ) -> ComparisonResult:
     """Run every configuration over every workload and normalize to ``baseline``.
@@ -150,25 +148,7 @@ def run_comparison(
     pair is raised afterwards -- a normalized table cannot be built from a
     partial matrix, but a retry only re-runs the failing pairs.  The
     experiment service maps this onto a ``failed`` job with error detail.
-
-    ``configs`` is a deprecated alias for ``configurations``.
     """
-    if configs is not None:
-        if configurations is not None:
-            raise TypeError(
-                "pass either configurations= or the deprecated configs= alias, not both"
-            )
-        warnings.warn(
-            "the configs= keyword is deprecated; use configurations= "
-            "(the canonical comparison signature shared with Session.compare)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        configurations = configs
-    if configurations is None:
-        raise TypeError("run_comparison() missing required argument: 'configurations'")
-    if workloads is None:
-        raise TypeError("run_comparison() missing required argument: 'workloads'")
     experiment = experiment or ExperimentConfig()
     cache = resolve_cache(cache, cache_dir)
     config_list = list(configurations)

@@ -52,7 +52,7 @@ from repro.secure.configs import (
     resolve_configuration,
 )
 from repro.secure.configs import REGISTRY as CONFIGURATION_REGISTRY
-from repro.sim.engines import EngineLike, engine_cache_token
+from repro.sim.engines import EngineLike, resolve_engine
 from repro.sim.results import SimulationResult
 from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
 from repro.workloads.registry import trace_cache_token
@@ -142,6 +142,11 @@ class SimulationJob:
     #: Engine name (or instance); None selects the default engine.
     engine: Optional[EngineLike] = None
 
+    def __post_init__(self) -> None:
+        # The engine stays out of the cache key, so an unknown name must
+        # fail here: on a warm cache no job would ever resolve it.
+        resolve_engine(self.engine)
+
     @property
     def configuration_name(self) -> str:
         if isinstance(self.configuration, str):
@@ -182,12 +187,8 @@ class SimulationJob:
             "workload": workload_cache_token(self.workload),
             "experiment": asdict(self.experiment),
         }
-        # Parity-verified engines produce bit-identical results by contract,
-        # so they share cache entries (the token is None and stays out of the
-        # key); any other engine's name discriminates its entries.
-        engine_token = engine_cache_token(self.engine)
-        if engine_token is not None:
-            payload["engine"] = engine_token
+        # Every engine reproduces the reference results byte for byte, so
+        # the engine stays out of the key: one engine's entries serve all.
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -388,7 +389,6 @@ def _execute_job(job: SimulationJob) -> Tuple[SimulationResult, float]:
     """Worker entry point: simulate one job, returning (result, seconds)."""
     # Imported lazily: repro.sim.experiment imports this module at top level.
     from repro.sim.experiment import run_simulation
-    from repro.sim.engines import resolve_engine
 
     engine_name = resolve_engine(job.engine).name
     started = time.perf_counter()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FunctionalMemorySystem, SecDDRConfig
+from repro.secure import configs as configs_module
+from repro.workloads import registry as workloads_module
 
 
 @pytest.fixture
@@ -23,3 +25,21 @@ def baseline_memory() -> FunctionalMemorySystem:
 def sample_line() -> bytes:
     """A deterministic 64-byte cache line."""
     return bytes(range(64))
+
+
+@pytest.fixture
+def clean_registries():
+    """Roll back any configuration/mechanism/workload registrations."""
+    config_names = set(configs_module.CONFIGURATIONS)
+    mechanism_names = set(configs_module._MECHANISM_BUILDERS)
+    token_names = set(configs_module._MECHANISM_CACHE_TOKENS)
+    workload_names = set(workloads_module.ALL_WORKLOADS)
+    yield
+    for name in set(configs_module.CONFIGURATIONS) - config_names:
+        del configs_module.CONFIGURATIONS[name]
+    for name in set(configs_module._MECHANISM_BUILDERS) - mechanism_names:
+        del configs_module._MECHANISM_BUILDERS[name]
+    for name in set(configs_module._MECHANISM_CACHE_TOKENS) - token_names:
+        del configs_module._MECHANISM_CACHE_TOKENS[name]
+    for name in set(workloads_module.ALL_WORKLOADS) - workload_names:
+        del workloads_module.ALL_WORKLOADS[name]

@@ -12,7 +12,6 @@ from repro.errors import (
     UnknownMechanismError,
     UnknownWorkloadError,
 )
-from repro.secure import configs as configs_module
 from repro.secure.baseline import EncryptOnlySystem
 from repro.secure.configs import (
     CONFIGURATIONS,
@@ -22,29 +21,10 @@ from repro.secure.configs import (
 )
 from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
-from repro.workloads import registry as workloads_module
 from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
 from repro.workloads.registry import build_workload
 
 FAST = ExperimentConfig(num_accesses=300, num_cores=2)
-
-
-@pytest.fixture
-def clean_registries():
-    """Roll back any configuration/mechanism/workload registrations."""
-    config_names = set(configs_module.CONFIGURATIONS)
-    mechanism_names = set(configs_module._MECHANISM_BUILDERS)
-    token_names = set(configs_module._MECHANISM_CACHE_TOKENS)
-    workload_names = set(workloads_module.ALL_WORKLOADS)
-    yield
-    for name in set(configs_module.CONFIGURATIONS) - config_names:
-        del configs_module.CONFIGURATIONS[name]
-    for name in set(configs_module._MECHANISM_BUILDERS) - mechanism_names:
-        del configs_module._MECHANISM_BUILDERS[name]
-    for name in set(configs_module._MECHANISM_CACHE_TOKENS) - token_names:
-        del configs_module._MECHANISM_CACHE_TOKENS[name]
-    for name in set(workloads_module.ALL_WORKLOADS) - workload_names:
-        del workloads_module.ALL_WORKLOADS[name]
 
 
 def _stream_builder(num_accesses=20000, seed=1):
@@ -219,6 +199,11 @@ class TestConfigurationRegistry:
         result = run_simulation("gcc", spec, FAST)
         assert result.total_ipc > 0
         assert built_specs == ["null_prot"]
+        # A stock system class runs on the batch default with exact parity.
+        reference = run_simulation("gcc", spec, FAST, engine="reference")
+        assert (reference.total_ipc, reference.memory_stats) == (
+            result.total_ipc, result.memory_stats
+        )
 
     def test_mechanism_cache_token_is_part_of_the_cache_key(self, clean_registries):
         def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):

@@ -45,10 +45,11 @@ class TestParser:
 
 class TestCommands:
     def test_configs_lists_all(self, capsys):
-        assert main(["configs"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "secddr_xts" in out
         assert "integrity_tree_64" in out
+        assert "RAP" in out
 
     def test_list_prints_both_registries(self, capsys):
         assert main(["list"]) == 0
@@ -147,9 +148,10 @@ class TestCommands:
         assert "unknown workload 'mfc'" in capsys.readouterr().err
 
     def test_workloads_lists_all(self, capsys):
-        assert main(["workloads"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "mcf" in out and "sssp" in out
+        assert "writes" in out
 
     def test_power_table(self, capsys):
         assert main(["power"]) == 0
@@ -275,13 +277,23 @@ class TestEngineFlag:
         assert "Engine registry" in out
         assert "reference" in out
         assert "batch" in out
-        assert "parity-verified" in out
+        assert "vectorized" in out
 
     def test_unknown_engine_suggests_closest(self, capsys):
         assert main(["compare", "-w", "gcc", "--engine", "bacth"]) == 2
         err = capsys.readouterr().err
         assert "unknown engine 'bacth'" in err
         assert "closest match: 'batch'" in err
+
+    def test_unknown_engine_rejected_on_a_warm_cache(self, capsys, tmp_path):
+        # Cache keys do not name the engine, so every job here is a hit; the
+        # misspelled engine must still be rejected.
+        common = ["compare", "-w", "gcc", "-c", "secddr_ctr", "-a", "150", "-n", "1",
+                  "--cache-dir", str(tmp_path)]
+        assert main(common) == 0
+        capsys.readouterr()
+        assert main(common + ["--engine", "bacth"]) == 2
+        assert "unknown engine 'bacth'" in capsys.readouterr().err
 
     def test_unknown_engine_on_reproduce_fails_before_writing(self, capsys, tmp_path):
         out_dir = tmp_path / "artifact"
@@ -293,9 +305,9 @@ class TestEngineFlag:
 
     def test_compare_batch_engine_matches_reference(self, capsys):
         common = ["compare", "-w", "gcc", "-c", "secddr_ctr", "-a", "150", "-n", "1"]
-        assert main(common) == 0
+        assert main(common + ["--engine", "reference"]) == 0
         reference_out = capsys.readouterr().out
-        assert main(common + ["--engine", "batch"]) == 0
+        assert main(common) == 0
         assert capsys.readouterr().out == reference_out
 
     def test_sweep_accepts_batch_engine(self, capsys):

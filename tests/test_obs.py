@@ -445,7 +445,7 @@ class TestRunnerMetrics:
         assert summary["cache_ops_total{op=miss}"] == 4
         assert summary["sim_jobs_total{state=done}"] == 4
         assert summary["cache_writes_total"] == 4
-        assert summary["engine_jobs_total{engine=reference}"] == 4
+        assert summary["engine_jobs_total{engine=batch}"] == 4
         assert summary["sim_job_seconds{state=done}"]["count"] == 4
 
         ParallelRunner(jobs=1, cache=cache).run(_jobs())
@@ -466,9 +466,9 @@ class TestRunnerMetrics:
         # The cache is consulted in the parent; the engine runs in workers.
         # Both tallies must agree exactly with the job count.
         assert summary["cache_ops_total{op=miss}"] == 4
-        assert summary["engine_jobs_total{engine=reference}"] == 4
+        assert summary["engine_jobs_total{engine=batch}"] == 4
         assert summary["sim_jobs_total{state=done}"] == 4
-        assert "engine_accesses_per_sec{engine=reference}" in summary
+        assert "engine_accesses_per_sec{engine=batch}" in summary
 
     def test_pool_spans_are_reparented_under_job_spans(self, tmp_path):
         obs.enable()

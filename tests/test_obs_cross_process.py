@@ -43,7 +43,7 @@ print(json.dumps({
     "misses": summary.get("cache_ops_total{op=miss}", 0),
     "done": summary.get("sim_jobs_total{state=done}", 0),
     "cached": summary.get("sim_jobs_total{state=cached}", 0),
-    "engine_jobs": summary.get("engine_jobs_total{engine=reference}", 0),
+    "engine_jobs": summary.get("engine_jobs_total{engine=batch}", 0),
     "job_seconds_count": summary.get(
         "sim_job_seconds{state=done}", {}
     ).get("count", 0),

@@ -128,7 +128,7 @@ class TestSchemas:
         }
         assert "secddr_ctr" in payload["configurations"]
         assert "mcf" in payload["workloads"]
-        assert payload["engines"]["batch"]["parity_verified"] is True
+        assert payload["engines"]["batch"]["vectorized"] is True
 
     def test_dump_payload_is_canonical(self):
         assert dump_payload({"b": 1, "a": 2}) == b'{\n  "a": 2,\n  "b": 1\n}\n'

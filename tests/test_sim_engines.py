@@ -3,26 +3,36 @@
 The batch engine's whole value proposition is *exact* statistical parity
 with the reference object model at a fraction of the cost, so the parity
 tests here assert strict equality -- not ``approx`` -- over every registered
-configuration (covering every mechanism) and over randomized traces and
-DDR4/DDR5 mapping geometries.
+configuration, every mechanism under every encryption mode, and randomized
+traces and DDR4/DDR5 mapping geometries.
 """
 
 import random
 
 import pytest
 
+from repro.cache.metadata_cache import MetadataCache
+from repro.cli import main
 from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownEngineError
-from repro.secure.configs import configuration_names, resolve_configuration
+from repro.secure.base import MetadataPath
+from repro.secure.baseline import EncryptOnlySystem
+from repro.secure.configs import (
+    CONFIGURATIONS,
+    REGISTRY,
+    build_configuration,
+    configuration_names,
+    resolve_configuration,
+)
+from repro.secure.encryption import EncryptionMode
 from repro.sim.engines import (
     DEFAULT_ENGINE,
     ENGINES,
     BatchEngine,
-    Engine,
+    BatchEngineUnsupported,
     EngineRegistry,
     ReferenceEngine,
-    engine_cache_token,
     engine_names,
     resolve_engine,
 )
@@ -30,6 +40,19 @@ from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulatio
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
 
 FAST = ExperimentConfig(num_accesses=200, num_cores=2)
+
+
+def _uncovered_mechanism_encryption_specs():
+    """One derived spec per (mechanism, encryption mode) no registered spec uses."""
+    covered = {(spec.mechanism, spec.encryption) for spec in CONFIGURATIONS.values()}
+    specs = []
+    for name in configuration_names():
+        base = CONFIGURATIONS[name]
+        for mode in EncryptionMode:
+            if (base.mechanism, mode) not in covered:
+                covered.add((base.mechanism, mode))
+                specs.append(base.derive(encryption=mode))
+    return specs
 
 
 def random_trace(seed: int, accesses: int = 200, name: str = "random") -> MemoryTrace:
@@ -72,13 +95,11 @@ class TestEngineRegistry:
         assert "batch" in ENGINES
         assert "bogus" not in ENGINES
         assert len(ENGINES) == 2
-        assert DEFAULT_ENGINE == "reference"
+        assert DEFAULT_ENGINE == "batch"
 
     def test_attributes(self):
-        reference = ENGINES.get("reference")
-        batch = ENGINES.get("batch")
-        assert not reference.vectorized and reference.parity_verified
-        assert batch.vectorized and batch.parity_verified
+        assert not ENGINES.get("reference").vectorized
+        assert ENGINES.get("batch").vectorized
 
     def test_unknown_engine_closest_match(self):
         with pytest.raises(UnknownEngineError) as excinfo:
@@ -88,8 +109,8 @@ class TestEngineRegistry:
         assert isinstance(excinfo.value, KeyError)
 
     def test_resolve_accepts_name_instance_and_none(self):
-        assert isinstance(resolve_engine(None), ReferenceEngine)
-        assert isinstance(resolve_engine("batch"), BatchEngine)
+        assert isinstance(resolve_engine(None), BatchEngine)
+        assert isinstance(resolve_engine("reference"), ReferenceEngine)
         custom = BatchEngine()
         assert resolve_engine(custom) is custom
 
@@ -106,24 +127,22 @@ class TestEngineRegistry:
             EngineRegistry().register("reference")
 
 
-class DummyEngine(Engine):
-    name = "dummy-approx"
-    vectorized = True
-    parity_verified = False
-
-
 class TestCacheTokens:
     def test_parity_verified_engines_share_tokens(self):
-        assert engine_cache_token(None) is None
-        assert engine_cache_token("reference") is None
-        assert engine_cache_token("batch") is None
-        assert engine_cache_token(BatchEngine()) is None
+        # Every engine must reproduce the reference bytes, so even an engine
+        # that was never registered shares the default job's cache key.
+        class CustomEngine(BatchEngine):
+            name = "custom"
 
-    def test_non_parity_engine_gets_a_token(self):
-        assert engine_cache_token(DummyEngine()) == "dummy-approx"
+        default_key = SimulationJob("secddr_ctr", "mcf", FAST).cache_key()
+        job = SimulationJob("secddr_ctr", "mcf", FAST, engine=CustomEngine())
+        assert job.cache_key() == default_key
 
-    def test_unknown_name_poisons_the_token(self):
-        assert engine_cache_token("not-an-engine") == "not-an-engine"
+    def test_unknown_engine_rejected_when_the_job_is_made(self):
+        # The key does not name the engine, so on a warm cache no job would
+        # ever resolve a misspelled one.
+        with pytest.raises(UnknownEngineError):
+            SimulationJob("secddr_ctr", "mcf", FAST, engine="bacth")
 
     def test_jobs_share_cache_keys_across_parity_engines(self):
         jobs = [
@@ -133,16 +152,19 @@ class TestCacheTokens:
         keys = {job.cache_key() for job in jobs}
         assert len(keys) == 1
 
-    def test_non_parity_engine_changes_the_cache_key(self):
-        base = SimulationJob("secddr_ctr", "mcf", FAST)
-        approx = SimulationJob("secddr_ctr", "mcf", FAST, engine=DummyEngine())
-        assert base.cache_key() != approx.cache_key()
+    def test_golden_cache_key(self):
+        # A refactor must not change cache keys silently: a change to the
+        # simulated semantics bumps CACHE_SCHEMA_VERSION instead.
+        job = SimulationJob("secddr_ctr", "mcf", ExperimentConfig())
+        assert job.cache_key() == (
+            "38eac593864bcf4213483d95755f91c5e9ef5dd8ff98fb0e90d942e4739a8370"
+        )
 
     def test_batch_run_warms_the_reference_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         experiment = ExperimentConfig(num_accesses=120, num_cores=1)
         batch_job = SimulationJob("secddr_ctr", "gcc", experiment, engine="batch")
-        reference_job = SimulationJob("secddr_ctr", "gcc", experiment)
+        reference_job = SimulationJob("secddr_ctr", "gcc", experiment, engine="reference")
         runner = ParallelRunner(jobs=1, cache=cache)
         (first,) = runner.run([batch_job])
         assert cache.misses == 1
@@ -152,12 +174,40 @@ class TestCacheTokens:
 
 
 class TestBatchParity:
-    @pytest.mark.parametrize("configuration", configuration_names())
+    @pytest.mark.parametrize(
+        "configuration",
+        configuration_names()
+        + [pytest.param(spec, id=spec.name) for spec in _uncovered_mechanism_encryption_specs()],
+    )
     def test_every_registered_configuration(self, configuration):
+        # Registered configurations, plus every mechanism under every
+        # encryption mode (no registered configuration uses NONE).
         trace = random_trace(7)
         reference = run_simulation(trace, configuration, FAST, engine="reference")
         batch = run_simulation(trace, configuration, FAST, engine="batch")
         assert_identical(reference, batch)
+
+    @pytest.mark.parametrize(
+        "configuration, mode",
+        [
+            # SecDDR and InvisiMem build AES-XTS for any non-counter mode.
+            ("secddr_xts", EncryptionMode.NONE),
+            ("invisimem_realistic_xts", EncryptionMode.NONE),
+            # The integrity trees fix their own encryption.
+            ("integrity_tree_64", EncryptionMode.XTS),
+            ("integrity_tree_8_hash", EncryptionMode.COUNTER),
+        ],
+    )
+    def test_mechanisms_that_ignore_the_encryption_mode(self, configuration, mode):
+        trace = random_trace(3)
+        derived = resolve_configuration(configuration).derive(encryption=mode)
+        assert_identical(run_simulation(trace, configuration, FAST),
+                         run_simulation(trace, derived, FAST))
+
+    @pytest.mark.parametrize("configuration", ["encrypt_only_xts", "tdx_baseline"])
+    def test_no_encryption_adds_nothing(self, configuration):
+        spec = resolve_configuration(configuration).derive(encryption=EncryptionMode.NONE)
+        assert build_configuration(spec).path == MetadataPath()
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("timing", [DDR4_2400, DDR4_3200, DDR5_4800])
@@ -183,7 +233,7 @@ class TestBatchParity:
             assert_identical(reference, batch)
 
     def test_parity_on_registry_workload(self):
-        reference = run_simulation("mcf", "secddr_ctr", FAST)
+        reference = run_simulation("mcf", "secddr_ctr", FAST, engine="reference")
         batch = run_simulation("mcf", "secddr_ctr", FAST, engine="batch")
         assert_identical(reference, batch)
 
@@ -192,34 +242,77 @@ class TestBatchParity:
             run_simulation("mcf", "secddr_ctr", FAST, engine="warp")
 
 
-class TestDeprecatedSpellings:
-    def test_configs_alias_still_works_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="configs"):
-            comparison = run_comparison(
-                configs=["secddr_ctr"], workloads=["gcc"], experiment=FAST
-            )
-        assert "secddr_ctr" in comparison.configurations
+class SkewedReadSystem(EncryptOnlySystem):
+    """Adds read latency in an overridden hook, outside its MetadataPath."""
 
-    def test_configs_alias_conflicts_with_canonical_keyword(self):
-        with pytest.raises(TypeError):
-            run_comparison(
-                configs=["secddr_ctr"],
-                configurations=["secddr_ctr"],
-                workloads=["gcc"],
-                experiment=FAST,
-            )
+    def _expand_read(self, address, cycle):
+        completion, extra, touched, missed = super()._expand_read(address, cycle)
+        return completion, extra + 7.0, touched, missed
+
+
+class SkewedPublicReadSystem(EncryptOnlySystem):
+    """Adds read latency in the public read(), past every expansion hook."""
+
+    def read(self, address, dram_cycle):
+        completion, extra = super().read(address, dram_cycle)
+        return completion, extra + 7.0
+
+
+class PrivateMetadataCache(MetadataCache):
+    """A metadata-cache class of a custom factory's own."""
+
+
+def register_custom_mechanism(name, system_class, metadata_cache_class=None):
+    """Register a mechanism building ``system_class`` and a configuration using it."""
+
+    def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
+        if metadata_cache_class is not None:
+            metadata_cache = metadata_cache_class()
+        return system_class(
+            controller, metadata_cache, layout, crypto_latency,
+            encryption_mode=spec.encryption,
+            counters_per_line=spec.counters_per_line,
+        )
+
+    REGISTRY.register_mechanism(name, factory, cache_token=name + "/v1")
+    return REGISTRY.register(
+        resolve_configuration("encrypt_only_ctr").derive(name=name, mechanism=name)
+    )
+
+
+class TestCustomMechanisms:
+    @pytest.mark.parametrize(
+        "system_class, metadata_cache_class, reason",
+        [
+            (SkewedReadSystem, None, "SkewedReadSystem overrides _expand_read"),
+            (SkewedPublicReadSystem, None, "SkewedPublicReadSystem overrides read"),
+            (EncryptOnlySystem, PrivateMetadataCache, "EncryptOnlySystem uses PrivateMetadataCache"),
+        ],
+    )
+    def test_unreplayable_system_is_reference_only(
+        self, clean_registries, capsys, system_class, metadata_cache_class, reason
+    ):
+        spec = register_custom_mechanism("skewed", system_class, metadata_cache_class)
+        assert run_simulation("gcc", spec, FAST, engine="reference").total_ipc > 0
+        with pytest.raises(BatchEngineUnsupported, match=reason):
+            run_simulation("gcc", spec, FAST, engine="batch")
+        assert main([
+            "compare", "-w", "gcc", "-c", "skewed", "-a", "100", "-n", "1",
+            "--engine", "batch",
+        ]) == 2
+        assert reason in capsys.readouterr().err
+
+
+class TestDeprecatedSpellings:
+    """The removed spellings fail on Python's own argument checks."""
 
     def test_missing_configurations_rejected(self):
         with pytest.raises(TypeError):
             run_comparison(workloads=["gcc"], experiment=FAST)
 
-    def test_comparison_jobs_legacy_positional_order(self):
-        from repro.figures.spec import comparison_jobs
-
-        with pytest.warns(DeprecationWarning, match="comparison_jobs"):
-            legacy = comparison_jobs(["secddr_ctr"], ["gcc"], FAST)
-        canonical = comparison_jobs(["secddr_ctr"], ["gcc"], experiment=FAST)
-        assert [j.cache_key() for j in legacy] == [j.cache_key() for j in canonical]
+    def test_configs_alias_rejected(self):
+        with pytest.raises(TypeError, match="configs"):
+            run_comparison(configs=["secddr_ctr"], workloads=["gcc"], experiment=FAST)
 
 
 class TestEngineThreading:
@@ -227,7 +320,7 @@ class TestEngineThreading:
 
     def test_run_comparison_engine_batch_matches_reference(self):
         kwargs = dict(configurations=["secddr_ctr"], workloads=["gcc"], experiment=FAST)
-        reference = run_comparison(**kwargs)
+        reference = run_comparison(engine="reference", **kwargs)
         batch = run_comparison(engine="batch", **kwargs)
         assert reference.normalized == batch.normalized
 
