@@ -9,8 +9,8 @@ Two entry points, both thin wrappers over the registered ``engines``
 :class:`repro.bench.BenchSpec`:
 
 * **pytest-benchmark** -- ``pytest benchmarks/bench_engines.py`` times both
-  engines and enforces the >=10x speedup floor the batch engine promises on
-  this scenario.
+  engines and enforces the batch engine's speedup floor on this scenario
+  (``SPEEDUP_FLOOR``).
 * **standalone JSON recorder** -- ``python benchmarks/bench_engines.py
   --out BENCH_<date>.json`` merges the ``engines`` entry into the record
   through the file-locked writer (:func:`repro.bench.merge_bench_record`,
@@ -49,8 +49,12 @@ WORKLOAD = "mcf"
 NUM_CORES = 2
 ROUNDS = 3
 #: The batch engine must beat the reference model by at least this factor on
-#: the streamed scenario (the tentpole acceptance floor).
-SPEEDUP_FLOOR = 10.0
+#: the streamed scenario.  It was 10x until the reference model's FR-FCFS
+#: drain became one sort, which made the reference 2.1-2.4x faster here
+#: (6.1k -> 13.1k acc/s on a shared 2-vCPU Xeon VM, speedup 13.3x -> 6.2x);
+#: 10 / 2.4 rounded down asks no less of batch, whose own throughput is
+#: gated by ``engines.batch_accesses_per_second``.
+SPEEDUP_FLOOR = 4.0
 
 
 def _context() -> BenchContext:

@@ -1,10 +1,11 @@
 """Memory controller substrate.
 
-Models the processor-side memory controller the SecDDR evaluation assumes:
-64-entry read and write queues, FR-FCFS scheduling, write draining with
-high/low watermarks, and read-priority service (Table I of the paper).
+Models the processor-side memory controller the SecDDR evaluation assumes
+(Table I of the paper): a 64-entry write queue, FR-FCFS scheduling and write
+draining with high/low watermarks.  Reads are served at once, ahead of
+buffered writes.
 
-* :mod:`repro.controller.queues` -- bounded read/write queues.
+* :mod:`repro.controller.queues` -- the bounded write queue.
 * :mod:`repro.controller.scheduler` -- FR-FCFS request ordering policy.
 * :mod:`repro.controller.memory_controller` -- the controller front end the
   CPU/system model talks to.

@@ -1,10 +1,10 @@
 """Memory controller front end.
 
 The controller owns one DDR channel (the paper's configuration is
-single-channel), a 64-entry read queue and a 64-entry write queue.  Reads are
-prioritized; writes are buffered and drained in batches when the write queue
-crosses a high watermark, using FR-FCFS ordering inside the drain batch --
-the standard write-drain policy that makes the eWCRC write-burst overhead
+single-channel) and a 64-entry write queue.  Reads are served at once, ahead
+of buffered writes; writes are buffered and drained in batches when the write
+queue crosses a high watermark, using FR-FCFS ordering inside the drain batch
+-- the standard write-drain policy that makes the eWCRC write-burst overhead
 visible mainly to write-intensive workloads (as the paper observes for lbm).
 
 The controller also honours write-to-read forwarding: a read that matches a
@@ -34,7 +34,6 @@ class ControllerConfig:
     ranks: int = 2
     bank_groups: int = 4
     banks_per_group: int = 4
-    read_queue_entries: int = 64
     write_queue_entries: int = 64
     #: Start draining writes when the write queue reaches this occupancy.
     write_drain_high_watermark: int = 48
@@ -89,7 +88,6 @@ class MemoryController:
             memory_side_write_latency=self.config.memory_side_write_latency,
         )
         self.scheduler = FRFCFSScheduler(self.mapping)
-        self.read_queue = RequestQueue(self.config.read_queue_entries, "read-queue")
         self.write_queue = RequestQueue(self.config.write_queue_entries, "write-queue")
         self.stats = ControllerStats()
         #: The controller's notion of "now" (DRAM cycles); advances as
@@ -145,9 +143,7 @@ class MemoryController:
         """Serve a read and return its completion cycle (DRAM cycles).
 
         Checks write-to-read forwarding first; otherwise the read is issued
-        on the channel ahead of buffered writes (read priority).  If the read
-        queue backs up beyond its capacity, the request is delayed until a
-        slot frees (modelled as waiting for the channel's bus).
+        on the channel at once, ahead of buffered writes (read priority).
         """
         if request.request_type is not RequestType.READ:
             raise ValueError("service_read expects a read request")

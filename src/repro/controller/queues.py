@@ -17,9 +17,9 @@ class QueueFullError(RuntimeError):
 class RequestQueue:
     """A bounded FIFO of :class:`MemoryRequest` with occupancy statistics.
 
-    The controller uses one queue for reads and one for writes (64 entries
-    each, per the paper's Table I).  FR-FCFS may service entries out of FIFO
-    order; the queue therefore supports removal of arbitrary entries.
+    The controller buffers its writes in one (64 entries, per the paper's
+    Table I).  FR-FCFS may service entries out of FIFO order; the queue
+    therefore supports removal of arbitrary entries.
     """
 
     def __init__(self, capacity: int = 64, name: str = "queue") -> None:

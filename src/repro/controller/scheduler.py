@@ -9,7 +9,7 @@ controller configuration implies.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.channel import Channel
@@ -25,33 +25,30 @@ class FRFCFSScheduler:
         self.mapping = mapping
 
     # ------------------------------------------------------------------
-    def is_row_hit(self, channel: Channel, request: MemoryRequest) -> bool:
-        """Whether ``request`` would hit an open row right now."""
-        decoded = self.mapping.decode(request.address)
-        bank = channel.rank(decoded.rank).bank(decoded.bank_group, decoded.bank)
-        return bank.is_row_open(decoded.row)
+    def _priority(self, channel: Channel) -> Callable[[MemoryRequest], Tuple[int, int, int]]:
+        """The FR-FCFS sort key against ``channel``'s current open rows.
+
+        A row hit sorts first; among equals the oldest (lowest arrival
+        cycle, then lowest request id) wins, which preserves FCFS fairness
+        and avoids starvation in the common case.  The request id makes
+        every key unique.
+        """
+        decode = self.mapping.decode
+
+        def key(request: MemoryRequest) -> Tuple[int, int, int]:
+            decoded = decode(request.address)
+            bank = channel.rank(decoded.rank).bank(decoded.bank_group, decoded.bank)
+            return (0 if bank.is_row_open(decoded.row) else 1, request.arrival_cycle, request.request_id)
+
+        return key
 
     def pick_next(
         self,
         channel: Channel,
         pending: Sequence[MemoryRequest],
     ) -> Optional[MemoryRequest]:
-        """Pick the next request to service from ``pending``.
-
-        Row hits are preferred; among equals, the oldest (lowest arrival
-        cycle, then lowest request id) wins, which preserves FCFS fairness
-        and avoids starvation in the common case.
-        """
-        if not pending:
-            return None
-        best: Optional[MemoryRequest] = None
-        best_key: Optional[tuple] = None
-        for request in pending:
-            hit = self.is_row_hit(channel, request)
-            key = (0 if hit else 1, request.arrival_cycle, request.request_id)
-            if best_key is None or key < best_key:
-                best, best_key = request, key
-        return best
+        """Pick the next request to service from ``pending`` (None if empty)."""
+        return min(pending, key=self._priority(channel), default=None)
 
     def order(
         self,
@@ -60,15 +57,8 @@ class FRFCFSScheduler:
     ) -> List[MemoryRequest]:
         """Return a full service order for ``pending`` (greedy FR-FCFS).
 
-        The open-row state is only consulted once per pick (the greedy
-        approximation normal hardware schedulers also make); the returned
-        order is what the controller's write-drain loop follows.
+        The open-row state is read once per request, before anything is
+        served, so one sort gives exactly the order a repeated greedy pick
+        would; the controller's write-drain loop follows it.
         """
-        remaining = list(pending)
-        ordered: List[MemoryRequest] = []
-        while remaining:
-            choice = self.pick_next(channel, remaining)
-            assert choice is not None
-            remaining.remove(choice)
-            ordered.append(choice)
-        return ordered
+        return sorted(pending, key=self._priority(channel))

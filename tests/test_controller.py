@@ -1,11 +1,15 @@
 """Tests for the memory-controller queues, scheduler and front end."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller.memory_controller import ControllerConfig, MemoryController
 from repro.controller.queues import QueueFullError, RequestQueue
 from repro.controller.scheduler import FRFCFSScheduler
-from repro.dram.address_mapping import AddressMapping
+from repro.dram.address_mapping import AddressMapping, DecodedAddress
 from repro.dram.channel import Channel
 from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.timing import DDR4_3200
@@ -17,6 +21,17 @@ def _read(address, cycle=0):
 
 def _write(address, cycle=0):
     return MemoryRequest(address=address, request_type=RequestType.WRITE, arrival_cycle=cycle)
+
+
+#: (rank, bank group, row, column) over four banks and three rows, so a queue
+#: mixes row hits, misses on closed banks and conflicts, and repeats addresses.
+_COORDINATES = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2), st.integers(0, 3))
+
+
+def _address(mapping, rank, bank_group, row, column):
+    return mapping.encode(
+        DecodedAddress(channel=0, rank=rank, bank_group=bank_group, bank=0, row=row, column=column)
+    )
 
 
 class TestRequestQueue:
@@ -90,14 +105,36 @@ class TestFrfcfsScheduler:
         scheduler = FRFCFSScheduler(AddressMapping())
         assert scheduler.pick_next(Channel(DDR4_3200), []) is None
 
-    def test_order_returns_all_requests(self):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        opened=st.lists(_COORDINATES, max_size=4),
+        queued=st.lists(st.tuples(_COORDINATES, st.integers(0, 3)), max_size=24),
+        data=st.data(),
+    )
+    def test_order_matches_repeated_greedy_pick(self, opened, queued, data):
         mapping = AddressMapping()
         channel = Channel(DDR4_3200)
-        scheduler = FRFCFSScheduler(mapping)
-        requests = [_read(i * 0x100000, cycle=i) for i in range(6)]
-        ordered = scheduler.order(channel, requests)
-        assert sorted(r.request_id for r in ordered) == sorted(r.request_id for r in requests)
-        assert len(ordered) == 6
+        for cycle, coordinates in enumerate(opened):
+            channel.access(mapping.decode(_address(mapping, *coordinates)), True, cycle * 100)
+        requests = [_write(_address(mapping, *coordinates), cycle=arrival) for coordinates, arrival in queued]
+        # Queue order need not follow request ids, so the id tie-break matters.
+        pending = data.draw(st.permutations(requests))
+        banks = [bank for rank in channel.ranks for bank in rank.all_banks()]
+        before = [(bank.open_row, dataclasses.replace(bank.stats)) for bank in banks]
+
+        def greedy_key(request):
+            decoded = mapping.decode(request.address)
+            bank = channel.rank(decoded.rank).bank(decoded.bank_group, decoded.bank)
+            return (0 if bank.open_row == decoded.row else 1, request.arrival_cycle, request.request_id)
+
+        remaining, expected = list(pending), []
+        while remaining:
+            best = min(remaining, key=greedy_key)
+            remaining.remove(best)
+            expected.append(best)
+
+        assert FRFCFSScheduler(mapping).order(channel, pending) == expected
+        assert [(bank.open_row, bank.stats) for bank in banks] == before
 
 
 class TestMemoryController:

@@ -40,6 +40,8 @@ from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulatio
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
 
 FAST = ExperimentConfig(num_accesses=200, num_cores=2)
+#: Long enough to cross several refreshes and many write drains.
+LONG = ExperimentConfig(num_accesses=1000, num_cores=4)
 
 
 def _uncovered_mechanism_encryption_specs():
@@ -232,10 +234,28 @@ class TestBatchParity:
             batch = run_simulation(trace, configuration, experiment, engine="batch")
             assert_identical(reference, batch)
 
-    def test_parity_on_registry_workload(self):
-        reference = run_simulation("mcf", "secddr_ctr", FAST, engine="reference")
-        batch = run_simulation("mcf", "secddr_ctr", FAST, engine="batch")
+    @pytest.mark.parametrize(
+        "configuration",
+        [
+            # One configuration per mechanism.
+            "tdx_baseline",
+            "encrypt_only_ctr",
+            "secddr_ctr",
+            "invisimem_realistic_xts",
+            "integrity_tree_64",
+            "integrity_tree_8_hash",
+        ],
+    )
+    @pytest.mark.parametrize("workload", ["mcf", "lbm"])
+    def test_parity_on_registry_workload(self, workload, configuration):
+        reference = run_simulation(workload, configuration, LONG, engine="reference")
+        batch = run_simulation(workload, configuration, LONG, engine="batch")
         assert_identical(reference, batch)
+        # The run must cross refreshes and many 48 -> 16 write drains.
+        timing = resolve_configuration(configuration).timing
+        dram_cycles = reference.total_cycles * timing.freq_mhz / LONG.cpu_freq_mhz
+        assert dram_cycles >= 3 * timing.tREFI
+        assert reference.memory_stats["controller_writes"] >= 20 * 48
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(UnknownEngineError):
