@@ -7,9 +7,10 @@ can overlap a bounded number of misses (the MSHR / memory-level-parallelism
 limit).  Writebacks are posted and do not stall retirement; they only consume
 memory bandwidth.
 
-The absolute IPC of this model is not meaningful (see DESIGN.md); the ratio
-between two secure-memory configurations is, because the configurations only
-change the latency and count of memory accesses the core observes.
+The absolute IPC of this model is not meaningful (see
+``docs/architecture.md``, "Substitutions"); the ratio between two
+secure-memory configurations is, because the configurations only change the
+latency and count of memory accesses the core observes.
 """
 
 from __future__ import annotations

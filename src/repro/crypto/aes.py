@@ -5,14 +5,21 @@ ECC chip(s) for generating one-time pads (OTPs) and MACs.  This module
 provides a bit-accurate software implementation so the functional model can
 produce and verify real E-MACs, OTPs, and XTS ciphertexts.
 
-Performance note: this implementation favours clarity over speed.  It is used
-only by the functional security model and the attack framework, never on the
-timing-simulation hot path.
+Each round runs on 32-bit column words through T-tables (Daemen & Rijmen,
+*The Design of Rijndael*, 2002, Section 4.2): one table lookup per state byte
+does SubBytes, ShiftRows and MixColumns at once.  Decryption is the
+equivalent inverse cipher (FIPS-197 Section 5.3.5), which has the same shape
+as encryption and uses its own round keys.  The table lookups are indexed by
+secret bytes, so this code is not constant-time: it models the cipher for the
+functional stack and is not a deployable implementation (see
+``docs/architecture.md``, "Substitutions").  The timing simulation never calls
+it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import struct
+from typing import Callable, List, Optional, Tuple
 
 __all__ = ["AES128"]
 
@@ -42,7 +49,7 @@ _SBOX = [
     0xB0, 0x54, 0xBB, 0x16,
 ]
 
-# Inverse S-box (computed from _SBOX, stored explicitly for clarity).
+# Inverse S-box (computed from _SBOX).
 _INV_SBOX = [0] * 256
 for _i, _v in enumerate(_SBOX):
     _INV_SBOX[_v] = _i
@@ -50,24 +57,48 @@ for _i, _v in enumerate(_SBOX):
 # Round constants for key expansion.
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
+# A block as four big-endian column words.
+_WORDS = struct.Struct(">4I")
+
 
 def _xtime(a: int) -> int:
     """Multiply by x (i.e. {02}) in GF(2^8) with the AES polynomial."""
     a <<= 1
     if a & 0x100:
         a ^= 0x11B
-    return a & 0xFF
+    return a
 
 
-def _gf_mul(a: int, b: int) -> int:
-    """Multiply two bytes in GF(2^8) with the AES reduction polynomial."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a = _xtime(a)
-        b >>= 1
-    return result
+def _t_tables(column: Callable[[int], int]) -> Tuple[List[int], ...]:
+    """Four T-tables from ``column(x)``, the MixColumns column of byte ``x``.
+
+    Table ``r`` holds that column word rotated right by ``8 * r`` bits: the
+    contribution of a byte that sits in row ``r`` of the state.
+    """
+    t0 = [column(x) for x in range(256)]
+    return tuple(
+        [((w >> (8 * r)) | (w << (32 - 8 * r))) & 0xFFFFFFFF for w in t0] for r in range(4)
+    )
+
+
+def _encrypt_column(x: int) -> int:
+    """S(x) times the MixColumns column (02, 01, 01, 03)."""
+    s = _SBOX[x]
+    s2 = _xtime(s)
+    return (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s)
+
+
+def _decrypt_column(x: int) -> int:
+    """InvS(x) times the InvMixColumns column (0e, 09, 0d, 0b)."""
+    s = _INV_SBOX[x]
+    s2 = _xtime(s)
+    s4 = _xtime(s2)
+    s8 = _xtime(s4)
+    return ((s8 ^ s4 ^ s2) << 24) | ((s8 ^ s) << 16) | ((s8 ^ s4 ^ s) << 8) | (s8 ^ s2 ^ s)
+
+
+_TE0, _TE1, _TE2, _TE3 = _t_tables(_encrypt_column)
+_TD0, _TD1, _TD2, _TD3 = _t_tables(_decrypt_column)
 
 
 class AES128:
@@ -76,8 +107,9 @@ class AES128:
     Parameters
     ----------
     key:
-        A 16-byte key.  The key schedule is expanded eagerly at construction
-        time so that repeated block operations are as cheap as possible.
+        A 16-byte key.  The encryption key schedule is expanded at
+        construction; the decryption schedule on the first
+        :meth:`decrypt_block` call.
 
     Examples
     --------
@@ -98,6 +130,7 @@ class AES128:
             )
         self._key = bytes(key)
         self._round_keys = self._expand_key(self._key)
+        self._decrypt_keys: Optional[List[int]] = None
 
     @property
     def key(self) -> bytes:
@@ -105,101 +138,46 @@ class AES128:
         return self._key
 
     # ------------------------------------------------------------------
-    # Key schedule
+    # Key schedules, as 44 column words each (four per round).
     # ------------------------------------------------------------------
     @staticmethod
-    def _expand_key(key: bytes) -> List[List[int]]:
-        """Expand the key into 11 round keys of 16 bytes each."""
-        words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
-        for i in range(4, 4 * (AES128.NUM_ROUNDS + 1)):
-            temp = list(words[i - 1])
-            if i % 4 == 0:
-                # RotWord followed by SubWord and Rcon.
-                temp = temp[1:] + temp[:1]
-                temp = [_SBOX[b] for b in temp]
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([words[i - 4][j] ^ temp[j] for j in range(4)])
-        round_keys = []
-        for r in range(AES128.NUM_ROUNDS + 1):
-            rk: List[int] = []
-            for w in words[4 * r : 4 * r + 4]:
-                rk.extend(w)
-            round_keys.append(rk)
-        return round_keys
+    def _expand_key(key: bytes) -> List[int]:
+        """FIPS-197 key expansion."""
+        sbox = _SBOX
+        words = list(_WORDS.unpack(key))
+        for rcon in _RCON:
+            t = words[-1]
+            # RotWord, SubWord and Rcon in one step.
+            t = (
+                (sbox[(t >> 16) & 0xFF] ^ rcon) << 24
+                | sbox[(t >> 8) & 0xFF] << 16
+                | sbox[t & 0xFF] << 8
+                | sbox[t >> 24]
+            )
+            w0 = words[-4] ^ t
+            w1 = words[-3] ^ w0
+            w2 = words[-2] ^ w1
+            w3 = words[-1] ^ w2
+            words += (w0, w1, w2, w3)
+        return words
 
-    # ------------------------------------------------------------------
-    # Round transformations (operating on a 16-element state list,
-    # column-major as in FIPS-197).
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: List[int], round_key: Sequence[int]) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
+    def _expand_decrypt_keys(self) -> List[int]:
+        """Round keys of the equivalent inverse cipher.
 
-    @staticmethod
-    def _sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _SBOX[state[i]]
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = _INV_SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> None:
-        # State is column-major: state[r + 4*c].
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = (
-                _gf_mul(col[0], 2) ^ _gf_mul(col[1], 3) ^ col[2] ^ col[3]
-            )
-            state[4 * c + 1] = (
-                col[0] ^ _gf_mul(col[1], 2) ^ _gf_mul(col[2], 3) ^ col[3]
-            )
-            state[4 * c + 2] = (
-                col[0] ^ col[1] ^ _gf_mul(col[2], 2) ^ _gf_mul(col[3], 3)
-            )
-            state[4 * c + 3] = (
-                _gf_mul(col[0], 3) ^ col[1] ^ col[2] ^ _gf_mul(col[3], 2)
-            )
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            state[4 * c + 0] = (
-                _gf_mul(col[0], 14) ^ _gf_mul(col[1], 11)
-                ^ _gf_mul(col[2], 13) ^ _gf_mul(col[3], 9)
-            )
-            state[4 * c + 1] = (
-                _gf_mul(col[0], 9) ^ _gf_mul(col[1], 14)
-                ^ _gf_mul(col[2], 11) ^ _gf_mul(col[3], 13)
-            )
-            state[4 * c + 2] = (
-                _gf_mul(col[0], 13) ^ _gf_mul(col[1], 9)
-                ^ _gf_mul(col[2], 14) ^ _gf_mul(col[3], 11)
-            )
-            state[4 * c + 3] = (
-                _gf_mul(col[0], 11) ^ _gf_mul(col[1], 13)
-                ^ _gf_mul(col[2], 9) ^ _gf_mul(col[3], 14)
-            )
+        The encryption round keys in reverse round order, with InvMixColumns
+        applied to all but the first and last.  ``_TD*[_SBOX[b]]`` is
+        InvMixColumns of byte ``b`` alone, because the tables' InvS undoes S.
+        """
+        sbox = _SBOX
+        rk = self._round_keys
+        keys = rk[40:44]
+        for start in range(36, 0, -4):
+            keys += [
+                _TD0[sbox[w >> 24]] ^ _TD1[sbox[(w >> 16) & 0xFF]]
+                ^ _TD2[sbox[(w >> 8) & 0xFF]] ^ _TD3[sbox[w & 0xFF]]
+                for w in rk[start : start + 4]
+            ]
+        return keys + rk[0:4]
 
     # ------------------------------------------------------------------
     # Public block API
@@ -208,33 +186,68 @@ class AES128:
         """Encrypt exactly one 16-byte block."""
         if len(plaintext) != self.BLOCK_SIZE:
             raise ValueError("plaintext block must be 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_keys[0])
-        for rnd in range(1, self.NUM_ROUNDS):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.NUM_ROUNDS])
-        return bytes(state)
+        rk = self._round_keys
+        te0, te1, te2, te3 = _TE0, _TE1, _TE2, _TE3
+        s0, s1, s2, s3 = _WORDS.unpack(plaintext)
+        s0 ^= rk[0]
+        s1 ^= rk[1]
+        s2 ^= rk[2]
+        s3 ^= rk[3]
+        # ShiftRows moves row r left by r columns, so column c reads row r
+        # from column c + r.
+        for i in range(4, 40, 4):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF] ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[i],
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF] ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[i + 1],
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF] ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[i + 2],
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF] ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[i + 3],
+            )
+        # The last round has no MixColumns: SubBytes and ShiftRows only.
+        sbox = _SBOX
+        return _WORDS.pack(
+            (sbox[s0 >> 24] << 24 | sbox[(s1 >> 16) & 0xFF] << 16
+             | sbox[(s2 >> 8) & 0xFF] << 8 | sbox[s3 & 0xFF]) ^ rk[40],
+            (sbox[s1 >> 24] << 24 | sbox[(s2 >> 16) & 0xFF] << 16
+             | sbox[(s3 >> 8) & 0xFF] << 8 | sbox[s0 & 0xFF]) ^ rk[41],
+            (sbox[s2 >> 24] << 24 | sbox[(s3 >> 16) & 0xFF] << 16
+             | sbox[(s0 >> 8) & 0xFF] << 8 | sbox[s1 & 0xFF]) ^ rk[42],
+            (sbox[s3 >> 24] << 24 | sbox[(s0 >> 16) & 0xFF] << 16
+             | sbox[(s1 >> 8) & 0xFF] << 8 | sbox[s2 & 0xFF]) ^ rk[43],
+        )
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         """Decrypt exactly one 16-byte block."""
         if len(ciphertext) != self.BLOCK_SIZE:
             raise ValueError("ciphertext block must be 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_keys[self.NUM_ROUNDS])
-        for rnd in range(self.NUM_ROUNDS - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[rnd])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        dk = self._decrypt_keys
+        if dk is None:
+            dk = self._decrypt_keys = self._expand_decrypt_keys()
+        td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
+        s0, s1, s2, s3 = _WORDS.unpack(ciphertext)
+        s0 ^= dk[0]
+        s1 ^= dk[1]
+        s2 ^= dk[2]
+        s3 ^= dk[3]
+        # InvShiftRows moves row r right by r columns, so column c reads
+        # row r from column c - r.
+        for i in range(4, 40, 4):
+            s0, s1, s2, s3 = (
+                td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF] ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ dk[i],
+                td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF] ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ dk[i + 1],
+                td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF] ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ dk[i + 2],
+                td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF] ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ dk[i + 3],
+            )
+        inv = _INV_SBOX
+        return _WORDS.pack(
+            (inv[s0 >> 24] << 24 | inv[(s3 >> 16) & 0xFF] << 16
+             | inv[(s2 >> 8) & 0xFF] << 8 | inv[s1 & 0xFF]) ^ dk[40],
+            (inv[s1 >> 24] << 24 | inv[(s0 >> 16) & 0xFF] << 16
+             | inv[(s3 >> 8) & 0xFF] << 8 | inv[s2 & 0xFF]) ^ dk[41],
+            (inv[s2 >> 24] << 24 | inv[(s1 >> 16) & 0xFF] << 16
+             | inv[(s0 >> 8) & 0xFF] << 8 | inv[s3 & 0xFF]) ^ dk[42],
+            (inv[s3 >> 24] << 24 | inv[(s2 >> 16) & 0xFF] << 16
+             | inv[(s1 >> 8) & 0xFF] << 8 | inv[s0 & 0xFF]) ^ dk[43],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "AES128(key=%s...)" % self._key[:4].hex()

@@ -12,11 +12,13 @@ The paper assumes elliptic-curve scalar multiplication hardware; this module
 substitutes a finite-field Diffie-Hellman exchange plus hash-based
 signatures, which plays the same protocol roles (authentication of the DIMM,
 man-in-the-middle resistance, fresh shared secret) with standard-library
-primitives.  The substitution is documented in DESIGN.md.
+primitives.  The substitution is documented in ``docs/architecture.md``
+("Substitutions").
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import secrets
@@ -49,6 +51,55 @@ DH_PRIME = int(
 )
 DH_GENERATOR = 2
 
+# Fixed-base comb (Lim & Lee, "More Flexible Exponentiation with
+# Precomputation", CRYPTO 1994) for powers of DH_GENERATOR: an exponent below
+# 2^1536 is cut into 8 rows of 192 bits, and the bits of one column across
+# the rows index a table of 256 products of g^(2^(192 i)).  A power then
+# costs 192 squarings and at most 192 multiplications instead of the 1536
+# squarings of a generic ``pow``.  Its table lookups and branches depend on
+# the secret exponent, so it is not constant-time (see docs/architecture.md,
+# "Substitutions").
+_COMB_ROWS = 8
+_COMB_COLUMNS = 192
+_COMB_BITS = _COMB_ROWS * _COMB_COLUMNS
+
+
+@functools.lru_cache(maxsize=None)
+def _comb_table() -> Tuple[int, ...]:
+    """``table[j]`` is the product of g^(2^(192 i)) over the set bits i of j.
+
+    Built on first use (about one ``pow``'s work, 60 KB), so runs that never
+    exchange keys do not pay for it.
+    """
+    row_bases = [DH_GENERATOR]
+    for _ in range(_COMB_ROWS - 1):
+        base = row_bases[-1]
+        for _ in range(_COMB_COLUMNS):
+            base = base * base % DH_PRIME
+        row_bases.append(base)
+    table = [1]
+    for base in row_bases:
+        table += [entry * base % DH_PRIME for entry in table]
+    return tuple(table)
+
+
+def _generator_power(exponent: int) -> int:
+    """``pow(DH_GENERATOR, exponent, DH_PRIME)`` by the fixed-base comb."""
+    if not 0 <= exponent < 1 << _COMB_BITS:
+        raise ValueError("exponent must lie in [0, 2^%d)" % _COMB_BITS)
+    table = _comb_table()
+    # Row i holds bits [192 i, 192 i + 192).  In the zero-padded binary string
+    # bit b sits at index 1535 - b, so the slice [c::192] reads column
+    # 191 - c from row 7 (most significant) down to row 0: the table index.
+    bits = format(exponent, "0%db" % _COMB_BITS)
+    result = 1
+    for column in range(_COMB_COLUMNS):
+        result = result * result % DH_PRIME
+        index = int(bits[column::_COMB_COLUMNS], 2)
+        if index:
+            result = result * table[index] % DH_PRIME
+    return result
+
 
 class AttestationError(RuntimeError):
     """Raised when attestation fails (bad signature, unknown certificate...)."""
@@ -70,7 +121,7 @@ class EndorsementKeyPair:
     ``secret`` never leaves the chip; ``public`` is shared for attestation.
     The "signature" scheme is an HMAC keyed by the secret, verifiable by the
     CA-issued certificate binding (a stand-in for an EC signature -- see
-    DESIGN.md substitutions).
+    ``docs/architecture.md``, "Substitutions").
     """
 
     secret: int
@@ -80,7 +131,7 @@ class EndorsementKeyPair:
     def generate(cls, rng: Optional[secrets.SystemRandom] = None) -> "EndorsementKeyPair":
         rng = rng or secrets.SystemRandom()
         secret = rng.randrange(2, DH_PRIME - 2)
-        public = pow(DH_GENERATOR, secret, DH_PRIME)
+        public = _generator_power(secret)
         return cls(secret=secret, public=public)
 
     def sign(self, message: bytes) -> bytes:
@@ -178,7 +229,7 @@ class KeyExchangeParticipant:
         """Generate an ephemeral DH share, signed if an endorsement key exists."""
         rng = rng or secrets.SystemRandom()
         self._dh_secret = rng.randrange(2, DH_PRIME - 2)
-        public = pow(DH_GENERATOR, self._dh_secret, DH_PRIME)
+        public = _generator_power(self._dh_secret)
         signature = b""
         if self.endorsement is not None:
             signature = self.endorsement.sign(_hash_int(public))

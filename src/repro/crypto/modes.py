@@ -37,7 +37,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError("xor_bytes requires equal-length inputs (%d vs %d)" % (len(a), len(b)))
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def _counter_block(nonce: bytes, block_index: int) -> bytes:

@@ -5,8 +5,8 @@ Benchmark Suite.  Those traces cannot be redistributed, so this package
 generates synthetic LLC-miss traces calibrated to each benchmark's published
 memory behaviour: misses per kilo-instruction (MPKI), read/write mix, access
 pattern class (streaming, random, pointer-chasing, graph, compute-bound) and
-memory footprint.  See DESIGN.md ("Substitutions") for why this preserves the
-paper's reproducible claims.
+memory footprint.  See ``docs/architecture.md`` ("Substitutions") for why
+this preserves the paper's reproducible claims.
 
 * :mod:`repro.workloads.generators` -- address-pattern generators.
 * :mod:`repro.workloads.spec_like` -- per-benchmark profiles for the SPEC

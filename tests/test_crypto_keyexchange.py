@@ -1,22 +1,49 @@
 """Tests for the attestation key-exchange substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.keyexchange import (
+    DH_GENERATOR,
+    DH_PRIME,
     AttestationError,
     Certificate,
     CertificateAuthority,
     EndorsementKeyPair,
     KeyExchangeParticipant,
+    _generator_power,
     authenticated_key_exchange,
 )
+
+
+class TestGeneratorPower:
+    """The fixed-base comb must agree with the builtin ``pow``."""
+
+    @given(exponent=st.integers(min_value=0, max_value=DH_PRIME - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_pow(self, exponent):
+        assert _generator_power(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    @pytest.mark.parametrize("exponent", [
+        0, 1, 2, DH_PRIME - 2, 1 << 1535, (1 << 1536) - 1,
+        # Below 2^192 only the comb's first row is non-zero.
+        3, 0xDEADBEEF, 1 << 191, (1 << 192) - 1,
+    ])
+    def test_edge_exponents(self, exponent):
+        assert _generator_power(exponent) == pow(DH_GENERATOR, exponent, DH_PRIME)
+
+    @pytest.mark.parametrize("exponent", [-1, 1 << 1536])
+    def test_rejects_exponents_outside_the_comb(self, exponent):
+        with pytest.raises(ValueError):
+            _generator_power(exponent)
 
 
 class TestEndorsementKeys:
     def test_generate_produces_valid_pair(self):
         pair = EndorsementKeyPair.generate()
         assert pair.secret != pair.public
-        assert pair.public > 1
+        assert pair.public == pow(DH_GENERATOR, pair.secret, DH_PRIME)
 
     def test_sign_is_deterministic_per_message(self):
         pair = EndorsementKeyPair.generate()
@@ -91,6 +118,11 @@ class TestKeyExchange:
         ca.revoke(cert.subject)
         with pytest.raises(AttestationError):
             authenticated_key_exchange(processor, dimm, cert, ca)
+
+    def test_start_publishes_the_generator_power(self):
+        participant = KeyExchangeParticipant(name="processor")
+        message = participant.start()
+        assert message.dh_public == pow(DH_GENERATOR, participant._dh_secret, DH_PRIME)
 
     def test_finish_before_start_rejected(self):
         _, _, processor, dimm = self._setup()

@@ -34,6 +34,17 @@ class TestXorBytes:
         with pytest.raises(ValueError):
             xor_bytes(b"\x00", b"\x00\x00")
 
+    def test_empty_input(self):
+        assert xor_bytes(b"", b"") == b""
+
+    @given(pair=st.integers(min_value=0, max_value=80).flatmap(
+        lambda n: st.tuples(st.binary(min_size=n, max_size=n), st.binary(min_size=n, max_size=n))
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_bytewise_xor(self, pair):
+        a, b = pair
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
 
 class TestCtrMode:
     def test_round_trip(self):

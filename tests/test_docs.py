@@ -5,6 +5,7 @@ the figure registry are the single sources of truth; these tests keep the
 README and the ``docs/`` pages from drifting away from them.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,6 +25,11 @@ OBSERVABILITY_DOC = DOCS_DIR / "observability.md"
 
 #: Figure-guide sections look like ``### `fig6` — ...``.
 GUIDE_HEADING = re.compile(r"^### `([a-z0-9_]+)`", re.MULTILINE)
+
+SRC_DIR = REPO_ROOT / "src"
+MARKDOWN_NAME = re.compile(r"[\w./-]+\.md\b")
+#: Markdown files the code writes as artifacts, not documents in the repo.
+GENERATED_MARKDOWN = {"REPORT.md", "BENCH_REPORT.md"}
 
 
 class TestReproducingGuide:
@@ -170,3 +176,26 @@ class TestPackageDocstrings:
     def test_every_subpackage_has_a_docstring(self, module):
         imported = __import__(module, fromlist=["__doc__"])
         assert imported.__doc__ and len(imported.__doc__.strip()) > 40
+
+
+def _docstrings(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = [tree] + [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [doc for doc in (ast.get_docstring(node) for node in nodes) if doc]
+
+
+class TestDocstringReferences:
+    def test_every_markdown_file_named_in_a_docstring_exists(self):
+        named = {
+            (name, path.relative_to(REPO_ROOT).as_posix())
+            for path in SRC_DIR.rglob("*.py")
+            for doc in _docstrings(path)
+            for name in MARKDOWN_NAME.findall(doc)
+            if name.rsplit("/", 1)[-1] not in GENERATED_MARKDOWN
+        }
+        assert named, "no markdown file is named in any src/ docstring"
+        missing = sorted((name, where) for name, where in named if not (REPO_ROOT / name).is_file())
+        assert not missing, "docstrings name missing files: %s" % missing
