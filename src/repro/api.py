@@ -141,14 +141,17 @@ class Session:
         trace_out: Optional[Union[str, Path]] = None,
         timeline: Optional[Union[bool, int]] = None,
     ) -> "Session":
-        """Enable observability for everything this session runs.
+        """Install one observation for everything this session runs.
 
-        ``metrics=True`` installs a live :class:`repro.obs.MetricsRegistry`
-        (process-global, like the CLI flags); read it back with
+        The observation is process-wide, like the CLI flags, and built from
+        this call's arguments alone: a second call replaces the first
+        instead of adding to it.  ``metrics=True`` records into a fresh
+        :class:`repro.obs.MetricsRegistry`; read it back with
         :meth:`metrics_summary` or :func:`repro.obs.render_prometheus`.
         ``trace_out`` additionally streams hierarchical spans as JSONL to
-        the given path (convert with ``repro obs export-trace``).
-        ``timeline=True`` installs a :class:`repro.obs.TimelineRecorder`
+        the given path (convert with ``repro obs export-trace``); the tracer
+        of the replaced observation is closed.
+        ``timeline=True`` records a :class:`repro.obs.TimelineRecorder`
         capturing windowed per-run telemetry (an ``int`` sets the sampling
         window in accesses); read it back with :meth:`timeline_payload`.
         None of these change any simulation result or cache key --
@@ -156,25 +159,25 @@ class Session:
         """
         from repro import obs
 
-        if metrics:
-            obs.enable()
-        if trace_out is not None:
-            previous = obs.set_tracer(obs.Tracer(trace_out))
-            if previous is not None:
-                previous.close()
-        if timeline:
-            window = timeline if isinstance(timeline, int) and not isinstance(timeline, bool) else None
-            obs.enable_timeline(window=window)
+        if timeline is True:
+            timeline = obs.DEFAULT_TIMELINE_WINDOW
+        previous = obs.install(obs.Observation(
+            registry=obs.MetricsRegistry() if metrics else obs.NULL_REGISTRY,
+            tracer=obs.Tracer(trace_out) if trace_out is not None else None,
+            timeline=obs.TimelineRecorder(window=timeline) if timeline else None,
+        ))
+        if previous.tracer is not None:
+            previous.tracer.close()
         return self
 
     def metrics_summary(self) -> Dict[str, object]:
-        """The active registry's flat summary (empty when metrics are off)."""
+        """The installed registry's flat summary (empty when metrics are off)."""
         from repro import obs
 
-        return obs.get_registry().summary()
+        return obs.current().registry.summary()
 
     def timeline_payload(self) -> Optional[Dict[str, object]]:
-        """The active timeline recorder's payload (None when timelines are off).
+        """The installed timeline recorder's payload (None when timelines are off).
 
         The payload is JSON-friendly (see
         :meth:`repro.obs.TimelineRecorder.to_payload`) and is the exact
@@ -184,7 +187,7 @@ class Session:
         """
         from repro import obs
 
-        recorder = obs.current_timeline()
+        recorder = obs.current().timeline
         if recorder is None:
             return None
         return recorder.to_payload()

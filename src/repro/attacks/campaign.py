@@ -168,10 +168,6 @@ def standard_attacks() -> List[object]:
     ]
 
 
-# Backwards-compatible alias (the factory used to be module-private).
-_standard_attacks = standard_attacks
-
-
 @dataclass
 class AttackCampaign:
     """Runs a set of attacks against a set of functional configurations.

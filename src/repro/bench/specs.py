@@ -417,24 +417,18 @@ def _run_obs(ctx: BenchContext) -> Dict[str, float]:
             runner = ParallelRunner(jobs=1, cache=ResultCache(tmp))
             return runner.run([job])[0]
 
-    off_seconds, off_result = _best_of(cold_pass, ctx.rounds)
+    def timed(observation):
+        with obs.observing(observation):
+            return _best_of(cold_pass, ctx.rounds)
 
-    previous_registry = obs.set_registry(obs.MetricsRegistry())
-    previous_tracer = obs.set_tracer(obs.Tracer())
-    try:
-        on_seconds, on_result = _best_of(cold_pass, ctx.rounds)
-    finally:
-        obs.set_tracer(previous_tracer)
-        obs.set_registry(previous_registry)
-
-    # Third pass: windowed timeline recording on top of metrics+tracing off.
+    off_seconds, off_result = timed(obs.Observation())
+    on_seconds, on_result = timed(
+        obs.Observation(registry=obs.MetricsRegistry(), tracer=obs.Tracer())
+    )
+    # Third pass: windowed timeline recording with metrics and tracing off.
     # Gated for parity (byte-identical results) and tracked for overhead.
-    previous_timeline = obs.set_timeline(obs.TimelineRecorder())
-    try:
-        timeline_seconds, timeline_result = _best_of(cold_pass, ctx.rounds)
-        timeline_samples = obs.current_timeline().sample_count
-    finally:
-        obs.set_timeline(previous_timeline)
+    recorder = obs.TimelineRecorder()
+    timeline_seconds, timeline_result = timed(obs.Observation(timeline=recorder))
 
     return {
         "off_accesses_per_second": round(accesses / off_seconds, 1),
@@ -444,7 +438,7 @@ def _run_obs(ctx: BenchContext) -> Dict[str, float]:
         "timeline_accesses_per_second": round(accesses / timeline_seconds, 1),
         "timeline_overhead_ratio": round(timeline_seconds / off_seconds, 4),
         "timeline_parity_exact": _parity(off_result, timeline_result)
-        if timeline_samples > 0 else 0.0,
+        if recorder.sample_count > 0 else 0.0,
     }
 
 

@@ -598,46 +598,38 @@ def _write_timeline(recorder, path: str) -> None:
 
 @contextlib.contextmanager
 def _observability(args: argparse.Namespace):
-    """Honor ``--trace-out`` and ``--timeline`` for the command's duration.
+    """Install the observation the command's flags ask for, for its duration.
 
-    ``--trace-out`` installs a tracer (and metrics); ``--timeline`` (or a
-    bare ``--timeline-window``) installs a :class:`repro.obs.TimelineRecorder`
-    and writes the recorded payload on exit.  Neither changes results or
-    cache keys.
+    ``--trace-out`` records metrics and spans; ``--timeline`` (or a bare
+    ``--timeline-window``) records a :class:`repro.obs.TimelineRecorder`
+    and writes its payload on exit; ``serve`` always records metrics,
+    because ``GET /metrics`` is part of its HTTP surface.  On exit the
+    previous observation comes back and the tracer is closed.  None of it
+    changes results or cache keys.
     """
     trace_out = getattr(args, "trace_out", None)
     timeline_out = getattr(args, "timeline", None)
     timeline_window = getattr(args, "timeline_window", None)
-    recorder = None
-    previous_recorder = None
-    if timeline_out or timeline_window:
-        recorder = obs.TimelineRecorder(
-            window=timeline_window or obs.DEFAULT_TIMELINE_WINDOW
-        )
-        previous_recorder = obs.set_timeline(recorder)
-    if not trace_out and recorder is None:
-        yield None
-        return
-    tracer = None
-    previous_tracer = None
-    if trace_out:
-        obs.enable()
-        tracer = obs.Tracer(trace_out)
-        previous_tracer = obs.set_tracer(tracer)
-    try:
-        if tracer is not None:
-            with tracer.span(args.command):
-                yield tracer
-        else:
-            yield None
-    finally:
-        if tracer is not None:
-            obs.set_tracer(previous_tracer)
-            tracer.close()
-        if recorder is not None:
-            obs.set_timeline(previous_recorder)
+    observation = obs.Observation(
+        registry=obs.MetricsRegistry() if trace_out or args.command == "serve" else obs.NULL_REGISTRY,
+        tracer=obs.Tracer(trace_out) if trace_out else None,
+        timeline=(
+            obs.TimelineRecorder(window=timeline_window or obs.DEFAULT_TIMELINE_WINDOW)
+            if timeline_out or timeline_window else None
+        ),
+    )
+    with obs.observing(observation):
+        try:
+            if observation.tracer is None:
+                yield
+            else:
+                with observation.tracer.span(args.command):
+                    yield
+        finally:
+            if observation.tracer is not None:
+                observation.tracer.close()
             if timeline_out:
-                _write_timeline(recorder, timeline_out)
+                _write_timeline(observation.timeline, timeline_out)
 
 
 def _split(value: str) -> List[str]:
@@ -1124,14 +1116,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           % (report.simulated_jobs, report.cached_jobs))
 
     record_path = default_record_path(args.out)
+    registry = obs.current().registry
     record = merge_bench_record(
         record_path,
         {entry.key: entry.to_payload() for entry in report.entries},
         profile=report.profile,
         environment=report.environment,
-        observability=(
-            obs.get_registry().summary() if obs.metrics_enabled() else None
-        ),
+        observability=None if registry is obs.NULL_REGISTRY else registry.summary(),
     )
     print("merged %d bench entr%s into %s"
           % (len(report.entries), "y" if len(report.entries) == 1 else "ies", record_path))
@@ -1149,7 +1140,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         record, deltas, baseline_path=baseline_path, record_path=record_path,
     ))
     print("wrote %s" % report_path)
-    recorder = obs.current_timeline()
+    recorder = obs.current().timeline
     if recorder is not None and len(recorder):
         # Bench runs with --timeline also drop the artifacts into --out so
         # the dashboard sits next to BENCH_REPORT.md.
@@ -1187,13 +1178,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.server import ExperimentService, make_server
 
-    # The service always runs with live metrics: GET /metrics is part of its
-    # HTTP surface, and the registry's overhead is a few counter bumps per
-    # job against experiments that run for seconds.
+    # The service always runs with live metrics (see _observability): GET
+    # /metrics is part of its HTTP surface, and the registry's overhead is a
+    # few counter bumps per job against experiments that run for seconds.
     from repro import __version__
 
-    registry = obs.enable()
-    registry.gauge(
+    obs.current().registry.gauge(
         "repro_build_info", "Constant 1, labelled with the library version.",
         version=__version__,
     ).set(1)

@@ -90,7 +90,17 @@ class Channel:
 
         Returns the cycle after which normal commands may resume (equal to
         ``cycle`` if no refresh was needed).  This is a simplified per-channel
-        all-rank refresh model: it blocks the channel for ``tRFC``.
+        all-rank refresh model, and the batch engine's ``chan`` in
+        :mod:`repro.sim.engines` copies it exactly:
+
+        * it refreshes lazily, at the first access whose earliest cycle is at
+          least ``tREFI`` after the last refresh, so an idle channel skips
+          refreshes and later ones drift off the ``tREFI`` grid;
+        * it closes every row with no PRE command, and with no ``tRAS`` or
+          ``tRP`` check;
+        * it holds each bank's next ACT until ``cycle + tRFC``.
+
+        ``docs/architecture.md`` lists this under its substitutions.
         """
         t = self.timing
         if cycle - self._last_refresh_cycle < t.tREFI:

@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
-from repro.obs import metrics as obs_metrics
-from repro.obs import timeline as obs_timeline
-from repro.obs import tracing as obs_tracing
+from repro import obs
 from repro.figures.registry import resolve_figures
 from repro.figures.spec import FigureArtifact, FigureContext, FigureSpec
 from repro.sim.experiment import ExperimentConfig
@@ -146,7 +144,7 @@ def reproduce(
         engine=engine,
     )
     try:
-        with obs_tracing.span("reproduce", figures=len(specs)):
+        with obs.span("reproduce", figures=len(specs)):
             unique = collect_jobs(specs, ctx)
             misses_before = cache.misses
             runner = ParallelRunner(jobs=ctx.jobs, cache=cache, progress=progress)
@@ -157,7 +155,7 @@ def reproduce(
             build_misses_before = cache.misses
             for spec in specs:
                 build_started = time.perf_counter()
-                with obs_tracing.span("figure", key=spec.key):
+                with obs.span("figure", key=spec.key):
                     artifact = spec.build(ctx)
                 outcomes.append(
                     FigureOutcome(spec, artifact, time.perf_counter() - build_started)
@@ -167,8 +165,8 @@ def reproduce(
         if ephemeral is not None:
             ephemeral.cleanup()
 
-    registry = obs_metrics.get_registry()
-    recorder = obs_timeline.current_timeline()
+    registry = obs.current().registry
+    recorder = obs.current().timeline
     return ReproductionReport(
         outcomes=outcomes,
         experiment=ctx.experiment,
@@ -179,6 +177,6 @@ def reproduce(
         elapsed_seconds=time.perf_counter() - started,
         cache_directory=None if ephemeral is not None else str(cache.directory),
         workload_filter=ctx.workload_filter,
-        metrics_summary=registry.summary() if obs_metrics.metrics_enabled() else None,
+        metrics_summary=None if registry is obs.NULL_REGISTRY else registry.summary(),
         timeline=recorder.to_payload() if recorder is not None else None,
     )

@@ -1,14 +1,17 @@
 """Unified observability: metrics, tracing, timelines, structured logging.
 
-Four stdlib-only pillars, all zero-overhead when off (see
+One :class:`Observation` (:mod:`repro.obs.observation`) names the signals
+a run records -- a metrics registry, a span tracer and a timeline
+recorder.  Instrumented code reads the installed one through
+:func:`current`; entry points build one and install it with
+:func:`install` or :func:`observing`.  The default records nothing, and
+everything here is stdlib-only and zero-overhead when off (see
 ``docs/observability.md`` for the metric catalogue and span model):
 
 * :mod:`repro.obs.metrics` -- a thread-safe registry of labelled counters,
-  gauges and histograms.  The default registry is a no-op
-  :class:`~repro.obs.metrics.NullRegistry`; :func:`enable` swaps in a live
-  one.  Worker processes ship :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-  payloads back with results so parent-side aggregation is exact, and
-  :func:`render_prometheus` backs ``GET /metrics`` on ``repro serve``.
+  gauges and histograms.  With metrics off the registry is the no-op
+  :data:`~repro.obs.metrics.NULL_REGISTRY`.  :func:`render_prometheus`
+  backs ``GET /metrics`` on ``repro serve``.
 * :mod:`repro.obs.tracing` -- hierarchical spans
   (reproduce -> figure -> matrix -> job -> engine-chunk) on a single
   ``perf_counter`` timebase, emitted as JSONL via ``--trace-out`` and
@@ -23,64 +26,45 @@ Four stdlib-only pillars, all zero-overhead when off (see
 * :mod:`repro.obs.log` -- a JSON log formatter plus ``--log-level`` /
   ``--log-json`` wiring that replaces bare prints in the server and runner
   verbose paths without changing their default byte-exact text output.
+
+Pool workers record into :meth:`Observation.for_worker` and ship
+:meth:`Observation.ship` home with each result; the parent folds it in
+with one :meth:`Observation.merge`, so totals are exact across processes.
 """
 
 from repro.obs.log import JsonFormatter, configure_logging, get_logger
 from repro.obs.metrics import (
+    NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
-    disable,
-    enable,
-    get_registry,
-    metrics_enabled,
     render_prometheus,
-    set_registry,
 )
 from repro.obs.timeline import (
     DEFAULT_TIMELINE_WINDOW,
     TIMELINE_SCHEMA_VERSION,
     TimelineRecorder,
     TimelineSeries,
-    current_timeline,
-    disable_timeline,
-    enable_timeline,
-    set_timeline,
-    timeline_enabled,
 )
 from repro.obs.dashboard import render_dashboard, write_dashboard
-from repro.obs.tracing import (
-    Tracer,
-    current_tracer,
-    export_chrome_trace,
-    set_tracer,
-    span,
-    tracing_enabled,
-)
+from repro.obs.observation import Observation, current, install, observing
+from repro.obs.tracing import Tracer, export_chrome_trace, span
 
 __all__ = [
+    "Observation",
+    "current",
+    "install",
+    "observing",
     "MetricsRegistry",
     "NullRegistry",
-    "enable",
-    "disable",
-    "get_registry",
-    "set_registry",
-    "metrics_enabled",
+    "NULL_REGISTRY",
     "render_prometheus",
     "Tracer",
-    "current_tracer",
-    "set_tracer",
     "span",
-    "tracing_enabled",
     "export_chrome_trace",
     "TIMELINE_SCHEMA_VERSION",
     "DEFAULT_TIMELINE_WINDOW",
     "TimelineRecorder",
     "TimelineSeries",
-    "current_timeline",
-    "timeline_enabled",
-    "enable_timeline",
-    "disable_timeline",
-    "set_timeline",
     "render_dashboard",
     "write_dashboard",
     "JsonFormatter",

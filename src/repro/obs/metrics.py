@@ -3,17 +3,15 @@
 The registry is deliberately small and stdlib-only.  Three design points
 matter more than the data structures:
 
-* **Zero overhead when off.**  The module-level default is a
-  :class:`NullRegistry` whose children are shared singletons with no-op
-  methods; instrumented code always calls ``get_registry().counter(...)``
-  unconditionally and pays only an attribute lookup and an empty call when
-  metrics are disabled.
-* **Exact cross-process aggregation.**  Worker processes never mutate the
-  parent's registry (after ``fork`` they would only mutate a dead copy).
-  Instead each worker job runs against a fresh local registry, ships
-  :meth:`MetricsRegistry.snapshot` back with its result, and the parent
-  folds it in with :meth:`MetricsRegistry.merge` -- counters and histogram
-  buckets add, gauges take the last write.  Totals are exact, not sampled.
+* **Zero overhead when off.**  The default observation's registry is
+  :data:`NULL_REGISTRY`, whose children are shared singletons with no-op
+  methods; instrumented code always calls
+  ``obs.current().registry.counter(...)`` unconditionally and pays only
+  attribute lookups and an empty call when metrics are off.
+* **Exact cross-process aggregation.**  :meth:`MetricsRegistry.snapshot`
+  and :meth:`MetricsRegistry.merge` carry a pool worker's counts home (see
+  :mod:`repro.obs.observation`) -- counters and histogram buckets add,
+  gauges take the last write.  Totals are exact, not sampled.
 * **Prometheus text exposition.**  :func:`render_prometheus` emits the
   standard ``text/plain; version=0.0.4`` format (``# HELP``/``# TYPE``
   lines, ``_bucket{le=...}``/``_sum``/``_count`` for histograms) so
@@ -25,11 +23,7 @@ import threading
 __all__ = [
     "MetricsRegistry",
     "NullRegistry",
-    "enable",
-    "disable",
-    "get_registry",
-    "set_registry",
-    "metrics_enabled",
+    "NULL_REGISTRY",
     "render_prometheus",
     "DEFAULT_BUCKETS",
 ]
@@ -249,7 +243,7 @@ _NULL_CHILD = _NullChild()
 
 
 class NullRegistry:
-    """Default registry: every accessor returns the shared no-op child."""
+    """Metrics off: every accessor returns the shared no-op child."""
 
     def counter(self, name, help="", **labels):
         return _NULL_CHILD
@@ -273,44 +267,8 @@ class NullRegistry:
         return []
 
 
-_NULL_REGISTRY = NullRegistry()
-_REGISTRY = _NULL_REGISTRY
-
-
-def get_registry():
-    """The active registry (a :class:`NullRegistry` unless enabled)."""
-    return _REGISTRY
-
-
-def metrics_enabled():
-    return _REGISTRY is not _NULL_REGISTRY
-
-
-def enable():
-    """Install (and return) a live registry if none is active."""
-    global _REGISTRY
-    if _REGISTRY is _NULL_REGISTRY:
-        _REGISTRY = MetricsRegistry()
-    return _REGISTRY
-
-
-def disable():
-    """Restore the no-op default registry."""
-    global _REGISTRY
-    _REGISTRY = _NULL_REGISTRY
-
-
-def set_registry(registry):
-    """Swap the active registry, returning the previous one.
-
-    Pass ``None`` to restore the no-op default.  Worker processes use this
-    to install a fresh local registry per job (see
-    ``repro.sim.runner._shipped_execute``).
-    """
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = registry if registry is not None else _NULL_REGISTRY
-    return previous
+#: The registry of an observation that records no metrics.
+NULL_REGISTRY = NullRegistry()
 
 
 def _escape_label(value):
@@ -347,9 +305,8 @@ def _format_value(value):
     return repr(float(value))
 
 
-def render_prometheus(registry=None):
-    """Render the registry in Prometheus text exposition format 0.0.4."""
-    registry = registry if registry is not None else _REGISTRY
+def render_prometheus(registry):
+    """Render *registry* in Prometheus text exposition format 0.0.4."""
     lines = []
     for name, family in registry.families():
         if family.help:

@@ -1,10 +1,11 @@
 """Windowed simulation telemetry: per-window samples and indexed events.
 
 PR 9's metrics answer *how many / how fast* for a whole run; timelines
-answer *when inside the run*.  When a :class:`TimelineRecorder` is
-installed (:func:`enable_timeline` / :func:`set_timeline`), both simulation
-engines emit one sample every ``window`` processed LLC accesses into a
-per-(workload, configuration, engine) :class:`TimelineSeries`:
+answer *when inside the run*.  When the installed observation carries a
+:class:`TimelineRecorder` (``obs.current().timeline``; see
+:mod:`repro.obs.observation`), both simulation engines emit one sample
+every ``window`` processed LLC accesses into a per-(workload,
+configuration, engine) :class:`TimelineSeries`:
 
 * cumulative ``accesses`` / ``instructions`` / ``cycles`` (IPC is derived),
 * the demand and metadata-cache counters (hit rate is derived),
@@ -23,24 +24,23 @@ Design contracts, all pinned by tests:
 * **Engine parity.**  The reference and batch engines interleave cores in
   the same global order, so their window samples and events are identical
   value-for-value for the same job.
-* **Zero overhead when off.**  :func:`current_timeline` returns ``None``
-  when no recorder is installed; engines hoist that into a local and the
-  hot loop pays a single ``is not None`` test (gated continuously by
-  ``benchmarks/bench_obs_overhead.py``).
+* **Zero overhead when off.**  An observation without a timeline has
+  ``timeline=None``; engines read it once per run into a local and the
+  hot loop pays a single ``is not None`` test (gated by
+  ``benchmarks/bench_obs_overhead.py``, which CI's obs-smoke job runs).
 * **Bounded memory.**  Samples buffer as rows and flush into columnar
   numpy chunks (the trace-store layout) every ``chunk_size`` samples;
   events are capped per series at ``max_events`` with a deterministic
   ``events_dropped`` counter, so both engines drop the same events.
-* **Exact cross-process shipping.**  Pool workers record into a fresh
-  local recorder and ship :meth:`TimelineRecorder.snapshot` home with the
-  job result; the parent folds it in with :meth:`TimelineRecorder.merge`
-  (same pattern as the metrics registry).
+* **Exact cross-process shipping.**  :meth:`TimelineRecorder.snapshot`
+  and :meth:`TimelineRecorder.merge` carry a pool worker's series home,
+  along with its metrics and spans (see :mod:`repro.obs.observation`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,11 +49,6 @@ __all__ = [
     "DEFAULT_TIMELINE_WINDOW",
     "TimelineSeries",
     "TimelineRecorder",
-    "current_timeline",
-    "timeline_enabled",
-    "enable_timeline",
-    "disable_timeline",
-    "set_timeline",
 ]
 
 #: Bump when the payload layout changes.
@@ -328,49 +323,3 @@ class TimelineRecorder:
                 "window": self.window,
                 "series": [series.to_payload() for series in ordered],
             }
-
-
-# ---------------------------------------------------------------------------
-# Module-global recorder (mirrors the metrics registry / tracer pattern)
-# ---------------------------------------------------------------------------
-_RECORDER: Optional[TimelineRecorder] = None
-
-
-def current_timeline() -> Optional[TimelineRecorder]:
-    """The active recorder, or ``None`` when timelines are off.
-
-    Hot loops hoist this into a local once and guard with ``is not None``,
-    so the off path costs nothing per access.
-    """
-    return _RECORDER
-
-
-def timeline_enabled() -> bool:
-    return _RECORDER is not None
-
-
-def set_timeline(recorder: Optional[TimelineRecorder]) -> Optional[TimelineRecorder]:
-    """Swap the active recorder, returning the previous one.
-
-    Pass ``None`` to turn timelines off.  Worker processes use this to
-    install a fresh local recorder per job (see
-    ``repro.sim.runner._shipped_execute``).
-    """
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    return previous
-
-
-def enable_timeline(window: Optional[int] = None) -> TimelineRecorder:
-    """Install (and return) a live recorder if none is active."""
-    global _RECORDER
-    if _RECORDER is None:
-        _RECORDER = TimelineRecorder(window=window or DEFAULT_TIMELINE_WINDOW)
-    return _RECORDER
-
-
-def disable_timeline() -> None:
-    """Turn timelines off (restores the ``None`` default)."""
-    global _RECORDER
-    _RECORDER = None

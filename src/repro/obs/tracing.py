@@ -28,12 +28,13 @@ import json
 import os
 import threading
 import time
+from dataclasses import replace
+
+from repro.obs import observation as _observation
 
 __all__ = [
     "Tracer",
-    "current_tracer",
     "set_tracer",
-    "tracing_enabled",
     "span",
     "export_chrome_trace",
 ]
@@ -166,30 +167,22 @@ class Tracer:
                 self._handle = None
 
 
-_TRACER = None
-
-
-def current_tracer():
-    """The active tracer, or ``None`` when tracing is off."""
-    return _TRACER
-
-
-def tracing_enabled():
-    return _TRACER is not None
-
-
 def set_tracer(tracer):
-    """Swap the active tracer, returning the previous one."""
-    global _TRACER
-    previous = _TRACER
-    _TRACER = tracer
-    return previous
+    """Swap the installed observation's tracer, returning the previous one.
+
+    ``perfbench/worker.py`` installs its in-memory tracer around the timed
+    calls through this; library code installs a whole
+    :class:`~repro.obs.observation.Observation` instead.
+    """
+    previous = _observation.current()
+    _observation.install(replace(previous, tracer=tracer))
+    return previous.tracer
 
 
 @contextlib.contextmanager
 def span(name, **attrs):
-    """No-op-when-off span against the active tracer."""
-    tracer = _TRACER
+    """No-op-when-off span against the installed observation's tracer."""
+    tracer = _observation.current().tracer
     if tracer is None:
         yield None
     else:

@@ -31,10 +31,10 @@ from __future__ import annotations
 import json
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import RegistryLookupError
-from repro.obs import metrics as obs_metrics
+from repro import obs
 from repro.obs.log import get_logger
 from repro.overrides import OverrideError
 from repro.server.jobstore import TERMINAL_STATES
@@ -101,7 +101,7 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        obs_metrics.get_registry().counter(
+        obs.current().registry.counter(
             "server_requests_total", "HTTP requests by endpoint and method.",
             endpoint="jobs", method="POST",
         ).inc()
@@ -127,7 +127,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [part for part in self.path.split("?")[0].split("/") if part]
         # Coarse endpoint label (first path segment) keeps the metric's
         # cardinality bounded: every /jobs/{id}/... shape counts as "jobs".
-        obs_metrics.get_registry().counter(
+        obs.current().registry.counter(
             "server_requests_total", "HTTP requests by endpoint and method.",
             endpoint=parts[0] if parts else "root", method="GET",
         ).inc()
@@ -138,7 +138,7 @@ class _Handler(BaseHTTPRequestHandler):
             payload.update(self.service.health_payload())
             self._send_json(200, payload)
         elif parts == ["metrics"]:
-            body = obs_metrics.render_prometheus().encode("utf-8")
+            body = obs.render_prometheus(obs.current().registry).encode("utf-8")
             self._send_bytes(200, body, "text/plain; version=0.0.4; charset=utf-8")
         elif parts == ["metrics", "stream"]:
             self._stream_metrics()
@@ -279,7 +279,7 @@ class _Handler(BaseHTTPRequestHandler):
             while limit is None or event_id < limit:
                 data: Dict[str, object] = {
                     "event": "metrics",
-                    "metrics": obs_metrics.get_registry().summary(),
+                    "metrics": obs.current().registry.summary(),
                     "health": self.service.health_payload(),
                 }
                 recorder = getattr(self.service, "_current_timeline", None)

@@ -29,9 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs import metrics as obs_metrics
-from repro.obs import timeline as obs_timeline
-from repro.obs import tracing as obs_tracing
+from repro import obs
 from repro.obs.log import get_logger
 from repro.server.jobstore import JobRecord, JobStore
 from repro.server.schemas import (
@@ -64,7 +62,7 @@ class ExperimentService:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        timeline_window: int = obs_timeline.DEFAULT_TIMELINE_WINDOW,
+        timeline_window: int = obs.DEFAULT_TIMELINE_WINDOW,
     ) -> None:
         self.workdir = Path(workdir)
         self.jobs = max(1, int(jobs))
@@ -88,7 +86,7 @@ class ExperimentService:
         # GET /jobs/{id}/timeline while the job runs, the persisted
         # timeline.json artifact afterwards.
         self.timeline_window = max(0, int(timeline_window))
-        self._current_timeline: Optional[obs_timeline.TimelineRecorder] = None
+        self._current_timeline: Optional[obs.TimelineRecorder] = None
         self._executors: Dict[str, Callable] = {
             "compare": self._execute_compare,
             "sweep": self._execute_sweep,
@@ -148,7 +146,7 @@ class ExperimentService:
             depth = len(self._queue)
             self._condition.notify()
         logger.debug("queued job %s (kind=%s, depth=%d)", record.id, record.kind, depth)
-        registry = obs_metrics.get_registry()
+        registry = obs.current().registry
         registry.counter(
             "server_jobs_total", "Service jobs by lifecycle state.", state="queued"
         ).inc()
@@ -199,7 +197,7 @@ class ExperimentService:
         if path.exists():
             return json.loads(path.read_text())
         return {
-            "schema": obs_timeline.TIMELINE_SCHEMA_VERSION,
+            "schema": obs.TIMELINE_SCHEMA_VERSION,
             "window": self.timeline_window,
             "series": [],
         }
@@ -237,32 +235,31 @@ class ExperimentService:
         started = time.perf_counter()
         with self._condition:
             self._current_job_id = job_id
-            obs_metrics.get_registry().gauge(
+            obs.current().registry.gauge(
                 "server_queue_depth", "Jobs currently waiting in the priority queue."
             ).set(len(self._queue))
         self.store.save(record)
         self.store.append_event(job_id, {"event": "state", "state": "running"})
         logger.info("job %s running (kind=%s)", job_id, record.kind)
-        recorder = None
-        previous_recorder = None
-        collector = None
-        previous_tracer = None
+        # The job records its own timeline on top of whatever the process
+        # observes.  Without a user-configured tracer, a collector gathers
+        # the job/phase spans for the dashboard's phase attribution.
+        outer = obs.current()
+        observation = outer
         if self.timeline_window > 0:
-            recorder = obs_timeline.TimelineRecorder(window=self.timeline_window)
-            previous_recorder = obs_timeline.set_timeline(recorder)
+            observation = replace(
+                outer,
+                timeline=obs.TimelineRecorder(window=self.timeline_window),
+                tracer=obs.Tracer() if outer.tracer is None else outer.tracer,
+            )
             with self._condition:
-                self._current_timeline = recorder
-            if obs_tracing.current_tracer() is None:
-                # Collect the job/phase spans for the dashboard's phase
-                # attribution without touching a user-configured tracer.
-                collector = obs_tracing.Tracer()
-                previous_tracer = obs_tracing.set_tracer(collector)
-        with obs_tracing.span("job", job_id=job_id, kind=record.kind):
+                self._current_timeline = observation.timeline
+        with obs.observing(observation), obs.span("job", job_id=job_id, kind=record.kind):
             try:
                 executor = self._executors[record.kind]
-                with obs_tracing.span("phase", phase="execute"):
+                with obs.span("phase", phase="execute"):
                     payload = executor(record)
-                with obs_tracing.span("phase", phase="persist"):
+                with obs.span("phase", phase="persist"):
                     self.store.write_result(job_id, dump_payload(payload))
                 record = self.store.load(job_id) or record
                 record.state = "done"
@@ -285,20 +282,16 @@ class ExperimentService:
                 }
         elapsed = time.perf_counter() - started
         record.finished_at = time.time()  # wall-clock: this is a timestamp
-        if recorder is not None:
-            obs_timeline.set_timeline(previous_recorder)
-            spans = None
-            if collector is not None:
-                obs_tracing.set_tracer(previous_tracer)
-                spans = collector.drain()
-            self._persist_timeline(job_id, recorder, spans)
+        if observation is not outer:
+            spans = observation.tracer.drain() if outer.tracer is None else None
+            self._persist_timeline(job_id, observation.timeline, spans)
             with self._condition:
                 self._current_timeline = None
         self.store.save(record)
         with self._condition:
             self._current_job_id = None
             self._stats[record.state] = self._stats.get(record.state, 0) + 1
-        registry = obs_metrics.get_registry()
+        registry = obs.current().registry
         registry.counter(
             "server_jobs_total", "Service jobs by lifecycle state.", state=record.state
         ).inc()
@@ -530,15 +523,13 @@ class ExperimentService:
         )
         artifacts = self.store.artifacts_dir(record.id)
         record_path = default_record_path(artifacts)
-        registry = obs_metrics.get_registry()
+        registry = obs.current().registry
         merged = merge_bench_record(
             record_path,
             {entry.key: entry.to_payload() for entry in report.entries},
             profile=report.profile,
             environment=report.environment,
-            observability=(
-                registry.summary() if obs_metrics.metrics_enabled() else None
-            ),
+            observability=None if registry is obs.NULL_REGISTRY else registry.summary(),
         )
         # The artifacts dir is private to this job, so no concurrent merge
         # can need the lock sidecar again; drop it from the listing.

@@ -30,8 +30,7 @@ from typing import Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.errors import UnknownEngineError
-from repro.obs import timeline as obs_timeline
-from repro.obs import tracing as obs_tracing
+from repro import obs
 
 __all__ = [
     "Engine",
@@ -194,7 +193,7 @@ class ReferenceEngine(Engine):
                 enable_prefetcher=experiment.enable_prefetcher,
             ),
         )
-        timeline = obs_timeline.current_timeline()
+        timeline = obs.current().timeline
         series = None
         window = 0
         if timeline is not None:
@@ -821,12 +820,13 @@ def _simulate_batch(trace, spec, experiment):
     # each one becomes an "engine-chunk" span (child of the live "engine"
     # span via the tracer's thread-local stack).  The guard keeps the
     # traced-off replay loop free of any tracer work.
-    tracer = obs_tracing.current_tracer()
+    observation = obs.current()
+    tracer = observation.tracer
 
     # Timeline sampling mirrors System._sample_timeline value-for-value so
     # reference and batch window samples agree exactly; off it costs the
     # replay loop a single ``is not None`` test per access.
-    timeline = obs_timeline.current_timeline()
+    timeline = observation.timeline
     tl_series = None
     tl_window = 0
     tl_steps = 0

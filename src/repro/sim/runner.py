@@ -42,9 +42,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.cpu.trace import MemoryTrace
 from repro.errors import AmbiguousConfigurationError
-from repro.obs import metrics as obs_metrics
-from repro.obs import timeline as obs_timeline
-from repro.obs import tracing as obs_tracing
+from repro import obs
 from repro.secure.configs import (
     CONFIGURATIONS,
     ConfigurationLike,
@@ -340,12 +338,12 @@ class ResultCache:
             result = self._decode(data["result"])
         except (OSError, ValueError, TypeError, KeyError):
             self.misses += 1
-            obs_metrics.get_registry().counter(
+            obs.current().registry.counter(
                 "cache_ops_total", "Result-cache lookups by outcome.", op="miss"
             ).inc()
             return None
         self.hits += 1
-        obs_metrics.get_registry().counter(
+        obs.current().registry.counter(
             "cache_ops_total", "Result-cache lookups by outcome.", op="hit"
         ).inc()
         return result
@@ -358,7 +356,7 @@ class ResultCache:
         tmp = final.with_name("%s.tmp.%d" % (final.name, os.getpid()))
         tmp.write_text(json.dumps(payload, sort_keys=True))
         os.replace(tmp, final)
-        obs_metrics.get_registry().counter(
+        obs.current().registry.counter(
             "cache_writes_total", "Result-cache entries written."
         ).inc()
 
@@ -392,7 +390,7 @@ def _execute_job(job: SimulationJob) -> Tuple[SimulationResult, float]:
 
     engine_name = resolve_engine(job.engine).name
     started = time.perf_counter()
-    with obs_tracing.span(
+    with obs.span(
         "engine",
         engine=engine_name,
         configuration=job.configuration_name,
@@ -402,7 +400,7 @@ def _execute_job(job: SimulationJob) -> Tuple[SimulationResult, float]:
             job.workload, job.configuration, job.experiment, engine=job.engine
         )
     elapsed = time.perf_counter() - started
-    registry = obs_metrics.get_registry()
+    registry = obs.current().registry
     registry.counter(
         "engine_jobs_total", "Simulations executed, by engine.", engine=engine_name
     ).inc()
@@ -417,41 +415,20 @@ def _execute_job(job: SimulationJob) -> Tuple[SimulationResult, float]:
 
 
 def _shipped_execute(executor: Callable, job) -> Tuple[object, float, Dict]:
-    """Pool-side wrapper shipping worker-local metrics/spans with the result.
+    """Pool-side wrapper shipping what the job recorded with its result.
 
-    After ``fork`` a worker would only mutate a dead copy of the parent's
-    registry, and pool workers are reused across jobs -- so each job runs
-    against a *fresh* local registry and collector tracer, and the parent
-    merges the returned snapshot exactly once per job
-    (:meth:`ParallelRunner._consume`).  Aggregation is therefore exact.
-    Span timestamps are job-relative; the parent rebases them with
-    ``base = job_end - elapsed``.
+    The worker's forked copy of the parent's observation says which
+    signals to record, but writing into it would only update a dead copy,
+    and pool workers are reused across jobs -- so each job records into
+    fresh signals of the same kinds, and the parent merges the shipped dict
+    exactly once per job (:meth:`ParallelRunner._consume`).  Aggregation is
+    therefore exact.  Span timestamps are job-relative; the parent rebases
+    them with ``base = job_end - elapsed``.
     """
-    registry = obs_metrics.MetricsRegistry()
-    previous_registry = obs_metrics.set_registry(registry)
-    collector = obs_tracing.Tracer()
-    previous_tracer = obs_tracing.set_tracer(collector)
-    # The forked copy of the parent's recorder carries the configured window
-    # but would record into a dead object; a fresh worker-local recorder
-    # ships its series home the same way metrics and spans do.
-    parent_recorder = obs_timeline.current_timeline()
-    recorder = None
-    previous_recorder = None
-    if parent_recorder is not None:
-        recorder = obs_timeline.TimelineRecorder(window=parent_recorder.window)
-        previous_recorder = obs_timeline.set_timeline(recorder)
-    try:
+    local = obs.current().for_worker()
+    with obs.observing(local):
         result, elapsed = executor(job)
-    finally:
-        obs_metrics.set_registry(previous_registry)
-        obs_tracing.set_tracer(previous_tracer)
-        if recorder is not None:
-            obs_timeline.set_timeline(previous_recorder)
-    return result, elapsed, {
-        "metrics": registry.snapshot(),
-        "spans": collector.drain(),
-        "timeline": recorder.snapshot() if recorder is not None else None,
-    }
+    return result, elapsed, local.ship()
 
 
 class ParallelRunner:
@@ -506,9 +483,9 @@ class ParallelRunner:
         total = len(job_list)
         results: List[Optional[SimulationResult]] = [None] * total
         pending: List[Tuple[int, SimulationJob, Optional[str]]] = []
-        registry = obs_metrics.get_registry()
+        registry = obs.current().registry
 
-        with obs_tracing.span("matrix", jobs=total):
+        with obs.span("matrix", jobs=total):
             for index, job in enumerate(job_list):
                 key = job.cache_key() if self.cache is not None else None
                 cached = self.cache.get(key) if key is not None else None
@@ -541,15 +518,11 @@ class ParallelRunner:
                     self._consume(pending, map(executor, pending_jobs), results, total)
                 else:
                     workers = min(self.jobs, len(pending))
-                    # Workers mutate forked copies of the observability
-                    # globals, so when metrics or tracing are live their
-                    # local state is shipped back with each result and
-                    # merged parent-side (exact totals, rebased spans).
-                    if (
-                        obs_metrics.metrics_enabled()
-                        or obs_tracing.tracing_enabled()
-                        or obs_timeline.timeline_enabled()
-                    ):
+                    # Workers hold a forked copy of the observation, so when
+                    # it records anything each job's signals are shipped
+                    # back with its result and merged parent-side (exact
+                    # totals, rebased spans).
+                    if obs.current().active:
                         executor = functools.partial(_shipped_execute, executor)
                     with multiprocessing.Pool(processes=workers) as pool:
                         # imap streams outcomes in job order as workers finish,
@@ -563,8 +536,9 @@ class ParallelRunner:
 
     def _consume(self, pending, outcomes, results, total) -> None:
         """Store streamed outcomes, write the cache, and emit 'done' events."""
-        registry = obs_metrics.get_registry()
-        tracer = obs_tracing.current_tracer()
+        observation = obs.current()
+        registry = observation.registry
+        tracer = observation.tracer
         for (index, job, key), outcome in zip(pending, outcomes):
             if len(outcome) == 3:
                 result, elapsed, shipped = outcome
@@ -578,11 +552,7 @@ class ParallelRunner:
             registry.histogram(
                 "sim_job_seconds", "Per-job simulation wall time.", state=state
             ).observe(elapsed)
-            if shipped is not None:
-                registry.merge(shipped["metrics"])
-                recorder = obs_timeline.current_timeline()
-                if recorder is not None and shipped.get("timeline"):
-                    recorder.merge(shipped["timeline"])
+            start = span_id = None
             if tracer is not None:
                 start = tracer.now() - elapsed
                 span_id = tracer.record(
@@ -593,8 +563,8 @@ class ParallelRunner:
                         "status": state,
                     },
                 )
-                if shipped is not None and shipped["spans"]:
-                    tracer.ingest(shipped["spans"], base=start, parent=span_id)
+            if shipped is not None:
+                observation.merge(shipped, base=start, parent=span_id)
             if isinstance(result, JobFailure):
                 # Never cached: a retry after the bug is fixed must re-run.
                 self._emit(

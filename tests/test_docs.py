@@ -139,6 +139,18 @@ class TestObservabilityDoc:
                 "docs/observability.md does not catalogue %r" % family
             )
 
+    def test_every_named_obs_api_exists(self):
+        import repro.obs
+
+        named = {
+            (path.name, name)
+            for path in [README, *sorted(DOCS_DIR.glob("*.md"))]
+            for name in re.findall(r"\brepro\.obs\.([A-Za-z_]\w*)", path.read_text())
+        }
+        assert named, "no repro.obs names found in the docs"
+        missing = sorted(pair for pair in named if not hasattr(repro.obs, pair[1]))
+        assert missing == [], "docs name repro.obs APIs that do not exist: %s" % missing
+
 
 class TestCommandDocumentation:
     def test_command_summaries_cover_the_parser(self):

@@ -2,8 +2,9 @@
 
 The load-bearing guarantees:
 
-* the default registry/tracer are no-ops, and enabling them never changes
-  simulation results or cache keys (observability is purely observational);
+* the default observation records nothing, and installing one never
+  changes simulation results or cache keys (observability is purely
+  observational);
 * cross-process aggregation is *exact* -- worker snapshots merged by the
   parent reproduce the counts a single-process run would have recorded;
 * ``GET /metrics`` is valid Prometheus text exposition format 0.0.4;
@@ -11,9 +12,11 @@ The load-bearing guarantees:
   enclosing span's wall time.
 """
 
+import dataclasses
 import io
 import json
 import logging
+import pickle
 import re
 import threading
 from pathlib import Path
@@ -28,20 +31,25 @@ from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
 FAST = ExperimentConfig(num_accesses=240, num_cores=1)
 
 
+def _switch_off():
+    tracer = obs.install(obs.Observation()).tracer
+    if tracer is not None:
+        tracer.close()
+
+
 @pytest.fixture(autouse=True)
 def _reset_observability():
     """Every test starts and ends with observability fully off."""
-    obs.disable()
-    obs.set_timeline(None)
-    previous = obs.set_tracer(None)
-    if previous is not None:
-        previous.close()
+    _switch_off()
     yield
-    obs.disable()
-    obs.set_timeline(None)
-    tracer = obs.set_tracer(None)
-    if tracer is not None:
-        tracer.close()
+    _switch_off()
+
+
+def _observe_metrics():
+    """Install a live registry for the rest of the test and return it."""
+    registry = obs.MetricsRegistry()
+    obs.install(obs.Observation(registry=registry))
+    return registry
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +135,9 @@ class TestMetricsRegistry:
 
 class TestNullRegistry:
     def test_default_registry_is_off_and_noop(self):
-        assert not obs.metrics_enabled()
-        registry = obs.get_registry()
+        assert not obs.current().active
+        registry = obs.current().registry
+        assert registry is obs.NULL_REGISTRY
         child = registry.counter("anything_total", label="x")
         assert child is _NULL_CHILD
         child.inc()
@@ -139,13 +148,79 @@ class TestNullRegistry:
         assert registry.families() == []
 
     def test_enable_disable_roundtrip(self):
-        registry = obs.enable()
-        assert obs.metrics_enabled()
-        assert obs.enable() is registry  # idempotent
-        registry.counter("x_total").inc()
-        obs.disable()
-        assert not obs.metrics_enabled()
-        assert obs.get_registry().summary() == {}
+        """Metrics go on and off by installing and restoring an observation."""
+        default = obs.current()
+        live = obs.Observation(registry=obs.MetricsRegistry())
+        with obs.observing(live) as installed:
+            assert installed is live and obs.current() is live
+            assert live.active
+            obs.current().registry.counter("x_total").inc()
+        assert obs.current() is default
+        assert obs.current().registry.summary() == {}
+        assert live.registry.summary() == {"x_total": 1}
+        assert obs.install(live) is default
+        assert obs.install(default) is live
+
+
+# ---------------------------------------------------------------------------
+# The observation context
+# ---------------------------------------------------------------------------
+class TestObservation:
+    def test_exactly_three_frozen_fields_default_off(self):
+        fields = [field.name for field in dataclasses.fields(obs.Observation)]
+        assert fields == ["registry", "tracer", "timeline"]
+        default = obs.Observation()
+        assert default.registry is obs.NULL_REGISTRY
+        assert default.tracer is None and default.timeline is None
+        assert not default.active
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            default.tracer = obs.Tracer()
+
+    @pytest.mark.parametrize("field, signal", [
+        ("registry", obs.MetricsRegistry),
+        ("tracer", obs.Tracer),
+        ("timeline", obs.TimelineRecorder),
+    ])
+    def test_any_one_signal_makes_it_active(self, field, signal):
+        assert obs.Observation(**{field: signal()}).active
+
+    def test_for_worker_builds_only_the_recorded_kinds(self):
+        parent = obs.Observation(timeline=obs.TimelineRecorder(window=16))
+        worker = parent.for_worker()
+        assert worker.registry is obs.NULL_REGISTRY
+        assert worker.tracer is None
+        assert worker.timeline is not parent.timeline
+        assert worker.timeline.window == 16 and len(worker.timeline) == 0
+
+        full = obs.Observation(
+            registry=obs.MetricsRegistry(), tracer=obs.Tracer(), timeline=parent.timeline,
+        ).for_worker()
+        assert isinstance(full.registry, obs.MetricsRegistry)
+        assert full.registry.summary() == {}
+        assert full.tracer.path is None  # an in-memory collector
+        assert obs.Observation().for_worker() == obs.Observation()
+
+    def test_ship_and_merge_round_trip_exactly(self):
+        parent = obs.Observation(
+            registry=obs.MetricsRegistry(),
+            tracer=obs.Tracer(),
+            timeline=obs.TimelineRecorder(window=4),
+        )
+        worker = parent.for_worker()
+        with obs.observing(worker):
+            obs.current().registry.counter("ops_total").inc(3)
+            with obs.span("engine"):
+                pass
+            series = obs.current().timeline.series("mcf", "secddr_ctr", "batch")
+            series.sample(4, 8, 16.0, 4, 0, 2, 1, 3, 1, [0, 1])
+        shipped = pickle.loads(pickle.dumps(worker.ship()))
+        job_id = parent.tracer.record("job", 2.0, 1.0)
+        parent.merge(shipped, base=2.0, parent=job_id)
+        assert parent.registry.summary() == {"ops_total": 3}
+        assert parent.timeline.to_payload() == worker.timeline.to_payload()
+        engine = next(r for r in parent.tracer.drain() if r["name"] == "engine")
+        assert engine["parent"] == job_id and engine["ts"] >= 2.0
+        assert worker.ship()["spans"] == []  # shipping drained the collector
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +412,13 @@ class TestTracer:
         assert len(set(ids)) == len(ids) and job_id not in ids
 
     def test_module_span_is_noop_when_off(self):
-        assert not obs.tracing_enabled()
+        assert obs.current().tracer is None
         with obs.span("anything", key="value") as span_id:
             assert span_id is None
 
     def test_module_span_routes_to_active_tracer(self):
         tracer = obs.Tracer()
-        obs.set_tracer(tracer)
-        with obs.span("top") as span_id:
+        with obs.observing(obs.Observation(tracer=tracer)), obs.span("top") as span_id:
             assert span_id is not None
             assert tracer.current_span_id() == span_id
         assert [r["name"] for r in tracer.drain()] == ["top"]
@@ -438,7 +512,7 @@ def _jobs(experiment=FAST):
 
 class TestRunnerMetrics:
     def test_cold_then_warm_counts_are_exact(self, tmp_path):
-        registry = obs.enable()
+        registry = _observe_metrics()
         cache = ResultCache(tmp_path)
         ParallelRunner(jobs=1, cache=cache).run(_jobs())
         summary = registry.summary()
@@ -459,7 +533,7 @@ class TestRunnerMetrics:
         )
 
     def test_pool_path_ships_worker_metrics_exactly(self, tmp_path):
-        registry = obs.enable()
+        registry = _observe_metrics()
         cache = ResultCache(tmp_path)
         ParallelRunner(jobs=2, cache=cache).run(_jobs())
         summary = registry.summary()
@@ -471,12 +545,24 @@ class TestRunnerMetrics:
         assert "engine_accesses_per_sec{engine=batch}" in summary
 
     def test_pool_spans_are_reparented_under_job_spans(self, tmp_path):
-        obs.enable()
-        tracer = obs.Tracer(tmp_path / "trace.jsonl")
-        obs.set_tracer(tracer)
-        ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "cache")).run(_jobs())
-        obs.set_tracer(None)
-        tracer.close()
+        # Metrics, spans and timelines all ride the same worker round trip.
+        observation = obs.Observation(
+            registry=obs.MetricsRegistry(),
+            tracer=obs.Tracer(tmp_path / "trace.jsonl"),
+            timeline=obs.TimelineRecorder(window=32),
+        )
+        with obs.observing(observation):
+            ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "cache")).run(_jobs())
+        observation.tracer.close()
+        summary = observation.registry.summary()
+        assert summary["sim_jobs_total{state=done}"] == 4
+        assert summary["engine_jobs_total{engine=batch}"] == 4
+        assert summary["cache_ops_total{op=miss}"] == 4
+        series = observation.timeline.to_payload()["series"]
+        assert sorted((s["configuration"], s["workload"]) for s in series) == sorted(
+            (job.configuration_name, job.workload_name) for job in _jobs()
+        )
+        assert all(s["sample_count"] > 0 for s in series)
         records = [
             json.loads(line)
             for line in (tmp_path / "trace.jsonl").read_text().splitlines()
@@ -507,7 +593,7 @@ class TestRunnerMetrics:
         REGISTRY.register(
             "obs-boom", _raising_builder, cache_token="obs-boom-v1", mpki=50.0
         )
-        registry = obs.enable()
+        registry = _observe_metrics()
         events = []
         try:
             from repro.sim.runner import JobFailedError
@@ -533,13 +619,11 @@ class TestObservabilityIsObservational:
         plain = run_comparison(
             ["secddr_ctr"], ["mcf"], experiment=FAST, jobs=2
         )
-        obs.enable()
         tracer = obs.Tracer(tmp_path / "t.jsonl")
-        obs.set_tracer(tracer)
-        instrumented = run_comparison(
-            ["secddr_ctr"], ["mcf"], experiment=FAST, jobs=2
-        )
-        obs.set_tracer(None)
+        with obs.observing(obs.Observation(registry=obs.MetricsRegistry(), tracer=tracer)):
+            instrumented = run_comparison(
+                ["secddr_ctr"], ["mcf"], experiment=FAST, jobs=2
+            )
         tracer.close()
         assert json.dumps(plain.to_payload(), sort_keys=True) == json.dumps(
             instrumented.to_payload(), sort_keys=True
@@ -548,8 +632,7 @@ class TestObservabilityIsObservational:
     def test_cache_keys_unchanged_by_instrumentation(self):
         job = _jobs()[0]
         key_off = job.cache_key()
-        obs.enable()
-        obs.set_tracer(obs.Tracer())
+        obs.install(obs.Observation(registry=obs.MetricsRegistry(), tracer=obs.Tracer()))
         key_on = job.cache_key()
         assert key_off == key_on
 
@@ -572,13 +655,43 @@ class TestSessionObservability:
         session.compare()
         summary = session.metrics_summary()
         assert summary["sim_jobs_total{state=done}"] >= 1
-        tracer = obs.set_tracer(None)
-        tracer.close()
+        obs.current().tracer.close()
         names = {
             json.loads(line)["name"]
             for line in trace_path.read_text().splitlines()
         }
         assert {"matrix", "job", "engine"} <= names
+
+
+    def test_a_second_call_replaces_the_first(self, tmp_path):
+        from repro.api import Session
+
+        session = Session().with_observability(trace_out=tmp_path / "a.jsonl", timeline=16)
+        first = obs.current()
+        session.with_observability(metrics=True)
+        assert obs.current().timeline is None and obs.current().tracer is None
+        assert obs.current().registry is not first.registry
+        assert first.tracer._handle is None  # the replaced tracer was closed
+        session.with_observability(metrics=False)
+        assert not obs.current().active
+
+
+# ---------------------------------------------------------------------------
+# CLI surface
+# ---------------------------------------------------------------------------
+class TestCliObservability:
+    def test_trace_out_restores_the_previous_observation(self, tmp_path):
+        from repro.cli import main
+
+        before = obs.current()
+        path = tmp_path / "spans.jsonl"
+        assert main([
+            "compare", "-w", "mcf", "-c", "secddr_ctr", "-a", "200", "-n", "1",
+            "--no-cache", "--trace-out", str(path),
+        ]) == 0
+        assert obs.current() is before
+        names = {json.loads(line)["name"] for line in path.read_text().splitlines()}
+        assert {"compare", "matrix", "job", "engine"} <= names
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +704,7 @@ class TestServerObservability:
         from repro.server import Client, make_server
         from repro.server.service import ExperimentService
 
-        obs.enable()
+        _observe_metrics()
         service = ExperimentService(tmp_path / "service", jobs=1)
         service.start(recover=False)
         server = make_server(service, port=0)

@@ -2,7 +2,7 @@
 ``tests/test_shared_cache.py``).
 
 Two independent OS processes run the same matrix through a worker pool
-against one shared ``ResultCache``.  Each process enables a live registry;
+against one shared ``ResultCache``.  Each process installs a live registry;
 its pool workers accumulate into fresh per-job registries and ship
 snapshots back with results, so the parent-side totals must be *exact*:
 ``cache hits + misses == jobs`` in every process, and engine-execution
@@ -26,7 +26,8 @@ from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
 
 cache_dir = sys.argv[1]
-registry = obs.enable()
+registry = obs.MetricsRegistry()
+obs.install(obs.Observation(registry=registry))
 experiment = ExperimentConfig(num_accesses=240, num_cores=1)
 jobs = [
     SimulationJob(configuration=c, workload=w, experiment=experiment)

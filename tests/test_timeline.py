@@ -27,10 +27,15 @@ FAST = ExperimentConfig(num_accesses=240, num_cores=1)
 
 @pytest.fixture(autouse=True)
 def _reset_timeline():
-    """Every test starts and ends with no timeline recorder installed."""
-    obs.set_timeline(None)
+    """Every test starts and ends with observability fully off."""
+    obs.install(obs.Observation())
     yield
-    obs.set_timeline(None)
+    obs.install(obs.Observation())
+
+
+def _recording(recorder):
+    """Record into *recorder* for a ``with`` block."""
+    return obs.observing(obs.Observation(timeline=recorder))
 
 
 def _payload(comparison):
@@ -90,14 +95,14 @@ class TestTimelineRecorder:
         assert parent.to_payload() == worker.to_payload()
 
     def test_module_state_helpers(self):
-        assert obs.current_timeline() is None
-        assert not obs.timeline_enabled()
-        recorder = obs.enable_timeline(window=16)
-        assert obs.timeline_enabled()
-        assert obs.current_timeline() is recorder
-        assert obs.enable_timeline() is recorder  # idempotent
-        obs.disable_timeline()
-        assert obs.current_timeline() is None
+        """The process-wide observation carries the installed recorder."""
+        assert obs.current().timeline is None
+        recorder = obs.TimelineRecorder(window=16)
+        with _recording(recorder):
+            assert obs.current().timeline is recorder
+            assert obs.current().active
+            assert obs.current().registry is obs.NULL_REGISTRY
+        assert obs.current().timeline is None
 
     def test_recorder_sample_count_sums_series(self):
         recorder = obs.TimelineRecorder(window=4)
@@ -114,13 +119,12 @@ class TestTimelineRecorder:
 class TestEngineTimelineParity:
     def test_reference_and_batch_emit_identical_windows(self):
         recorder = obs.TimelineRecorder(window=32)
-        obs.set_timeline(recorder)
         experiment = ExperimentConfig(num_accesses=600, num_cores=2)
-        for engine in ("reference", "batch"):
-            run_comparison(
-                ["secddr_ctr"], ["mcf"], experiment=experiment, engine=engine,
-            )
-        obs.set_timeline(None)
+        with _recording(recorder):
+            for engine in ("reference", "batch"):
+                run_comparison(
+                    ["secddr_ctr"], ["mcf"], experiment=experiment, engine=engine,
+                )
         payload = recorder.to_payload()
         by_engine = {
             series["engine"]: series
@@ -137,9 +141,8 @@ class TestEngineTimelineParity:
 
     def test_integrity_events_carry_access_indices(self):
         recorder = obs.TimelineRecorder(window=64)
-        obs.set_timeline(recorder)
-        run_comparison(["secddr_ctr"], ["mcf"], experiment=FAST)
-        obs.set_timeline(None)
+        with _recording(recorder):
+            run_comparison(["secddr_ctr"], ["mcf"], experiment=FAST)
         series = next(
             s for s in recorder.to_payload()["series"]
             if s["configuration"] == "secddr_ctr"
@@ -151,9 +154,9 @@ class TestEngineTimelineParity:
 
     def test_results_and_payload_bytes_identical_on_vs_off(self):
         off = run_comparison(["secddr_ctr", "tdx_baseline"], ["mcf"], experiment=FAST)
-        obs.set_timeline(obs.TimelineRecorder(window=16))
-        on = run_comparison(["secddr_ctr", "tdx_baseline"], ["mcf"], experiment=FAST)
-        recorder = obs.set_timeline(None)
+        recorder = obs.TimelineRecorder(window=16)
+        with _recording(recorder):
+            on = run_comparison(["secddr_ctr", "tdx_baseline"], ["mcf"], experiment=FAST)
         assert recorder.sample_count > 0  # it really recorded
         assert _payload(off) == _payload(on)
 
@@ -162,22 +165,20 @@ class TestEngineTimelineParity:
             configuration="secddr_ctr", workload="mcf", experiment=FAST
         )
         key_off = job.cache_key()
-        obs.set_timeline(obs.TimelineRecorder())
-        key_on = job.cache_key()
-        obs.set_timeline(None)
+        with _recording(obs.TimelineRecorder()):
+            key_on = job.cache_key()
         assert key_off == key_on
 
     def test_pool_path_ships_worker_timelines_home(self, tmp_path):
         from repro.sim.runner import ParallelRunner, ResultCache
 
         recorder = obs.TimelineRecorder(window=32)
-        obs.set_timeline(recorder)
         jobs = [
             SimulationJob(configuration=c, workload="mcf", experiment=FAST)
             for c in ("secddr_ctr", "tdx_baseline")
         ]
-        ParallelRunner(jobs=2, cache=ResultCache(tmp_path)).run(jobs)
-        obs.set_timeline(None)
+        with _recording(recorder):
+            ParallelRunner(jobs=2, cache=ResultCache(tmp_path)).run(jobs)
         payload = recorder.to_payload()
         configurations = {series["configuration"] for series in payload["series"]}
         assert configurations == {"secddr_ctr", "tdx_baseline"}
@@ -224,7 +225,7 @@ class TestCliTimeline:
         payload = json.loads(out.read_text())
         assert payload["window"] == 32
         assert payload["series"][0]["sample_count"] > 0
-        assert obs.current_timeline() is None  # recorder uninstalled on exit
+        assert obs.current().timeline is None  # recorder uninstalled on exit
 
     def test_compare_writes_dashboard_html(self, tmp_path):
         from repro.cli import main
