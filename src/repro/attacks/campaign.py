@@ -187,12 +187,17 @@ class AttackCampaign:
         self.configurations = resolve_attack_configurations(self.configurations)
 
     def run(self) -> List[AttackResult]:
-        """Execute every (configuration, attack) pair on a fresh memory system."""
+        """Execute every (configuration, attack) pair on its own memory system.
+
+        Each configuration is attested once per call, and every attack runs
+        on a :meth:`~repro.core.memory_system.FunctionalMemorySystem.copy`
+        of that provisioned system, so no attack sees another's state.
+        """
         results: List[AttackResult] = []
         for config_name, config in self.configurations.items():
+            provisioned = FunctionalMemorySystem(config=config, initial_counter=0)
             for attack in self.attack_factory():
-                memory = FunctionalMemorySystem(config=config, initial_counter=0)
-                results.append(attack.run(memory, configuration=config_name))
+                results.append(attack.run(provisioned.copy(), configuration=config_name))
         return results
 
     # ------------------------------------------------------------------

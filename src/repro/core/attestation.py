@@ -86,7 +86,8 @@ def attest_and_provision(
         replacement to defeat stale pre-boot state).
     initial_counter:
         Optional fixed initial counter (tests); by default a fresh random
-        64-bit value per rank, as the paper allows.
+        ``counter_bits - 1``-bit value per rank (63 bits at the default
+        64-bit counter), as the paper allows.
 
     Raises
     ------

@@ -10,6 +10,7 @@ paper describes -- observable and testable.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -130,6 +131,18 @@ class FunctionalMemorySystem:
                 clear_memory=True,
                 initial_counter=initial_counter,
             )
+
+    def copy(self) -> "FunctionalMemorySystem":
+        """An independent system in this one's state, without re-attesting.
+
+        SecDDR attests once per power-up (Section III-F), and a campaign run
+        does the same: it provisions one system per configuration and runs
+        every attack or scenario on a copy.  The copy keeps this system's
+        ``Kt``, data and MAC keys, counters and stored lines.  Its ECC chips
+        share the copy's own storage, and nothing mutable is shared with
+        this system.
+        """
+        return deepcopy(self)
 
     # ------------------------------------------------------------------
     def attach_adversary(self, adversary) -> None:

@@ -9,11 +9,16 @@ functional configuration, so re-running a campaign (or widening it to more
 configurations) re-executes nothing that already ran, and interrupted
 campaigns resume from disk.
 
+Each run attests a configuration at most once, and only when one of its
+scenarios executes or is shrunk.  Every scenario then runs on a copy of that
+provisioned system (same ``Kt``, data and MAC keys, counters at 0, memory
+cleared); pool workers receive the system with the job and attest nothing.
+
 Determinism is end to end: the same ``(seed, budget, configurations)`` always
 produces the same scenarios, the same per-scenario outcomes (scenario
-execution never consults ambient randomness -- the processor's random keys
-only shift ciphertexts, not verdicts), and therefore the same detection
-matrix -- serial, parallel, or cache-warm.
+execution never consults ambient randomness -- the keys are fresh random
+values each run, but they only shift ciphertexts, not verdicts), and
+therefore the same detection matrix -- serial, parallel, or cache-warm.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.attacks.campaign import (
     STANDARD_CONFIGURATIONS,
@@ -30,6 +35,7 @@ from repro.attacks.campaign import (
     resolve_attack_configurations,
 )
 from repro.core.config import SecDDRConfig
+from repro.core.memory_system import FunctionalMemorySystem
 from repro.fuzz.actions import TAMPER_ACTIONS
 from repro.fuzz.oracles import FuzzOutcome, ScenarioResult, run_scenario
 from repro.fuzz.scenario import FuzzScenario, ScenarioGenerator
@@ -77,11 +83,18 @@ class FuzzResultCache(ResultCache):
 
 @dataclass(frozen=True)
 class FuzzJob:
-    """One (configuration, scenario) execution -- self-contained and picklable."""
+    """One (configuration, scenario) execution -- self-contained and picklable.
+
+    ``provisioned``, the run's attested system for the configuration, is
+    attached just before the job executes; it is not part of the cache key.
+    """
 
     name: str
     functional: SecDDRConfig
     scenario: FuzzScenario
+    provisioned: Optional[FunctionalMemorySystem] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def configuration_name(self) -> str:
@@ -108,7 +121,7 @@ class FuzzJob:
 def _execute_fuzz_job(job: FuzzJob) -> Tuple[ScenarioResult, float]:
     """Worker entry point: run one scenario, returning (result, seconds)."""
     started = time.perf_counter()
-    result = run_scenario(job.scenario, job.functional, configuration=job.name)
+    result = run_scenario(job.scenario, job.provisioned, configuration=job.name)
     return result, time.perf_counter() - started
 
 
@@ -314,6 +327,16 @@ class FuzzCampaign:
         ]
 
         counters = {"executed": 0, "cached": 0}
+        functional = dict(self.configurations)
+        systems: Dict[str, FunctionalMemorySystem] = {}
+
+        def provisioned(name: str) -> FunctionalMemorySystem:
+            # Attest each configuration once per run, on first need.
+            if name not in systems:
+                systems[name] = FunctionalMemorySystem(
+                    config=functional[name], initial_counter=0
+                )
+            return systems[name]
 
         def count_events(event: JobEvent) -> None:
             # "failed" jobs executed too (in capture mode they ran and
@@ -330,6 +353,9 @@ class FuzzCampaign:
             cache=self.cache,
             progress=count_events,
             executor=_execute_fuzz_job,
+            prepare=lambda pending: [
+                replace(job, provisioned=provisioned(job.name)) for job in pending
+            ],
         )
         outcomes = runner.run(job_list)
 
@@ -347,17 +373,19 @@ class FuzzCampaign:
             cached_jobs=counters["cached"],
         )
         if self.shrink_violations:
-            report.shrunk = self._shrink_violations(report, scenarios)
+            report.shrunk = self._shrink_violations(report, scenarios, provisioned)
         report.elapsed_seconds = time.perf_counter() - started
         return report
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _shrink_violations(
-        self, report: FuzzReport, scenarios: List[FuzzScenario]
+        report: FuzzReport,
+        scenarios: List[FuzzScenario],
+        provisioned: Callable[[str], FunctionalMemorySystem],
     ) -> List[ShrinkResult]:
         """Minimize the first few oracle-violating scenarios per configuration."""
         by_id = {scenario.scenario_id: scenario for scenario in scenarios}
-        functional = dict(self.configurations)
         shrunk: List[ShrinkResult] = []
         for name in report.configurations:
             violating = [result for result in report.results[name] if result.violation]
@@ -365,7 +393,7 @@ class FuzzCampaign:
                 shrunk.append(
                     shrink_scenario(
                         by_id[result.scenario_id],
-                        functional[name],
+                        provisioned(name),
                         configuration=name,
                         target_outcome=result.outcome,
                     )

@@ -1,10 +1,10 @@
 """Security oracles: execute one scenario and judge the outcome.
 
-:func:`run_scenario` replays a scenario's victim schedule against a fresh
-:class:`~repro.core.memory_system.FunctionalMemorySystem` with the compiled
-:class:`~repro.fuzz.adversary.TamperAdversary` on the bus, maintaining a
-**golden shadow memory** (address -> last written plaintext).  Three
-properties are checked on every step:
+:func:`run_scenario` replays a scenario's victim schedule against a copy of
+a provisioned :class:`~repro.core.memory_system.FunctionalMemorySystem` with
+the compiled :class:`~repro.fuzz.adversary.TamperAdversary` on the bus,
+maintaining a **golden shadow memory** (address -> last written plaintext).
+Three properties are checked on every step:
 
 1. **Detection before consumption** -- if the victim ever consumes a value
    different from the shadow without an alarm (MAC violation, ECC-chip
@@ -135,11 +135,15 @@ def _attribute_miss(scenario: FuzzScenario, address: int) -> Optional[str]:
 
 def run_scenario(
     scenario: FuzzScenario,
-    functional_config: SecDDRConfig,
+    provisioned: FunctionalMemorySystem,
     configuration: str = "secddr",
 ) -> ScenarioResult:
-    """Execute ``scenario`` against ``functional_config`` and judge it."""
-    memory = FunctionalMemorySystem(config=functional_config, initial_counter=0)
+    """Execute ``scenario`` on a copy of ``provisioned`` and judge it.
+
+    ``provisioned`` itself is left untouched, so one attested system serves
+    every scenario of its configuration.
+    """
+    memory = provisioned.copy()
     adversary = TamperAdversary(scenario.actions, memory.mapping)
     memory.attach_adversary(adversary)
     state = _Execution()
@@ -149,7 +153,7 @@ def run_scenario(
         _final_sweep(memory, state)
     memory.detach_adversary()
 
-    return _judge(scenario, functional_config, configuration, adversary, state)
+    return _judge(scenario, memory.config, configuration, adversary, state)
 
 
 def _replay_schedule(

@@ -10,10 +10,11 @@ searches for the smallest derived scenario that still reproduces it:
    background operations, halving the chunk size down to single ops.
 
 Every candidate is judged by re-executing it through the same oracle as the
-campaign (:func:`~repro.fuzz.oracles.run_scenario`), so a minimized scenario
-is a true standalone reproducer: replaying it from the corpus yields the same
-outcome.  For a *missed* outcome the predicate also pins the missed action
-class, so shrinking cannot drift onto a different bug.
+campaign (:func:`~repro.fuzz.oracles.run_scenario`), on a copy of the same
+provisioned system, so a minimized scenario is a true standalone reproducer:
+replaying it from the corpus yields the same outcome.  For a *missed* outcome
+the predicate also pins the missed action class, so shrinking cannot drift
+onto a different bug.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.config import SecDDRConfig
+from repro.core.memory_system import FunctionalMemorySystem
 from repro.fuzz.oracles import run_scenario
 from repro.fuzz.scenario import FuzzScenario
 
@@ -66,18 +67,20 @@ class ShrinkResult:
 
 def shrink_scenario(
     scenario: FuzzScenario,
-    functional_config: SecDDRConfig,
+    provisioned: FunctionalMemorySystem,
     configuration: str = "secddr",
     target_outcome: Optional[str] = None,
     max_executions: int = DEFAULT_MAX_EXECUTIONS,
 ) -> ShrinkResult:
     """Minimize ``scenario`` while it keeps reproducing ``target_outcome``.
 
-    ``target_outcome`` defaults to whatever the scenario produces as-is; a
-    :class:`ValueError` is raised when an explicit target does not reproduce
-    (shrinking a non-failing scenario is a caller bug worth surfacing).
+    Every execution runs on a copy of ``provisioned``, so the search
+    attests nothing.  ``target_outcome`` defaults to whatever the scenario
+    produces as-is; a :class:`ValueError` is raised when an explicit target
+    does not reproduce (shrinking a non-failing scenario is a caller bug
+    worth surfacing).
     """
-    baseline = run_scenario(scenario, functional_config, configuration)
+    baseline = run_scenario(scenario, provisioned, configuration)
     target = target_outcome or baseline.outcome
     if baseline.outcome != target:
         raise ValueError(
@@ -97,7 +100,7 @@ def shrink_scenario(
         if state["executions"] >= max_executions:
             return False
         state["executions"] += 1
-        result = run_scenario(candidate, functional_config, configuration)
+        result = run_scenario(candidate, provisioned, configuration)
         if result.outcome != target:
             return False
         return pinned_kind is None or result.missed_kind == pinned_kind

@@ -444,6 +444,11 @@ class ParallelRunner:
     by supplying a matching ``executor`` (a *module-level* callable, so pools
     can pickle it, mapping one job to ``(result, elapsed_seconds)``).  The
     fuzz campaign engine reuses the runner this way with scenario jobs.
+    An optional ``prepare`` maps the jobs that missed the cache to the
+    values the executor receives.  It runs once per :meth:`run`, in the
+    calling process, before any job executes; the fuzz campaign uses it to
+    attest only the configurations that have work and to hand that one
+    system to every job, pool workers included.
 
     ``failures`` selects what happens when a job raises:
 
@@ -463,6 +468,7 @@ class ParallelRunner:
         progress: Optional[ProgressHook] = None,
         executor: Callable = _execute_job,
         failures: str = "raise",
+        prepare: Optional[Callable[[List], List]] = None,
     ) -> None:
         if failures not in ("raise", "capture"):
             raise ValueError("failures must be 'raise' or 'capture', got %r" % failures)
@@ -471,6 +477,7 @@ class ParallelRunner:
         self.progress = progress
         self.executor = executor
         self.failures = failures
+        self.prepare = prepare
 
     # ------------------------------------------------------------------
     def _emit(self, event: JobEvent) -> None:
@@ -506,6 +513,8 @@ class ParallelRunner:
                         JobEvent(job.configuration_name, job.workload_name, "start", index, total)
                     )
                 pending_jobs = [job for _, job, _ in pending]
+                if self.prepare is not None:
+                    pending_jobs = self.prepare(pending_jobs)
                 # Capture mode wraps the executor *inside* the worker, so a
                 # raising job comes back as a JobFailure value instead of
                 # poisoning the pool's result stream; raise mode keeps the

@@ -23,46 +23,44 @@ from repro.attacks import (
     WriteDropAttack,
     WriteToReadConversionAttack,
     run_standard_campaign,
+    standard_attacks,
 )
+from repro.attacks.campaign import STANDARD_CONFIGURATIONS
 from repro.core import FunctionalMemorySystem, SecDDRConfig
 
 
-def _memory(config=None):
-    return FunctionalMemorySystem(config=config or SecDDRConfig(), initial_counter=0)
-
-
 class TestBusReplay:
-    def test_detected_under_secddr(self):
-        result = BusReplayAttack().run(_memory(), "secddr")
+    def test_detected_under_secddr(self, provisioned):
+        result = BusReplayAttack().run(provisioned(), "secddr")
         assert result.outcome is AttackOutcome.DETECTED
 
-    def test_succeeds_against_baseline(self):
-        result = BusReplayAttack().run(_memory(SecDDRConfig.baseline_no_rap()), "baseline")
+    def test_succeeds_against_baseline(self, provisioned):
+        result = BusReplayAttack().run(provisioned(SecDDRConfig.baseline_no_rap()), "baseline")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
-    def test_detected_even_without_ewcrc(self):
-        result = BusReplayAttack().run(_memory(SecDDRConfig(ewcrc_enabled=False)), "no_ewcrc")
+    def test_detected_even_without_ewcrc(self, provisioned):
+        result = BusReplayAttack().run(provisioned(SecDDRConfig(ewcrc_enabled=False)), "no_ewcrc")
         assert result.outcome is AttackOutcome.DETECTED
 
 
 class TestAddressCorruption:
-    def test_detected_at_write_time_under_secddr(self):
-        result = AddressCorruptionAttack().run(_memory(), "secddr")
+    def test_detected_at_write_time_under_secddr(self, provisioned):
+        result = AddressCorruptionAttack().run(provisioned(), "secddr")
         assert result.outcome is AttackOutcome.DETECTED
         assert "eWCRC" in (result.detection_point or "")
 
-    def test_succeeds_without_ewcrc(self):
+    def test_succeeds_without_ewcrc(self, provisioned):
         # E-MACs alone cannot catch the stale-data attack (Section III-B).
-        result = AddressCorruptionAttack().run(_memory(SecDDRConfig(ewcrc_enabled=False)), "no_ewcrc")
+        result = AddressCorruptionAttack().run(provisioned(SecDDRConfig(ewcrc_enabled=False)), "no_ewcrc")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
-    def test_succeeds_against_baseline(self):
-        result = AddressCorruptionAttack().run(_memory(SecDDRConfig.baseline_no_rap()), "baseline")
+    def test_succeeds_against_baseline(self, provisioned):
+        result = AddressCorruptionAttack().run(provisioned(SecDDRConfig.baseline_no_rap()), "baseline")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
-    def test_column_corruption_also_detected(self):
+    def test_column_corruption_also_detected(self, provisioned):
         attack = AddressCorruptionAttack()
-        memory = _memory()
+        memory = provisioned()
         # Corrupt the column instead of the row by using a column offset.
         address = attack.target_address
         memory.write(address, b"\xaa" * 64)
@@ -86,42 +84,42 @@ class TestAddressCorruption:
 
 
 class TestWriteDropAndConversion:
-    def test_drop_detected_under_secddr(self):
-        result = WriteDropAttack().run(_memory(), "secddr")
+    def test_drop_detected_under_secddr(self, provisioned):
+        result = WriteDropAttack().run(provisioned(), "secddr")
         assert result.outcome is AttackOutcome.DETECTED
 
-    def test_drop_succeeds_against_baseline(self):
-        result = WriteDropAttack().run(_memory(SecDDRConfig.baseline_no_rap()), "baseline")
+    def test_drop_succeeds_against_baseline(self, provisioned):
+        result = WriteDropAttack().run(provisioned(SecDDRConfig.baseline_no_rap()), "baseline")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
-    def test_conversion_detected_with_parity_rule(self):
-        result = WriteToReadConversionAttack().run(_memory(), "secddr")
+    def test_conversion_detected_with_parity_rule(self, provisioned):
+        result = WriteToReadConversionAttack().run(provisioned(), "secddr")
         assert result.outcome is AttackOutcome.DETECTED
         assert result.observations.get("counters_diverged") == 1.0
 
-    def test_conversion_succeeds_without_parity_rule(self):
+    def test_conversion_succeeds_without_parity_rule(self, provisioned):
         # The exact gap the paper's even/odd counter assignment closes.
         config = SecDDRConfig(counter_parity_rule=False)
-        result = WriteToReadConversionAttack().run(_memory(config), "secddr_no_parity")
+        result = WriteToReadConversionAttack().run(provisioned(config), "secddr_no_parity")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
-    def test_conversion_succeeds_against_baseline(self):
-        result = WriteToReadConversionAttack().run(_memory(SecDDRConfig.baseline_no_rap()), "baseline")
+    def test_conversion_succeeds_against_baseline(self, provisioned):
+        result = WriteToReadConversionAttack().run(provisioned(SecDDRConfig.baseline_no_rap()), "baseline")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
 
 class TestDimmSubstitution:
-    def test_detected_under_secddr(self):
-        result = DimmSubstitutionAttack().run(_memory(), "secddr")
+    def test_detected_under_secddr(self, provisioned):
+        result = DimmSubstitutionAttack().run(provisioned(), "secddr")
         assert result.outcome is AttackOutcome.DETECTED
 
-    def test_succeeds_against_baseline(self):
-        result = DimmSubstitutionAttack().run(_memory(SecDDRConfig.baseline_no_rap()), "baseline")
+    def test_succeeds_against_baseline(self, provisioned):
+        result = DimmSubstitutionAttack().run(provisioned(SecDDRConfig.baseline_no_rap()), "baseline")
         assert result.outcome is AttackOutcome.SUCCEEDED
 
 
 class TestDataRelocation:
-    def test_detected_by_address_bound_macs_everywhere(self):
+    def test_detected_by_address_bound_macs_everywhere(self, provisioned):
         # Splicing a valid (data, MAC) pair to another address is caught by
         # any configuration whose MAC binds the physical address -- including
         # the no-RAP baseline.
@@ -129,31 +127,31 @@ class TestDataRelocation:
             (SecDDRConfig(), "secddr"),
             (SecDDRConfig.baseline_no_rap(), "baseline"),
         ):
-            result = DataRelocationAttack().run(_memory(config), name)
+            result = DataRelocationAttack().run(provisioned(config), name)
             assert result.outcome is AttackOutcome.DETECTED, name
 
 
 class TestDataCorruptionAttacks:
-    def test_rowhammer_detected_by_all_mac_configurations(self):
+    def test_rowhammer_detected_by_all_mac_configurations(self, provisioned):
         for config, name in (
             (SecDDRConfig(), "secddr"),
             (SecDDRConfig.baseline_no_rap(), "baseline"),
         ):
-            result = RowHammerAttack().run(_memory(config), name)
+            result = RowHammerAttack().run(provisioned(config), name)
             assert result.outcome is AttackOutcome.DETECTED, name
 
-    def test_read_tamper_detected_by_all_mac_configurations(self):
+    def test_read_tamper_detected_by_all_mac_configurations(self, provisioned):
         for config, name in (
             (SecDDRConfig(), "secddr"),
             (SecDDRConfig.baseline_no_rap(), "baseline"),
         ):
-            result = ReadTamperAttack().run(_memory(config), name)
+            result = ReadTamperAttack().run(provisioned(config), name)
             assert result.outcome is AttackOutcome.DETECTED, name
 
 
 class TestRecordingAdversary:
-    def test_records_per_address_history(self):
-        memory = _memory()
+    def test_records_per_address_history(self, provisioned):
+        memory = provisioned()
         adversary = RecordingAdversary()
         memory.attach_adversary(adversary)
         memory.write(0x4000, b"\x01" * 64)
@@ -166,8 +164,8 @@ class TestRecordingAdversary:
         assert adversary.recorded_response(0x4000) is adversary.response_history[0x4000][0]
         assert adversary.recorded_response(0x9999) is None
 
-    def test_passthrough_does_not_break_operation(self):
-        memory = _memory()
+    def test_passthrough_does_not_break_operation(self, provisioned):
+        memory = provisioned()
         memory.attach_adversary(RecordingAdversary())
         memory.write(0x4000, b"\x01" * 64)
         assert memory.read(0x4000) == b"\x01" * 64
@@ -176,8 +174,8 @@ class TestRecordingAdversary:
 class TestAdversaryHookEdgeCases:
     """The hook contract: None drops, exceptions propagate, replay is exact."""
 
-    def test_write_hook_returning_none_drops_on_every_path(self):
-        memory = _memory()
+    def test_write_hook_returning_none_drops_on_every_path(self, provisioned):
+        memory = provisioned()
         adversary = BusAdversary()
         adversary.write_hook = lambda txn: None
         memory.attach_adversary(adversary)
@@ -187,8 +185,8 @@ class TestAdversaryHookEdgeCases:
         # The drop never reached the DIMM: nothing was stored there.
         assert memory.storage.occupied_lines() == 0
 
-    def test_read_command_hook_returning_none_times_out(self):
-        memory = _memory()
+    def test_read_command_hook_returning_none_times_out(self, provisioned):
+        memory = provisioned()
         memory.write(0x4000, b"\x01" * 64)
         adversary = BusAdversary()
         adversary.read_command_hook = lambda cmd: None
@@ -201,8 +199,8 @@ class TestAdversaryHookEdgeCases:
         assert memory.counters_in_sync()
         assert memory.read(0x4000) == b"\x01" * 64
 
-    def test_pass_through_hooks_leave_operation_intact(self):
-        memory = _memory()
+    def test_pass_through_hooks_leave_operation_intact(self, provisioned):
+        memory = provisioned()
         adversary = BusAdversary()
         adversary.write_hook = lambda txn: txn
         adversary.read_command_hook = lambda cmd: cmd
@@ -213,7 +211,7 @@ class TestAdversaryHookEdgeCases:
         memory.detach_adversary()
 
     @pytest.mark.parametrize("hook", ["write_hook", "read_command_hook", "read_response_hook"])
-    def test_hook_exceptions_propagate_uncaught(self, hook):
+    def test_hook_exceptions_propagate_uncaught(self, hook, provisioned):
         # A crashing interposer model is a bug in the attack, not a
         # detection: the framework must surface it loudly, not classify it.
         class HookBug(RuntimeError):
@@ -222,7 +220,7 @@ class TestAdversaryHookEdgeCases:
         def explode(*_args):
             raise HookBug("buggy hook")
 
-        memory = _memory()
+        memory = provisioned()
         if hook == "write_hook":
             adversary = BusAdversary()
             adversary.write_hook = explode
@@ -238,10 +236,10 @@ class TestAdversaryHookEdgeCases:
                 memory.read(0x4000)
         memory.detach_adversary()
 
-    def test_recording_adversary_replays_with_byte_fidelity(self):
+    def test_recording_adversary_replays_with_byte_fidelity(self, provisioned):
         # Against the no-RAP baseline a recorded (data, MAC) pair must be
         # accepted verbatim when replayed -- the recording is exact.
-        memory = _memory(SecDDRConfig.baseline_no_rap())
+        memory = provisioned(SecDDRConfig.baseline_no_rap())
         adversary = RecordingAdversary()
         memory.attach_adversary(adversary)
         memory.write(0x4000, b"\x0f" * 64)
@@ -257,8 +255,8 @@ class TestAdversaryHookEdgeCases:
         assert first == b"\x0f" * 64
         assert replayed == first  # stale value accepted byte-for-byte
 
-    def test_recorded_write_history_preserves_order_and_content(self):
-        memory = _memory()
+    def test_recorded_write_history_preserves_order_and_content(self, provisioned):
+        memory = provisioned()
         adversary = RecordingAdversary()
         memory.attach_adversary(adversary)
         memory.write(0x4000, b"\x01" * 64)
@@ -315,3 +313,17 @@ class TestCampaign:
 
     def test_result_describe(self, results):
         assert "->" in results[0].describe()
+
+    def test_one_provisioning_per_configuration(self, provisionings):
+        AttackCampaign().run()
+        assert provisionings == list(STANDARD_CONFIGURATIONS.values())
+
+    def test_fresh_system_per_attack_oracle_agrees(self, results):
+        # The behaviour before campaigns copied one provisioned system:
+        # every attack attested a system of its own.
+        oracle = [
+            attack.run(FunctionalMemorySystem(config=config, initial_counter=0), name)
+            for name, config in STANDARD_CONFIGURATIONS.items()
+            for attack in standard_attacks()
+        ]
+        assert oracle == results

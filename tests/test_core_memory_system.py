@@ -1,5 +1,7 @@
 """Tests for the composed functional memory system."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,8 +51,8 @@ class TestNormalOperation:
         line_index=st.integers(min_value=0, max_value=1000),
     )
     @settings(max_examples=15, deadline=None)
-    def test_round_trip_property(self, payload, line_index):
-        memory = FunctionalMemorySystem(initial_counter=0)
+    def test_round_trip_property(self, provisioned, payload, line_index):
+        memory = provisioned()
         address = line_index * 64
         memory.write(address, payload)
         assert memory.read(address) == payload
@@ -117,3 +119,55 @@ class TestErrorPaths:
             secddr_memory.read(0x4000)
         secddr_memory.detach_adversary()
         assert secddr_memory.stats.dropped_reads == 1
+
+
+def _state(memory):
+    """Everything a copy must not leak into: lines, counters, stats, bus, keys."""
+    return (
+        memory.storage.snapshot(),
+        {rank: chip.counter.snapshot() for rank, chip in memory.ecc_chips.items()},
+        {rank: memory.processor.counter_for_rank(rank).snapshot() for rank in memory.ecc_chips},
+        asdict(memory.stats),
+        memory.bus.adversary,
+        dict(memory.attestation.transaction_keys),
+    )
+
+
+class TestCopy:
+    def test_copy_is_independent_of_original_and_siblings(self, secddr_memory, sample_line):
+        original = secddr_memory
+        original.write(0x4000, sample_line)
+        expected = _state(original)
+        first, sibling = original.copy(), original.copy()
+
+        class DropWrites:
+            def intercept_write(self, transaction):
+                return None
+
+        first.write(0x8000, b"\x01" * 64)
+        first.read(0x4000)
+        first.attach_adversary(DropWrites())
+        first.write(0x4000, b"\x02" * 64)
+        assert not first.counters_in_sync()
+        first.reattest(clear_memory=True)
+        assert first.attestation.transaction_keys != expected[-1]
+
+        for other in (original, sibling):
+            assert _state(other) == expected
+            assert other.counters_in_sync()
+            assert other.read(0x4000) == sample_line
+
+    def test_copy_chips_share_the_copys_own_storage(self, secddr_memory, monkeypatch):
+        def no_attestation(*args, **kwargs):
+            raise AssertionError("copy() must not re-run __init__'s attestation")
+
+        monkeypatch.setattr(FunctionalMemorySystem, "__init__", no_attestation)
+        copy = secddr_memory.copy()
+        assert copy.storage is not secddr_memory.storage
+        for rank, chip in copy.ecc_chips.items():
+            assert chip.storage is copy.storage
+            assert chip is not secddr_memory.ecc_chips[rank]
+
+    def test_unwritten_line_on_a_copy_fails_verification(self, secddr_memory):
+        with pytest.raises(IntegrityViolation):
+            secddr_memory.copy().read(0x123440)

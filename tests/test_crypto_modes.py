@@ -112,7 +112,11 @@ class TestXtsMode:
 
     @given(
         tweak=st.integers(min_value=0, max_value=2**63),
-        data=st.binary(min_size=16, max_size=96).filter(lambda d: len(d) % 16 == 0),
+        # Whole blocks drawn directly: filtering random lengths kept only
+        # about 1 in 14 and tripped Hypothesis's filter_too_much health check.
+        data=st.integers(min_value=1, max_value=6).flatmap(
+            lambda blocks: st.binary(min_size=16 * blocks, max_size=16 * blocks)
+        ),
     )
     @settings(max_examples=20, deadline=None)
     def test_round_trip_property(self, tweak, data):

@@ -9,10 +9,12 @@ reduces failing scenarios to minimal standalone reproducers.
 
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 from repro.attacks import AttackCampaign, run_standard_campaign
+from repro.core import FunctionalMemorySystem
 from repro.core.config import SecDDRConfig
 from repro.fuzz import (
     TAMPER_ACTIONS,
@@ -33,6 +35,8 @@ from repro.secure.configs import CONFIGURATIONS
 
 SEED = 7
 BUDGET = 14
+#: The functional config of each default campaign configuration, in order.
+DEFAULT_FUNCTIONAL = [config for _, config in FuzzCampaign().configurations]
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +103,16 @@ class TestScenarioGenerator:
         assert all(s.well_formed() for s in ScenarioGenerator(SEED).generate_many(8))
 
 
+def _payloads(report):
+    """Every result of a campaign, as plain dicts, per configuration."""
+    return {
+        name: [asdict(result) for result in report.results[name]]
+        for name in report.configurations
+    }
+
+
 class TestOracles:
-    def test_benign_scenario_clean_everywhere(self):
+    def test_benign_scenario_clean_everywhere(self, provisioned):
         scenario = FuzzScenario(
             scenario_id="benign", seed=11, workload="gcc",
             ops=(
@@ -110,11 +122,11 @@ class TestOracles:
             actions=(),
         )
         for config in (SecDDRConfig(), SecDDRConfig.baseline_no_rap()):
-            result = run_scenario(scenario, config)
+            result = run_scenario(scenario, provisioned(config))
             assert result.outcome == FuzzOutcome.BENIGN_OK
             assert not result.violation
 
-    def test_replay_missed_on_baseline_detected_on_secddr(self):
+    def test_replay_missed_on_baseline_detected_on_secddr(self, provisioned):
         action = ReplayAction(address=ATTACK_REGION_BASE)
         values = iter(range(1, 10))
         scenario = FuzzScenario(
@@ -125,11 +137,11 @@ class TestOracles:
             ),
             actions=(action,),
         )
-        baseline = run_scenario(scenario, SecDDRConfig.baseline_no_rap(), "baseline")
+        baseline = run_scenario(scenario, provisioned(SecDDRConfig.baseline_no_rap()), "baseline")
         assert baseline.outcome == FuzzOutcome.MISSED
         assert baseline.missed_kind == "replay"
         assert not baseline.violation  # the baseline never claimed replay protection
-        secddr = run_scenario(scenario, SecDDRConfig(), "secddr")
+        secddr = run_scenario(scenario, provisioned(SecDDRConfig()), "secddr")
         assert secddr.outcome == FuzzOutcome.DETECTED
         assert secddr.detection_point == "mac_verification"
 
@@ -165,26 +177,53 @@ class TestCampaignProperties:
     def test_no_violations_anywhere_on_standard_profiles(self, campaign_report):
         assert campaign_report.violations() == []
 
-    def test_parallel_campaign_equals_serial(self, campaign_report):
+    def test_parallel_campaign_equals_serial(self, campaign_report, provisionings):
         parallel = run_fuzz_campaign(
             seed=SEED, budget=BUDGET, jobs=4, shrink_violations=False
         )
         assert parallel.format_matrix() == campaign_report.format_matrix()
-        for name in campaign_report.configurations:
-            assert [r.outcome for r in parallel.results[name]] == [
-                r.outcome for r in campaign_report.results[name]
-            ]
+        assert _payloads(parallel) == _payloads(campaign_report)
+        # One attestation per configuration, in this process: the pool
+        # workers judged every scenario on the system shipped with the job.
+        assert provisionings == DEFAULT_FUNCTIONAL
 
-    def test_warm_cache_executes_nothing(self, tmp_path):
+    def test_fresh_system_per_scenario_oracle_agrees(self, campaign_report):
+        # The behaviour before campaigns copied one provisioned system:
+        # every scenario attested a system of its own.
+        oracle = {
+            name: [
+                asdict(run_scenario(
+                    scenario, FunctionalMemorySystem(config=config, initial_counter=0), name
+                ))
+                for scenario in campaign_report.scenarios
+            ]
+            for name, config in FuzzCampaign().configurations
+        }
+        assert oracle == _payloads(campaign_report)
+
+    def test_one_provisioning_per_configuration_shrinking_included(
+        self, provisionings, monkeypatch
+    ):
+        # Claim every layer everywhere, so the baseline's misses become
+        # violations and the campaign shrinks them.
+        monkeypatch.setattr("repro.fuzz.oracles.expected_detected", lambda config, kind: True)
+        report = run_fuzz_campaign(seed=SEED, budget=6)
+        assert report.shrunk
+        assert provisionings == DEFAULT_FUNCTIONAL
+
+    def test_warm_cache_executes_nothing(self, tmp_path, provisionings):
         cold = run_fuzz_campaign(
             seed=SEED, budget=6, cache_dir=tmp_path, shrink_violations=False
         )
+        assert provisionings == DEFAULT_FUNCTIONAL
+        provisionings.clear()
         warm = run_fuzz_campaign(
             seed=SEED, budget=6, cache_dir=tmp_path, shrink_violations=False
         )
         assert cold.executed_jobs == 18 and cold.cached_jobs == 0
         assert warm.executed_jobs == 0 and warm.cached_jobs == 18
         assert warm.format_matrix() == cold.format_matrix()
+        assert provisionings == []
 
     def test_registry_names_and_derived_specs_fuzz_too(self):
         derived = CONFIGURATIONS["secddr_xts"].derive(name="secddr_variant")
@@ -204,7 +243,7 @@ class TestCampaignProperties:
 
 
 class TestShrinking:
-    def test_injected_failure_shrinks_to_minimal_tamper_program(self):
+    def test_injected_failure_shrinks_to_minimal_tamper_program(self, provisioned):
         # An artificially bloated failing scenario: eight replay-style
         # actions plus background noise, failing (missed) on the baseline.
         generator = ScenarioGenerator(SEED)
@@ -224,7 +263,7 @@ class TestShrinking:
             scenario_id="bloated", seed=23, workload="gcc",
             ops=tuple(ops), actions=tuple(actions),
         )
-        baseline = SecDDRConfig.baseline_no_rap()
+        baseline = provisioned(SecDDRConfig.baseline_no_rap())
         assert run_scenario(scenario, baseline).outcome == FuzzOutcome.MISSED
 
         shrunk = shrink_scenario(scenario, baseline, "baseline_no_rap")
@@ -236,11 +275,11 @@ class TestShrinking:
         replay = run_scenario(shrunk.minimized, baseline, "baseline_no_rap")
         assert replay.outcome == FuzzOutcome.MISSED
 
-    def test_shrink_rejects_non_reproducing_target(self):
+    def test_shrink_rejects_non_reproducing_target(self, provisioned):
         scenario = ScenarioGenerator(SEED).generate(0)
         with pytest.raises(ValueError, match="does not|produces"):
             shrink_scenario(
-                scenario, SecDDRConfig(), target_outcome=FuzzOutcome.MISSED
+                scenario, provisioned(SecDDRConfig()), target_outcome=FuzzOutcome.MISSED
             )
 
 
@@ -255,12 +294,14 @@ class TestCorpusAndArtifacts:
         for name in ("corpus.jsonl", "fuzz_matrix.csv", "fuzz_matrix.json", "REPORT.md"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_corpus_scenarios_reexecute_to_recorded_outcomes(self, campaign_report, tmp_path):
+    def test_corpus_scenarios_reexecute_to_recorded_outcomes(
+        self, campaign_report, tmp_path, provisioned
+    ):
         write_fuzz_artifacts(campaign_report, tmp_path)
         entries = read_corpus(tmp_path / "corpus.jsonl")
         assert len(entries) == BUDGET
         scenario, outcomes = entries[0]
-        result = run_scenario(scenario, SecDDRConfig(), "secddr")
+        result = run_scenario(scenario, provisioned(SecDDRConfig()), "secddr")
         assert result.outcome == outcomes["secddr"]["outcome"]
 
     def test_matrix_artifact_uses_figures_schema(self, campaign_report, tmp_path):
