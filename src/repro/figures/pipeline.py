@@ -96,6 +96,9 @@ def collect_jobs(specs: Iterable[FigureSpec], ctx: FigureContext) -> List[Simula
     identity, and every experiment knob, so two specs requesting the same
     (workload, configuration, budget) triple collapse to one job even when
     one names the configuration and the other passes a derived value.
+
+    The jobs come back workload-major: sorted, stably, by (workload name,
+    accesses, seed), so the runner builds each distinct trace once.
     """
     unique: List[SimulationJob] = []
     seen = set()
@@ -105,6 +108,9 @@ def collect_jobs(specs: Iterable[FigureSpec], ctx: FigureContext) -> List[Simula
             if key not in seen:
                 seen.add(key)
                 unique.append(job)
+    unique.sort(key=lambda job: (
+        job.workload_name, job.experiment.num_accesses, job.experiment.seed
+    ))
     return unique
 
 

@@ -218,7 +218,7 @@ class ReferenceEngine(Engine):
 
 
 # ---------------------------------------------------------------------------
-# Batch engine: chunk-array precompute + flat replay loop
+# Batch engine: chunk-array precompute + run-ahead replay
 # ---------------------------------------------------------------------------
 _MODE_PLAIN = 0  # no metadata traffic; constant critical-path latency
 _MODE_META = 1  # one metadata-line access per access, no tree
@@ -229,17 +229,21 @@ class BatchEngine(Engine):
     """Vectorized chunk-at-a-time engine with exact reference parity.
 
     Per chunk, everything stateless is precomputed as numpy columns: issue
-    deltas (``gap / issue_width``), DRAM coordinates for data and metadata
-    addresses, metadata-cache set/tag pairs and integrity-tree leaf indices.
-    A single flat Python loop then replays the stateful parts (ROB/MSHR
-    stalls, LRU metadata cache, FR-FCFS write drains, DDR bank/rank/bus
-    constraints) with plain ints, lists and dicts -- no ``MemoryRequest`` or
-    ``DecodedAddress`` objects, no deque copies for issue previews.
+    deltas (``gap / issue_width``), DRAM locations as (flat bank, row) for
+    data and metadata addresses, metadata-cache set/tag pairs and
+    integrity-tree leaf indices.  The replay then runs one core at a time:
+    the core that issues next, in :meth:`repro.cpu.system.System.run`'s
+    order, keeps stepping while its next issue cycle stays below every
+    other core's (or ties and the core comes first), with its state in
+    local variables.  Each core's next issue cycle is computed once per
+    step.  The stateful parts (ROB/MSHR stalls, LRU metadata cache, FR-FCFS
+    write drains, DDR bank/rank/bus constraints) live in plain ints, lists
+    and dicts -- no ``MemoryRequest`` or ``DecodedAddress`` objects.
     """
 
     name = "batch"
     vectorized = True
-    description = "Chunk-array precompute + flat replay loop (exact parity)"
+    description = "Chunk-array precompute + run-ahead replay (exact parity)"
 
     def simulate(self, trace, spec, experiment):
         return _simulate_batch(trace, spec, experiment)
@@ -360,6 +364,11 @@ def _simulate_batch(trace, spec, experiment):
     num_bpg = mapping.banks_per_group
     num_ranks = mapping.ranks
     num_banks = num_ranks * num_bg * num_bpg
+    # A DRAM location is (flat bank, row), the flat bank being
+    # (rank * num_bg + group) * num_bpg + bank; these give its rank and
+    # its rank-level bank group.
+    bank_rank = [fb // (num_bg * num_bpg) for fb in range(num_banks)]
+    bank_group = [fb // num_bpg for fb in range(num_banks)]
 
     off_bits = (mapping.line_bytes - 1).bit_length()
     ch_bits = (mapping.channels - 1).bit_length()
@@ -384,8 +393,7 @@ def _simulate_batch(trace, spec, experiment):
         bits >>= col_bits
         rank = bits & rk_mask
         bits >>= rk_bits
-        row = bits & row_mask
-        return (rank * num_bg + group) * num_bpg + bank, group, rank, row
+        return (rank * num_bg + group) * num_bpg + bank, bits & row_mask
 
     # Integrity-tree levels: (first-node address, is-root) per level.
     tree_levels = ()
@@ -406,18 +414,18 @@ def _simulate_batch(trace, spec, experiment):
     b_open = [None] * num_banks
     b_act = [0] * num_banks
     b_pre = [0] * num_banks
-    b_rd = [0] * num_banks
-    b_wr = [0] * num_banks
+    b_col = [0] * num_banks
     r_act_any = [0] * num_ranks
     r_act_g = [0] * (num_ranks * num_bg)
     r_col_any = [0] * num_ranks
     r_col_g = [0] * (num_ranks * num_bg)
     r_raw = [0] * num_ranks
-    r_hist = [[] for _ in range(num_ranks)]
+    # Each rank's last four ACT cycles; the -tFAW seeds bound nothing.
+    r_faw = [[-tFAW] * 4 for _ in range(num_ranks)]
     bus_free = 0
     last_refresh = 0
     cur_cycle = 0
-    wq = []  # (address, arrival, seq, flat_bank, bank_group, rank, row)
+    wq = []  # (address, arrival, seq, flat_bank, row)
     wq_count = {}
     seq = 0
     reads_served = 0
@@ -433,7 +441,12 @@ def _simulate_batch(trace, spec, experiment):
     # set_index -> [tags, dirtys, lru_ways, tag_to_way]
     cache_sets = {}
 
-    def chan(fb, group, rank, row, is_read, earliest):
+    def chan(fb, row, is_read, earliest):
+        # Unguarded stores never lower what they overwrite: the ACT or column
+        # cycle already took the max over each old value (b_col's through
+        # b_act, which the last ACT set tRC past itself), and cycles are
+        # ints, so a column command moved to bus_free - delay ends no
+        # earlier than bus_free.
         nonlocal bus_free, last_refresh
         if earliest - last_refresh >= tREFI:
             last_refresh = earliest
@@ -445,106 +458,70 @@ def _simulate_batch(trace, spec, experiment):
             cycle = resume
         else:
             cycle = earliest
-        rbase = rank * num_bg + group
+        rank = bank_rank[fb]
+        group = bank_group[fb]
         open_row = b_open[fb]
         if open_row != row:
             if open_row is not None:
                 pre = b_pre[fb]
-                if cycle > pre:
-                    pre = cycle
-                b_open[fb] = None
-                v = pre + tRP
-                if v > b_act[fb]:
-                    b_act[fb] = v
-                cycle = pre
-            act = cycle
+                cycle = (cycle if cycle > pre else pre) + tRP
+            act = b_act[fb]
+            if cycle > act:
+                act = cycle
             v = r_act_any[rank]
             if v > act:
                 act = v
-            v = r_act_g[rbase]
+            v = r_act_g[group]
             if v > act:
                 act = v
-            hist = r_hist[rank]
-            if len(hist) == 4:
-                v = hist[0] + tFAW
-                if v > act:
-                    act = v
-                del hist[0]
-            v = b_act[fb]
+            window = r_faw[rank]
+            v = window.pop(0) + tFAW
             if v > act:
                 act = v
+            window.append(act)
             b_open[fb] = row
-            v = act + tRCD
-            if v > b_rd[fb]:
-                b_rd[fb] = v
-            if v > b_wr[fb]:
-                b_wr[fb] = v
+            b_act[fb] = act + tRC
             v = act + tRAS
             if v > b_pre[fb]:
                 b_pre[fb] = v
-            v = act + tRC
-            if v > b_act[fb]:
-                b_act[fb] = v
-            v = act + tRRD_S
-            if v > r_act_any[rank]:
-                r_act_any[rank] = v
-            v = act + tRRD_L
-            if v > r_act_g[rbase]:
-                r_act_g[rbase] = v
-            hist.append(act)
-            cycle = act
-        if is_read:
-            col = b_rd[fb]
+            r_act_any[rank] = act + tRRD_S
+            r_act_g[group] = act + tRRD_L
+            col = b_col[fb] = act + tRCD
+        else:
+            col = b_col[fb]
             if cycle > col:
                 col = cycle
-            v = r_col_any[rank]
-            if v > col:
-                col = v
-            v = r_col_g[rbase]
-            if v > col:
-                col = v
+        v = r_col_any[rank]
+        if v > col:
+            col = v
+        v = r_col_g[group]
+        if v > col:
+            col = v
+        if is_read:
             v = r_raw[rank]
             if v > col:
                 col = v
-            delay = tCL
-            burst = burst_read
-        else:
-            col = b_wr[fb]
-            if cycle > col:
-                col = cycle
-            v = r_col_any[rank]
-            if v > col:
-                col = v
-            v = r_col_g[rbase]
-            if v > col:
-                col = v
-            delay = tCWL
-            burst = burst_write
-        if col + delay < bus_free:
-            col = bus_free - delay
-        if is_read:
+            if col + tCL < bus_free:
+                col = bus_free - tCL
             v = col + tRTP
             if v > b_pre[fb]:
                 b_pre[fb] = v
+            bus_free = col + tCL + burst_read
+            done = bus_free + ms_read
         else:
-            v = col + tCWL + burst + tWR
+            if col + tCWL < bus_free:
+                col = bus_free - tCWL
+            bus_free = col + tCWL + burst_write
+            v = bus_free + tWR
             if v > b_pre[fb]:
                 b_pre[fb] = v
-            v = col + tCWL + burst + tWTR_L
+            v = bus_free + tWTR_L
             if v > r_raw[rank]:
                 r_raw[rank] = v
-        v = col + tCCD_S
-        if v > r_col_any[rank]:
-            r_col_any[rank] = v
-        v = col + tCCD_L
-        if v > r_col_g[rbase]:
-            r_col_g[rbase] = v
-        data_end = col + delay + burst
-        if data_end > bus_free:
-            bus_free = data_end
-        if is_read:
-            return data_end + ms_read
-        return data_end + ms_write
+            done = bus_free + ms_write
+        r_col_any[rank] = col + tCCD_S
+        r_col_g[group] = col + tCCD_L
+        return done
 
     def drain(cycle, target):
         nonlocal writes_served
@@ -555,13 +532,13 @@ def _simulate_batch(trace, spec, experiment):
         # ordering happens before any request in the batch is served.
         ordered = sorted(
             wq,
-            key=lambda e: (0 if b_open[e[3]] == e[6] else 1, e[1], e[2]),
+            key=lambda e: (0 if b_open[e[3]] == e[4] else 1, e[1], e[2]),
         )
         last = cycle
         served = ordered[:batch]
         for e in served:
             arrival = e[1]
-            last = chan(e[3], e[4], e[5], e[6], False, cycle if cycle >= arrival else arrival)
+            last = chan(e[3], e[4], False, cycle if cycle >= arrival else arrival)
             writes_served += 1
             address = e[0]
             count = wq_count[address] - 1
@@ -576,7 +553,7 @@ def _simulate_batch(trace, spec, experiment):
             wq[:] = [e for e in wq if e[2] not in dropped]
         return last
 
-    def enq(address, fb, group, rank, row, arrival):
+    def enq(address, fb, row, arrival):
         nonlocal cur_cycle, seq
         if arrival > cur_cycle:
             cur_cycle = arrival
@@ -584,11 +561,11 @@ def _simulate_batch(trace, spec, experiment):
             drained = drain(cur_cycle, lo_mark)
             if drained > cur_cycle:
                 cur_cycle = drained
-        wq.append((address, arrival, seq, fb, group, rank, row))
+        wq.append((address, arrival, seq, fb, row))
         seq += 1
         wq_count[address] = wq_count.get(address, 0) + 1
 
-    def serve_read(address, fb, group, rank, row, arrival):
+    def serve_read(address, fb, row, arrival):
         nonlocal cur_cycle, reads_served, forwarded_reads, total_read_latency
         if arrival > cur_cycle:
             cur_cycle = arrival
@@ -596,7 +573,7 @@ def _simulate_batch(trace, spec, experiment):
             forwarded_reads += 1
             reads_served += 1
             return cur_cycle
-        completion = chan(fb, group, rank, row, True, cur_cycle)
+        completion = chan(fb, row, True, cur_cycle)
         reads_served += 1
         total_read_latency += completion - arrival
         return completion
@@ -636,7 +613,7 @@ def _simulate_batch(trace, spec, experiment):
         lru.append(victim)
         return False, writeback
 
-    def meta_access(address, set_index, tag, fb, group, rank, row, cycle, dirty):
+    def meta_access(address, set_index, tag, fb, row, cycle, dirty):
         nonlocal metadata_accesses, metadata_hits, metadata_reads, metadata_writebacks
         metadata_accesses += 1
         hit, writeback = cache_access(set_index, tag, dirty)
@@ -650,18 +627,16 @@ def _simulate_batch(trace, spec, experiment):
                 # SecureMemorySystem._metadata_access: demand counters are
                 # bumped before metadata expansion in both engines.
                 tl_series.event("integrity_miss", demand_reads + demand_writes)
-            completion = serve_read(address, fb, group, rank, row, cycle)
+            completion = serve_read(address, fb, row, cycle)
         if writeback is not None:
             metadata_writebacks += 1
-            wfb, wg, wr, wrow = dec(writeback)
-            enq(writeback, wfb, wg, wr, wrow, cycle)
+            wfb, wrow = dec(writeback)
+            enq(writeback, wfb, wrow, cycle)
         return hit, completion
 
-    def walk(address, set_index, tag, fb, group, rank, row, leaf, cycle, dirty):
+    def walk(address, set_index, tag, fb, row, leaf, cycle, dirty):
         # Counter/MAC line access plus tree path until the first cached node.
-        hit0, completion = meta_access(
-            address, set_index, tag, fb, group, rank, row, cycle, dirty
-        )
+        hit0, completion = meta_access(address, set_index, tag, fb, row, cycle, dirty)
         if completion < cycle:
             completion = cycle
         if not hit0:
@@ -672,17 +647,9 @@ def _simulate_batch(trace, spec, experiment):
                     break
                 node = level_base + index * 64
                 node_line = node >> 6
-                nfb, ng, nr, nrow = dec(node)
+                nfb, nrow = dec(node)
                 nhit, ncomp = meta_access(
-                    node,
-                    node_line % num_sets,
-                    node_line // num_sets,
-                    nfb,
-                    ng,
-                    nr,
-                    nrow,
-                    cycle,
-                    dirty,
+                    node, node_line % num_sets, node_line // num_sets, nfb, nrow, cycle, dirty
                 )
                 if ncomp > completion:
                     completion = ncomp
@@ -690,7 +657,7 @@ def _simulate_batch(trace, spec, experiment):
                     break
         return hit0, completion
 
-    def secure_read(address, fb, group, rank, row, dram_float, m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf):
+    def secure_read(address, fb, row, dram_float, m_address, m_set, m_tag, m_fb, m_row, m_leaf):
         nonlocal demand_reads
         demand_reads += 1
         cycle = int(dram_float)
@@ -698,45 +665,40 @@ def _simulate_batch(trace, spec, experiment):
             meta_completion = cycle
             extra = extra_hit
         elif mode == _MODE_META:
-            hit, meta_completion = meta_access(
-                m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, cycle, False
-            )
+            hit, meta_completion = meta_access(m_address, m_set, m_tag, m_fb, m_row, cycle, False)
             extra = extra_hit if hit else extra_miss
         else:
-            hit, meta_completion = walk(
-                m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf, cycle, False
-            )
+            hit, meta_completion = walk(m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, False)
             extra = extra_hit if hit else extra_miss
-        data_completion = serve_read(address, fb, group, rank, row, cycle)
+        data_completion = serve_read(address, fb, row, cycle)
         if meta_completion > data_completion:
             return meta_completion, extra
         return data_completion, extra
 
     def secure_read_dyn(address, dram_float):
         # Prefetch-generated address: scalar column computation.
-        fb, group, rank, row = dec(address)
+        fb, row = dec(address)
         if mode == _MODE_PLAIN:
-            return secure_read(address, fb, group, rank, row, dram_float, 0, 0, 0, 0, 0, 0, 0, 0)
+            return secure_read(address, fb, row, dram_float, 0, 0, 0, 0, 0, 0)
         meta_line = (address >> 6) // meta_per_line
         m_address = meta_base + meta_line * 64
         m_line = m_address >> 6
-        m_fb, m_g, m_r, m_row = dec(m_address)
+        m_fb, m_row = dec(m_address)
         m_leaf = meta_line if meta_line < leaf_limit else leaf_limit
         return secure_read(
-            address, fb, group, rank, row, dram_float,
-            m_address, m_line % num_sets, m_line // num_sets,
-            m_fb, m_g, m_r, m_row, m_leaf,
+            address, fb, row, dram_float,
+            m_address, m_line % num_sets, m_line // num_sets, m_fb, m_row, m_leaf,
         )
 
-    def secure_write(address, fb, group, rank, row, dram_float, m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf):
+    def secure_write(address, fb, row, dram_float, m_address, m_set, m_tag, m_fb, m_row, m_leaf):
         nonlocal demand_writes
         demand_writes += 1
         cycle = int(dram_float)
         if mode == _MODE_META:
-            meta_access(m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, cycle, True)
+            meta_access(m_address, m_set, m_tag, m_fb, m_row, cycle, True)
         elif mode == _MODE_WALK:
-            walk(m_address, m_set, m_tag, m_fb, m_g, m_r, m_row, m_leaf, cycle, True)
-        enq(address, fb, group, rank, row, cycle)
+            walk(m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, True)
+        enq(address, fb, row, cycle)
 
     # ------------------------------------------------------------------
     # Per-core trace state: chunk columns + CPU-side machine state
@@ -783,38 +745,23 @@ def _simulate_batch(trace, spec, experiment):
         for core_id in range(num_cores):
             core_chunks.append(_offset_chunks(core_id * stride))
 
-    empty = [0] * 0
-    n_slots = num_cores
-    col_gap = [empty] * n_slots
-    col_gapdiv = [empty] * n_slots
-    col_write = [empty] * n_slots
-    col_addr = [empty] * n_slots
-    col_line = [empty] * n_slots
-    col_fb = [empty] * n_slots
-    col_bg = [empty] * n_slots
-    col_rk = [empty] * n_slots
-    col_row = [empty] * n_slots
-    col_maddr = [empty] * n_slots
-    col_mset = [empty] * n_slots
-    col_mtag = [empty] * n_slots
-    col_mfb = [empty] * n_slots
-    col_mbg = [empty] * n_slots
-    col_mrk = [empty] * n_slots
-    col_mrow = [empty] * n_slots
-    col_mleaf = [empty] * n_slots
-    core_idx = [0] * n_slots
-    core_len = [0] * n_slots
-    core_cpu = [0.0] * n_slots
-    core_instr = [0] * n_slots
-    core_reads = [0] * n_slots
-    core_writes = [0] * n_slots
-    core_lat = [0.0] * n_slots
-    out_comp = [[] for _ in range(n_slots)]
-    out_inst = [[] for _ in range(n_slots)]
-    out_head = [0] * n_slots
-    pf_last = [-1] * n_slots
-    pf_streak = [0] * n_slots
-    pf_sets = [set() for _ in range(n_slots)]
+    # Per core: the current chunk's 12 columns (see refill), the index of
+    # its pending record, that record's issue cycle and the ROB/MSHR head
+    # its issue scan stopped at, then the state its last step left.
+    core_cols = [None] * num_cores
+    core_idx = [0] * num_cores
+    core_next = [0.0] * num_cores
+    next_head = [0] * num_cores
+    core_cpu = [0.0] * num_cores
+    core_instr = [0] * num_cores
+    core_reads = [0] * num_cores
+    core_lat = [0.0] * num_cores
+    out_comp = [[] for _ in range(num_cores)]
+    out_inst = [[] for _ in range(num_cores)]
+    out_head = [0] * num_cores
+    pf_last = [-1] * num_cores
+    pf_streak = [0] * num_cores
+    pf_sets = [set() for _ in range(num_cores)]
 
     # Chunk refills are the batch engine's unit of work; when tracing is on
     # each one becomes an "engine-chunk" span (child of the live "engine"
@@ -865,180 +812,182 @@ def _simulate_batch(trace, spec, experiment):
             addrs_a, gap_list, gapdiv_list, write_list = next(core_chunks[c])
         except StopIteration:
             return False
-        col_gap[c] = gap_list
-        col_gapdiv[c] = gapdiv_list
-        col_write[c] = write_list
-        col_addr[c] = addrs_a.tolist()
-        lines_a = addrs_a >> 6
-        col_line[c] = lines_a.tolist()
         decoded = mapping.decode_arrays(addrs_a)
-        col_fb[c] = mapping.flat_bank_arrays(decoded).tolist()
-        col_bg[c] = decoded.bank_group.tolist()
-        col_rk[c] = decoded.rank.tolist()
-        col_row[c] = decoded.row.tolist()
+        meta = ((),) * 6
         if with_meta:
-            meta_line_a = lines_a // meta_per_line
+            meta_line_a = (addrs_a >> 6) // meta_per_line
             maddr_a = meta_base + meta_line_a * 64
             mset_a, mtag_a = metadata_cache.index_and_tag_arrays(maddr_a)
             mdec = mapping.decode_arrays(maddr_a)
-            col_maddr[c] = maddr_a.tolist()
-            col_mset[c] = mset_a.tolist()
-            col_mtag[c] = mtag_a.tolist()
-            col_mfb[c] = mapping.flat_bank_arrays(mdec).tolist()
-            col_mbg[c] = mdec.bank_group.tolist()
-            col_mrk[c] = mdec.rank.tolist()
-            col_mrow[c] = mdec.row.tolist()
-            if mode == _MODE_WALK:
-                col_mleaf[c] = np.minimum(meta_line_a, leaf_limit).tolist()
-        core_idx[c] = 0
-        core_len[c] = len(col_gap[c])
+            meta = (
+                maddr_a.tolist(), mset_a.tolist(), mtag_a.tolist(),
+                mapping.flat_bank_arrays(mdec).tolist(), mdec.row.tolist(),
+                # Tree leaves; all 0 (and unread) without a tree.
+                np.minimum(meta_line_a, leaf_limit).tolist(),
+            )
+        core_cols[c] = (
+            gap_list, gapdiv_list, write_list, addrs_a.tolist(),
+            mapping.flat_bank_arrays(decoded).tolist(), decoded.row.tolist(),
+        ) + meta
         if tracer is not None:
             tracer.record(
                 "engine-chunk", chunk_start, tracer.now() - chunk_start,
-                attrs={"core": c, "accesses": core_len[c]},
+                attrs={"core": c, "accesses": len(gap_list)},
             )
         return True
 
-    def preview(c):
-        # Cached equivalent of Core.next_issue_cycle(): core-local state only,
-        # so it stays valid until this core is stepped again.
-        if core_idx[c] >= core_len[c]:
-            if not refill(c):
-                return None
+    def advance(c, limit, tie_ok):
+        # Step core c, at least once, and on while its next issue cycle is
+        # below ``limit``, the earliest other core's, or equal to it when
+        # ``tie_ok``: then c precedes every core issuing at ``limit`` in
+        # ``active``, and System.run()'s first-index-wins argmin would pick
+        # c each time.  Other cores' issue cycles depend on their own state
+        # only, so they hold while c runs.  Returns c's next issue cycle, or
+        # None when its trace is done.
+        nonlocal tl_steps
+        (gaps, gapdivs, writes, addrs, fbs, rows,
+         maddrs, msets, mtags, mfbs, mrows, mleafs) = core_cols[c]
         i = core_idx[c]
-        issue = core_cpu[c] + col_gapdiv[c][i]
-        if not col_write[c][i]:
-            comp = out_comp[c]
-            inst = out_inst[c]
-            j = out_head[c]
-            n = len(comp)
-            inst_index = core_instr[c] + col_gap[c][i]
-            while j < n and inst_index - inst[j] > rob_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
-            while n - j >= mshr_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
+        n = len(gaps)
+        issue = core_next[c]
+        j = next_head[c]
+        instr = core_instr[c]
+        head = out_head[c]
+        comp = out_comp[c]
+        inst = out_inst[c]
+        reads = core_reads[c]
+        lat = core_lat[c]
+        pf = pf_sets[c]
+        last_line = pf_last[c]
+        streak = pf_streak[c]
+        while True:
+            instr += gaps[i]
+            if writes[i]:
+                if with_meta:
+                    secure_write(
+                        addrs[i], fbs[i], rows[i], issue / ratio,
+                        maddrs[i], msets[i], mtags[i], mfbs[i], mrows[i], mleafs[i],
+                    )
+                else:
+                    secure_write(addrs[i], fbs[i], rows[i], issue / ratio, 0, 0, 0, 0, 0, 0)
+            else:
+                if j > 1024:
+                    del comp[:j]
+                    del inst[:j]
+                    j = 0
+                head = j
+                issue_dram = (issue + onchip) / ratio
+                covered = False
+                if prefetch_enabled:
+                    line = addrs[i] >> 6
+                    line_address = line << 6
+                    if line_address in pf:
+                        pf.discard(line_address)
+                        completion_dram = issue_dram
+                        extra = 0.0
+                        covered = True
+                    else:
+                        if line == last_line + 1:
+                            streak += 1
+                        else:
+                            streak = 0
+                        last_line = line
+                        if streak >= pf_threshold:
+                            for ahead in range(1, pf_degree + 1):
+                                target = (line + ahead) << 6
+                                if target not in pf:
+                                    if len(pf) >= pf_max:
+                                        pf.clear()
+                                    pf.add(target)
+                                    secure_read_dyn(target, issue_dram)
+                if not covered:
+                    if with_meta:
+                        completion_dram, extra = secure_read(
+                            addrs[i], fbs[i], rows[i], issue_dram,
+                            maddrs[i], msets[i], mtags[i], mfbs[i], mrows[i], mleafs[i],
+                        )
+                    else:
+                        completion_dram, extra = secure_read(
+                            addrs[i], fbs[i], rows[i], issue_dram, 0, 0, 0, 0, 0, 0
+                        )
+                completion_cpu = completion_dram * ratio + onchip + extra
+                comp.append(completion_cpu)
+                inst.append(instr)
+                reads += 1
+                lat += completion_cpu - issue
+            cpu = issue
+            i += 1
+            if tl_series is not None:
+                tl_steps += 1
+                if tl_steps % tl_window == 0:
+                    core_cpu[c] = cpu
+                    core_instr[c] = instr
+                    out_head[c] = head
+                    tl_sample()
+            if i == n:
+                if not refill(c):
+                    issue = None
+                    break
+                (gaps, gapdivs, writes, addrs, fbs, rows,
+                 maddrs, msets, mtags, mfbs, mrows, mleafs) = core_cols[c]
+                i = 0
+                n = len(gaps)
+            # Core.next_issue_cycle(): a read also waits for the ROB and
+            # MSHR entries it needs, oldest first.
+            issue = cpu + gapdivs[i]
+            if not writes[i]:
+                j = head
+                m = len(comp)
+                index = instr + gaps[i]
+                while j < m and index - inst[j] > rob_entries:
+                    v = comp[j]
+                    if v > issue:
+                        issue = v
+                    j += 1
+                while m - j >= mshr_entries:
+                    v = comp[j]
+                    if v > issue:
+                        issue = v
+                    j += 1
+            if issue > limit or (issue == limit and not tie_ok):
+                break
+        core_idx[c] = i
+        core_next[c] = issue
+        next_head[c] = j
+        core_cpu[c] = cpu
+        core_instr[c] = instr
+        out_head[c] = head
+        core_reads[c] = reads
+        core_lat[c] = lat
+        pf_last[c] = last_line
+        pf_streak[c] = streak
         return issue
 
     active = []
-    next_issue = []
     for c in range(num_cores):
-        cycle = preview(c)
-        if cycle is not None:
+        if refill(c):
             active.append(c)
-            next_issue.append(cycle)
-
+            core_next[c] = core_cpu[c] + core_cols[c][1][0]
+    no_limit = float("inf")
     while active:
-        # argmin with first-index-wins ties, matching System.run().
+        # First-index-wins argmin over the pending issue cycles, as in
+        # System.run(), plus the earliest other core's cycle and position.
         pos = 0
-        best = next_issue[0]
-        for k in range(1, len(next_issue)):
-            v = next_issue[k]
+        best = core_next[active[0]]
+        limit = no_limit
+        other = -1
+        for k in range(1, len(active)):
+            v = core_next[active[k]]
             if v < best:
+                limit = best
+                other = pos
                 best = v
                 pos = k
-        c = active[pos]
-        i = core_idx[c]
-        gap = col_gap[c][i]
-        inst_index = core_instr[c] + gap
-        issue = core_cpu[c] + col_gapdiv[c][i]
-        if col_write[c][i]:
-            if with_meta:
-                secure_write(
-                    col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                    col_row[c][i], issue / ratio,
-                    col_maddr[c][i], col_mset[c][i], col_mtag[c][i],
-                    col_mfb[c][i], col_mbg[c][i], col_mrk[c][i], col_mrow[c][i],
-                    col_mleaf[c][i] if mode == _MODE_WALK else 0,
-                )
-            else:
-                secure_write(
-                    col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                    col_row[c][i], issue / ratio, 0, 0, 0, 0, 0, 0, 0, 0,
-                )
-            core_writes[c] += 1
-        else:
-            comp = out_comp[c]
-            inst = out_inst[c]
-            j = out_head[c]
-            n = len(comp)
-            while j < n and inst_index - inst[j] > rob_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
-            while n - j >= mshr_entries:
-                v = comp[j]
-                if v > issue:
-                    issue = v
-                j += 1
-            if j > 1024:
-                del comp[:j]
-                del inst[:j]
-                j = 0
-            out_head[c] = j
-            issue_dram = (issue + onchip) / ratio
-            covered = False
-            if prefetch_enabled:
-                pf = pf_sets[c]
-                line = col_line[c][i]
-                line_address = line << 6
-                if line_address in pf:
-                    pf.discard(line_address)
-                    completion_dram = issue_dram
-                    extra = 0.0
-                    covered = True
-                else:
-                    if line == pf_last[c] + 1:
-                        pf_streak[c] += 1
-                    else:
-                        pf_streak[c] = 0
-                    pf_last[c] = line
-                    if pf_streak[c] >= pf_threshold:
-                        for ahead in range(1, pf_degree + 1):
-                            target = (line + ahead) << 6
-                            if target not in pf:
-                                if len(pf) >= pf_max:
-                                    pf.clear()
-                                pf.add(target)
-                                secure_read_dyn(target, issue_dram)
-            if not covered:
-                if with_meta:
-                    completion_dram, extra = secure_read(
-                        col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                        col_row[c][i], issue_dram,
-                        col_maddr[c][i], col_mset[c][i], col_mtag[c][i],
-                        col_mfb[c][i], col_mbg[c][i], col_mrk[c][i], col_mrow[c][i],
-                        col_mleaf[c][i] if mode == _MODE_WALK else 0,
-                    )
-                else:
-                    completion_dram, extra = secure_read(
-                        col_addr[c][i], col_fb[c][i], col_bg[c][i], col_rk[c][i],
-                        col_row[c][i], issue_dram, 0, 0, 0, 0, 0, 0, 0, 0,
-                    )
-            completion_cpu = completion_dram * ratio + onchip + extra
-            out_comp[c].append(completion_cpu)
-            out_inst[c].append(inst_index)
-            core_reads[c] += 1
-            core_lat[c] += completion_cpu - issue
-        core_cpu[c] = issue
-        core_instr[c] = inst_index
-        core_idx[c] = i + 1
-        if tl_series is not None:
-            tl_steps += 1
-            if tl_steps % tl_window == 0:
-                tl_sample()
-        cycle = preview(c)
-        if cycle is None:
+            elif v < limit:
+                limit = v
+                other = k
+        if advance(active[pos], limit, other > pos) is None:
             del active[pos]
-            del next_issue[pos]
-        else:
-            next_issue[pos] = cycle
 
     # ------------------------------------------------------------------
     # End of simulation: flush metadata cache + drain the write queue
@@ -1051,8 +1000,8 @@ def _simulate_batch(trace, spec, experiment):
                 dirtys[way] = False
                 flush_writebacks.append((tags[way] * num_sets + set_index) * 64)
     for address in flush_writebacks:
-        wfb, wg, wr, wrow = dec(address)
-        enq(address, wfb, wg, wr, wrow, cur_cycle)
+        wfb, wrow = dec(address)
+        enq(address, wfb, wrow, cur_cycle)
     drained = drain(cur_cycle, 0)
     if drained > cur_cycle:
         cur_cycle = drained

@@ -64,8 +64,9 @@ def _build_workload_cached(
 ) -> MemoryTrace:
     # Trace construction is deterministic and traces are never mutated, so
     # one instance can be shared by every configuration in a comparison (and
-    # by repeated jobs in one process) without rebuilding it per job.  Jobs
-    # run workload-major, so a tiny LRU suffices; keeping it small bounds
+    # by repeated jobs in one process) without rebuilding it per job.
+    # ``repro.figures.pipeline.collect_jobs`` sorts a reproduce pass's jobs
+    # workload-major, so a tiny LRU suffices; keeping it small bounds
     # how many (potentially huge) traces stay pinned for the process life.
     # ``profile_token`` keys the memo to the workload's generator profile so
     # an in-process profile edit rebuilds the trace instead of serving the

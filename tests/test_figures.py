@@ -1,5 +1,6 @@
 """Tests for the figure registry, the reproduction pipeline, and artifacts."""
 
+import collections
 import csv
 import json
 
@@ -24,6 +25,7 @@ from repro.figures import (
 from repro.figures.report import write_figure_csv, write_figure_json
 from repro.cli import main
 from repro.secure.configs import resolve_configuration
+from repro.sim import experiment as experiment_module
 from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import ResultCache, SimulationJob
 from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
@@ -105,6 +107,25 @@ class TestPipeline:
         for outcome in report.outcomes:
             assert outcome.artifact.rows, outcome.artifact.key
             assert outcome.artifact.columns, outcome.artifact.key
+
+    def test_each_distinct_trace_is_built_once(self, tmp_path, monkeypatch):
+        """A full pass runs its jobs workload-major, so the small trace LRU
+        builds each of its many distinct traces exactly once."""
+        builds = collections.Counter()
+        build_workload = experiment_module.build_workload
+
+        def counting_build(name, num_accesses, seed):
+            builds[name, num_accesses, seed] += 1
+            return build_workload(name, num_accesses=num_accesses, seed=seed)
+
+        monkeypatch.setattr(experiment_module, "build_workload", counting_build)
+        experiment_module._build_workload_cached.cache_clear()
+        reproduce(
+            experiment=ExperimentConfig(num_accesses=40, num_cores=1),
+            cache=ResultCache(tmp_path / "cache"),
+        )
+        assert len(builds) > experiment_module._build_workload_cached.cache_info().maxsize
+        assert set(builds.values()) == {1}
 
     def test_warm_cache_second_run_simulates_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"

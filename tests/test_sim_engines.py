@@ -38,6 +38,8 @@ from repro.sim.engines import (
 )
 from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
+from repro.traces import load_trace, save_trace
+from repro.workloads import build_workload
 
 FAST = ExperimentConfig(num_accesses=200, num_cores=2)
 #: Long enough to cross several refreshes and many write drains.
@@ -80,6 +82,15 @@ def random_trace(seed: int, accesses: int = 200, name: str = "random") -> Memory
             )
         )
     return MemoryTrace("%s%d" % (name, seed), records)
+
+
+def tie_heavy_trace(records: int = 300) -> MemoryTrace:
+    """Constant instruction gaps and four writes in every five records, so the
+    cores' next issue cycles tie at most steps."""
+    return MemoryTrace("ties", [
+        TraceRecord(instruction_gap=12, is_write=index % 5 != 0, address=index * 4160)
+        for index in range(records)
+    ])
 
 
 def assert_identical(a, b):
@@ -256,6 +267,38 @@ class TestBatchParity:
         dram_cycles = reference.total_cycles * timing.freq_mhz / LONG.cpu_freq_mhz
         assert dram_cycles >= 3 * timing.tREFI
         assert reference.memory_stats["controller_writes"] >= 20 * 48
+
+    @pytest.mark.parametrize("configuration", ["tdx_baseline", "secddr_ctr", "integrity_tree_64"])
+    @pytest.mark.parametrize("prefetcher", [True, False])
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_tied_issue_cycles_go_to_the_first_core(self, cores, prefetcher, configuration):
+        # The batch engine runs one core ahead while it issues first; on a
+        # tie the core earlier in System.run()'s order must win.
+        trace = tie_heavy_trace()
+        experiment = ExperimentConfig(
+            num_accesses=len(trace), num_cores=cores, enable_prefetcher=prefetcher
+        )
+        reference = run_simulation(trace, configuration, experiment, engine="reference")
+        batch = run_simulation(trace, configuration, experiment, engine="batch")
+        assert_identical(reference, batch)
+
+    @pytest.mark.parametrize(
+        "configuration",
+        ["tdx_baseline", "secddr_ctr", "integrity_tree_64", "integrity_tree_8",
+         "invisimem_realistic_ctr"],
+    )
+    @pytest.mark.parametrize("workload", ["mcf", "lbm", "pr", "gcc"])
+    def test_streamed_traces_refill_mid_run(self, tmp_path, workload, configuration):
+        # Stores of 61-128 records per chunk make every core refill
+        # many times, in the middle of the batch engine's runs.
+        trace = build_workload(workload, num_accesses=800, seed=1)
+        for cores, chunk_size in ((1, 61), (2, 97), (3, 128)):
+            store = save_trace(trace, tmp_path / ("%d.trace" % chunk_size), chunk_size=chunk_size)
+            streamed = load_trace(store.path)
+            experiment = ExperimentConfig(num_accesses=len(trace), num_cores=cores)
+            reference = run_simulation(streamed, configuration, experiment, engine="reference")
+            batch = run_simulation(streamed, configuration, experiment, engine="batch")
+            assert_identical(reference, batch)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(UnknownEngineError):
