@@ -220,11 +220,6 @@ class ReferenceEngine(Engine):
 # ---------------------------------------------------------------------------
 # Batch engine: chunk-array precompute + run-ahead replay
 # ---------------------------------------------------------------------------
-_MODE_PLAIN = 0  # no metadata traffic; constant critical-path latency
-_MODE_META = 1  # one metadata-line access per access, no tree
-_MODE_WALK = 2  # metadata line + integrity-tree walk on a miss
-
-
 class BatchEngine(Engine):
     """Vectorized chunk-at-a-time engine with exact reference parity.
 
@@ -236,9 +231,13 @@ class BatchEngine(Engine):
     order, keeps stepping while its next issue cycle stays below every
     other core's (or ties and the core comes first), with its state in
     local variables.  Each core's next issue cycle is computed once per
-    step.  The stateful parts (ROB/MSHR stalls, LRU metadata cache, FR-FCFS
-    write drains, DDR bank/rank/bus constraints) live in plain ints, lists
-    and dicts -- no ``MemoryRequest`` or ``DecodedAddress`` objects.
+    step.  Each metadata-cache set is one insertion-ordered dict
+    ``{tag: dirty}``, least recently used first, and one loop walks the
+    counter line and then the off-chip tree levels up to the first hit.
+    Write-queue entries sort on (arrival, sequence) within the row hits and
+    the row misses of each FR-FCFS drain.  The rest (ROB/MSHR stalls, DDR
+    bank/rank/bus constraints) lives in plain ints and lists -- no
+    ``MemoryRequest`` or ``DecodedAddress`` objects.
     """
 
     name = "batch"
@@ -295,11 +294,7 @@ def _simulate_batch(trace, spec, experiment):
     extra_miss = path.extra_miss
     meta_base = path.base
     meta_per_line = path.lines_per_entry
-    tree = path.tree
-    if meta_base is None:
-        mode = _MODE_PLAIN
-    else:
-        mode = _MODE_META if tree is None else _MODE_WALK
+    with_meta = meta_base is not None
     controller_config = memory.controller.config
     mapping = memory.controller.mapping
     timing = controller_config.timing
@@ -395,18 +390,20 @@ def _simulate_batch(trace, spec, experiment):
         bits >>= rk_bits
         return (rank * num_bg + group) * num_bpg + bank, bits & row_mask
 
-    # Integrity-tree levels: (first-node address, is-root) per level.
-    tree_levels = ()
+    # The first-node address of each off-chip tree level, leaf side first;
+    # the root is on chip.  Without a tree, a walk has depth 0.
+    node_bases = ()
     tree_arity = 1
     leaf_limit = 0
+    tree = path.tree
     if tree is not None:
-        sizes = tree.geometry.level_sizes
-        tree_arity = tree.geometry.arity
-        leaf_limit = tree.geometry.leaf_lines - 1
-        tree_levels = tuple(
-            (0, True) if sizes[level - 1] == 1 else (tree.node_address(level, 0), False)
-            for level in range(1, len(sizes) + 1)
+        geometry = tree.geometry
+        tree_arity = geometry.arity
+        leaf_limit = geometry.leaf_lines - 1
+        node_bases = tuple(
+            tree.node_address(level, 0) for level in range(1, geometry.offchip_levels + 1)
         )
+    depth = len(node_bases)
 
     # ------------------------------------------------------------------
     # Flat DRAM / controller / cache state
@@ -425,7 +422,7 @@ def _simulate_batch(trace, spec, experiment):
     bus_free = 0
     last_refresh = 0
     cur_cycle = 0
-    wq = []  # (address, arrival, seq, flat_bank, row)
+    wq = []  # (arrival, seq, address, flat_bank, row), in no particular order
     wq_count = {}
     seq = 0
     reads_served = 0
@@ -438,7 +435,7 @@ def _simulate_batch(trace, spec, experiment):
     metadata_writebacks = 0
     metadata_accesses = 0
     metadata_hits = 0
-    # set_index -> [tags, dirtys, lru_ways, tag_to_way]
+    # set_index -> {tag: dirty}, least recently used first
     cache_sets = {}
 
     def chan(fb, row, is_read, earliest):
@@ -524,33 +521,34 @@ def _simulate_batch(trace, spec, experiment):
         return done
 
     def drain(cycle, target):
-        nonlocal writes_served
-        if len(wq) <= target:
-            return cycle
+        nonlocal writes_served, wq
         batch = len(wq) - target
+        if batch <= 0:
+            return cycle
         # FR-FCFS over a static row-state snapshot == greedy repeated pick:
-        # ordering happens before any request in the batch is served.
-        ordered = sorted(
-            wq,
-            key=lambda e: (0 if b_open[e[3]] == e[4] else 1, e[1], e[2]),
-        )
+        # ordering happens before any request in the batch is served.  Row
+        # hits go first; seq is unique, so no comparison reaches the address.
+        ordered = []  # the row hits, then the misses appended below
+        misses = []
+        for e in wq:
+            if b_open[e[3]] == e[4]:
+                ordered.append(e)
+            else:
+                misses.append(e)
+        ordered.sort()
+        misses.sort()
+        ordered += misses
         last = cycle
-        served = ordered[:batch]
-        for e in served:
-            arrival = e[1]
-            last = chan(e[3], e[4], False, cycle if cycle >= arrival else arrival)
-            writes_served += 1
-            address = e[0]
+        for arrival, _, address, fb, row in ordered[:batch]:
+            last = chan(fb, row, False, cycle if cycle >= arrival else arrival)
             count = wq_count[address] - 1
             if count:
                 wq_count[address] = count
             else:
                 del wq_count[address]
-        if target == 0:
-            wq.clear()
-        else:
-            dropped = {e[2] for e in served}
-            wq[:] = [e for e in wq if e[2] not in dropped]
+        writes_served += batch
+        del ordered[:batch]
+        wq = ordered
         return last
 
     def enq(address, fb, row, arrival):
@@ -561,7 +559,7 @@ def _simulate_batch(trace, spec, experiment):
             drained = drain(cur_cycle, lo_mark)
             if drained > cur_cycle:
                 cur_cycle = drained
-        wq.append((address, arrival, seq, fb, row))
+        wq.append((arrival, seq, address, fb, row))
         seq += 1
         wq_count[address] = wq_count.get(address, 0) + 1
 
@@ -578,98 +576,65 @@ def _simulate_batch(trace, spec, experiment):
         total_read_latency += completion - arrival
         return completion
 
-    def cache_access(set_index, tag, dirty):
-        # Flat replica of Cache.access + LRUPolicy: returns (hit, writeback).
-        entry = cache_sets.get(set_index)
-        if entry is None:
-            entry = cache_sets[set_index] = (
-                [None] * assoc,
-                [False] * assoc,
-                [],
-                {},
-            )
-        tags, dirtys, lru, tag_to_way = entry
-        way = tag_to_way.get(tag)
-        if way is not None:
-            lru.remove(way)
-            lru.append(way)
-            if dirty:
-                dirtys[way] = True
-            return True, None
-        if len(tag_to_way) < assoc:
-            victim = tags.index(None)
-        else:
-            victim = lru[0]
-        writeback = None
-        victim_tag = tags[victim]
-        if victim_tag is not None:
-            if dirtys[victim]:
-                writeback = (victim_tag * num_sets + set_index) * 64
-            del tag_to_way[victim_tag]
-            lru.remove(victim)
-        tags[victim] = tag
-        dirtys[victim] = dirty
-        tag_to_way[tag] = victim
-        lru.append(victim)
-        return False, writeback
-
-    def meta_access(address, set_index, tag, fb, row, cycle, dirty):
+    def meta_access(address, set_index, tag, fb, row, leaf, cycle, dirty):
+        # Flat replica of SecureMemorySystem._walk over Cache.access and
+        # LRUPolicy: the counter/MAC line, then one node per off-chip tree
+        # level until the first cached (verified) one, all fetched in
+        # parallel.  Returns (counter line hit, completion).
         nonlocal metadata_accesses, metadata_hits, metadata_reads, metadata_writebacks
-        metadata_accesses += 1
-        hit, writeback = cache_access(set_index, tag, dirty)
         completion = cycle
-        if hit:
-            metadata_hits += 1
-        else:
+        level = 0
+        while True:
+            metadata_accesses += 1
+            lines = cache_sets.get(set_index)
+            if lines is None:
+                lines = cache_sets[set_index] = {}
+            v = lines.pop(tag, None)
+            if v is not None:  # a clean line stores False
+                lines[tag] = v or dirty
+                metadata_hits += 1
+                return level == 0, completion
+            victim_dirty = False
+            if len(lines) == assoc:
+                victim = next(iter(lines))
+                victim_dirty = lines.pop(victim)
+            lines[tag] = dirty
             metadata_reads += 1
             if tl_series is not None:
                 # Same index the reference model stamps in
                 # SecureMemorySystem._metadata_access: demand counters are
                 # bumped before metadata expansion in both engines.
                 tl_series.event("integrity_miss", demand_reads + demand_writes)
-            completion = serve_read(address, fb, row, cycle)
-        if writeback is not None:
-            metadata_writebacks += 1
-            wfb, wrow = dec(writeback)
-            enq(writeback, wfb, wrow, cycle)
-        return hit, completion
-
-    def walk(address, set_index, tag, fb, row, leaf, cycle, dirty):
-        # Counter/MAC line access plus tree path until the first cached node.
-        hit0, completion = meta_access(address, set_index, tag, fb, row, cycle, dirty)
-        if completion < cycle:
-            completion = cycle
-        if not hit0:
-            index = leaf
-            for level_base, is_root in tree_levels:
-                index //= tree_arity
-                if is_root:
-                    break
-                node = level_base + index * 64
-                node_line = node >> 6
-                nfb, nrow = dec(node)
-                nhit, ncomp = meta_access(
-                    node, node_line % num_sets, node_line // num_sets, nfb, nrow, cycle, dirty
-                )
-                if ncomp > completion:
-                    completion = ncomp
-                if nhit:
-                    break
-        return hit0, completion
+            v = serve_read(address, fb, row, cycle)
+            if v > completion:
+                completion = v
+            if victim_dirty:
+                metadata_writebacks += 1
+                writeback = (victim * num_sets + set_index) * 64
+                wfb, wrow = dec(writeback)
+                enq(writeback, wfb, wrow, cycle)
+            if level == depth:
+                return False, completion
+            leaf //= tree_arity
+            address = node_bases[level] + leaf * 64
+            level += 1
+            line = address >> 6
+            set_index = line % num_sets
+            tag = line // num_sets
+            fb, row = dec(address)
 
     def secure_read(address, fb, row, dram_float, m_address, m_set, m_tag, m_fb, m_row, m_leaf):
         nonlocal demand_reads
         demand_reads += 1
         cycle = int(dram_float)
-        if mode == _MODE_PLAIN:
-            meta_completion = cycle
-            extra = extra_hit
-        elif mode == _MODE_META:
-            hit, meta_completion = meta_access(m_address, m_set, m_tag, m_fb, m_row, cycle, False)
+        if with_meta:
+            hit, meta_completion = meta_access(
+                m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, False
+            )
             extra = extra_hit if hit else extra_miss
         else:
-            hit, meta_completion = walk(m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, False)
-            extra = extra_hit if hit else extra_miss
+            meta_completion = cycle
+            extra = extra_hit
         data_completion = serve_read(address, fb, row, cycle)
         if meta_completion > data_completion:
             return meta_completion, extra
@@ -678,7 +643,7 @@ def _simulate_batch(trace, spec, experiment):
     def secure_read_dyn(address, dram_float):
         # Prefetch-generated address: scalar column computation.
         fb, row = dec(address)
-        if mode == _MODE_PLAIN:
+        if not with_meta:
             return secure_read(address, fb, row, dram_float, 0, 0, 0, 0, 0, 0)
         meta_line = (address >> 6) // meta_per_line
         m_address = meta_base + meta_line * 64
@@ -694,17 +659,13 @@ def _simulate_batch(trace, spec, experiment):
         nonlocal demand_writes
         demand_writes += 1
         cycle = int(dram_float)
-        if mode == _MODE_META:
-            meta_access(m_address, m_set, m_tag, m_fb, m_row, cycle, True)
-        elif mode == _MODE_WALK:
-            walk(m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, True)
+        if with_meta:
+            meta_access(m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, True)
         enq(address, fb, row, cycle)
 
     # ------------------------------------------------------------------
     # Per-core trace state: chunk columns + CPU-side machine state
     # ------------------------------------------------------------------
-    with_meta = mode != _MODE_PLAIN
-
     def _columnized(chunk_iter):
         # Normalize a (gaps, writes, addresses) chunk stream into the columns
         # the replay loop consumes: an int64 address array (still needed for
@@ -992,16 +953,16 @@ def _simulate_batch(trace, spec, experiment):
     # ------------------------------------------------------------------
     # End of simulation: flush metadata cache + drain the write queue
     # ------------------------------------------------------------------
-    flush_writebacks = []
-    for set_index, entry in cache_sets.items():
-        tags, dirtys = entry[0], entry[1]
-        for way in range(assoc):
-            if tags[way] is not None and dirtys[way]:
-                dirtys[way] = False
-                flush_writebacks.append((tags[way] * num_sets + set_index) * 64)
-    for address in flush_writebacks:
-        wfb, wrow = dec(address)
-        enq(address, wfb, wrow, cur_cycle)
+    # The reference flushes each set in way order; this flushes in recency
+    # order.  Nothing after the final drain reaches the result, so the two
+    # agree; a stat that observes the final drain needs the way order back,
+    # and engine parity will say so.
+    for set_index, lines in cache_sets.items():
+        for tag, dirty in lines.items():
+            if dirty:
+                address = (tag * num_sets + set_index) * 64
+                wfb, wrow = dec(address)
+                enq(address, wfb, wrow, cur_cycle)
     drained = drain(cur_cycle, 0)
     if drained > cur_cycle:
         cur_cycle = drained

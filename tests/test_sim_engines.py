@@ -93,8 +93,25 @@ def tie_heavy_trace(records: int = 300) -> MemoryTrace:
     ])
 
 
+def assert_conserved(result):
+    """Request conservation: every count a result reports adds up.
+
+    Prefetch-issued reads count as demand reads; the end-of-run metadata
+    flush adds controller writes beyond the demand writes and writebacks.
+    """
+    stats = result.memory_stats
+    assert stats["metadata_hits"] <= stats["metadata_accesses"]
+    assert stats["metadata_reads"] == stats["metadata_accesses"] - stats["metadata_hits"]
+    assert stats["controller_reads"] == stats["demand_reads"] + stats["metadata_reads"]
+    assert stats["forwarded_reads"] <= stats["controller_reads"]
+    assert stats["controller_writes"] >= stats["demand_writes"] + stats["metadata_writebacks"]
+
+
 def assert_identical(a, b):
-    """Strict parity: every headline number and every stat, bit for bit."""
+    """Strict parity: every headline number and every stat, bit for bit,
+    of two results that each conserve requests."""
+    assert_conserved(a)
+    assert_conserved(b)
     assert a.total_ipc == b.total_ipc
     assert a.total_cycles == b.total_cycles
     assert a.total_instructions == b.total_instructions
