@@ -84,16 +84,16 @@ class Cache:
     def __init__(self, config: CacheConfig, policy: Optional[ReplacementPolicy] = None) -> None:
         self.config = config
         self.policy = policy or LRUPolicy()
+        self._num_sets = config.num_sets
+        self._line_bytes = config.line_bytes
         # sets[set_index][way] -> _Line
         self._sets: Dict[int, Dict[int, _Line]] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     def _index_and_tag(self, address: int) -> Tuple[int, int]:
-        line_address = address // self.config.line_bytes
-        set_index = line_address % self.config.num_sets
-        tag = line_address // self.config.num_sets
-        return set_index, tag
+        line_address = address // self._line_bytes
+        return line_address % self._num_sets, line_address // self._num_sets
 
     def index_and_tag_arrays(self, addresses) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized ``(set_index, tag)`` computation over an address array.
@@ -101,8 +101,8 @@ class Cache:
         The batch simulation engine precomputes these columns for whole trace
         chunks; element ``i`` matches ``_index_and_tag(addresses[i])``.
         """
-        lines = np.asarray(addresses, dtype=np.int64) // self.config.line_bytes
-        return lines % self.config.num_sets, lines // self.config.num_sets
+        lines = np.asarray(addresses, dtype=np.int64) // self._line_bytes
+        return lines % self._num_sets, lines // self._num_sets
 
     def _find_way(self, set_index: int, tag: int) -> Optional[int]:
         ways = self._sets.get(set_index, {})
@@ -143,10 +143,7 @@ class Cache:
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.writebacks += 1
-                victim_line_address = (
-                    victim.tag * self.config.num_sets + set_index
-                ) * self.config.line_bytes
-                victim_writeback = victim_line_address
+                victim_writeback = (victim.tag * self._num_sets + set_index) * self._line_bytes
             self.policy.on_invalidate(set_index, victim_way)
         ways[victim_way] = _Line(tag=tag, dirty=is_write)
         self.policy.on_access(set_index, victim_way)
@@ -169,9 +166,7 @@ class Cache:
             for line in ways.values():
                 if line.dirty:
                     line.dirty = False
-                    writebacks.append(
-                        (line.tag * self.config.num_sets + set_index) * self.config.line_bytes
-                    )
+                    writebacks.append((line.tag * self._num_sets + set_index) * self._line_bytes)
         return writebacks
 
     def occupancy(self) -> int:

@@ -72,22 +72,6 @@ class MetadataCache:
         """
         return self._cache.index_and_tag_arrays(addresses)
 
-    def probe_many(self, addresses):
-        """Array-valued :meth:`contains`: a numpy bool per input address.
-
-        Like :meth:`contains`, this is non-destructive — no statistics and no
-        recency update — so it is safe to use for batch residency snapshots.
-        """
-        import numpy as np
-
-        set_indexes, tags = self._cache.index_and_tag_arrays(addresses)
-        probe = self._cache._find_way
-        return np.fromiter(
-            (probe(int(s), int(t)) is not None for s, t in zip(set_indexes, tags)),
-            dtype=bool,
-            count=len(tags),
-        )
-
     def access(self, address: int, is_write: bool = False) -> MetadataAccessResult:
         """Look up a metadata line, allocating it on a miss.
 

@@ -43,10 +43,6 @@ class LRUPolicy(ReplacementPolicy):
             if way not in occupied_ways:
                 return way
         stack = self._recency.setdefault(set_index, [])
-        for way in stack:
-            if way in occupied_ways:
-                # The least recently used occupied way is earliest in the stack.
-                pass
         # stack is ordered oldest -> newest; evict the oldest occupied way.
         for way in stack:
             if way in occupied_ways:

@@ -13,14 +13,14 @@ queued write is returned from the queue without a DRAM access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.controller.queues import RequestQueue
 from repro.controller.scheduler import FRFCFSScheduler
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.channel import Channel
-from repro.dram.commands import MemoryRequest, MetadataKind, RequestType
+from repro.dram.commands import MemoryRequest, RequestType
 from repro.dram.timing import DDRTimingParameters, DDR4_3200
 
 __all__ = ["ControllerConfig", "ControllerStats", "MemoryController"]
@@ -57,9 +57,6 @@ class ControllerStats:
     forwarded_reads: int = 0
     write_drains: int = 0
     total_read_latency: int = 0
-    metadata_reads: int = 0
-    metadata_writes: int = 0
-    per_kind_reads: Dict[str, int] = field(default_factory=dict)
 
     @property
     def average_read_latency(self) -> float:
@@ -98,9 +95,8 @@ class MemoryController:
     # Internal helpers
     # ------------------------------------------------------------------
     def _serve_on_channel(self, request: MemoryRequest, earliest_cycle: int) -> int:
-        """Issue ``request`` on the channel; returns its completion cycle."""
-        decoded = self.mapping.decode(request.address)
-        result = self.channel.access(decoded, request.is_read, earliest_cycle)
+        """Issue accepted ``request`` on the channel; returns its completion cycle."""
+        result = self.channel.access(request.decoded, request.is_read, earliest_cycle)
         request.completion_cycle = result.completion_cycle
         return result.completion_cycle
 
@@ -116,8 +112,6 @@ class MemoryController:
             self.write_queue.remove(request)
             last_completion = self._serve_on_channel(request, max(cycle, request.arrival_cycle))
             self.stats.writes_served += 1
-            if request.metadata_kind is not MetadataKind.DATA:
-                self.stats.metadata_writes += 1
         return last_completion
 
     # ------------------------------------------------------------------
@@ -137,6 +131,7 @@ class MemoryController:
                 self.current_cycle,
                 self._drain_writes(self.current_cycle, self.config.write_drain_low_watermark),
             )
+        request.decoded = self.mapping.decode(request.address)
         self.write_queue.push(request)
 
     def service_read(self, request: MemoryRequest) -> int:
@@ -156,13 +151,10 @@ class MemoryController:
             request.completion_cycle = self.current_cycle
             return self.current_cycle
 
+        request.decoded = self.mapping.decode(request.address)
         completion = self._serve_on_channel(request, self.current_cycle)
         self.stats.reads_served += 1
         self.stats.total_read_latency += completion - request.arrival_cycle
-        if request.metadata_kind is not MetadataKind.DATA:
-            self.stats.metadata_reads += 1
-        kind = request.metadata_kind.value
-        self.stats.per_kind_reads[kind] = self.stats.per_kind_reads.get(kind, 0) + 1
         return completion
 
     def flush(self) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional
+from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.dram.commands import MemoryRequest
 
@@ -19,7 +19,8 @@ class RequestQueue:
 
     The controller buffers its writes in one (64 entries, per the paper's
     Table I).  FR-FCFS may service entries out of FIFO order; the queue
-    therefore supports removal of arbitrary entries.
+    therefore supports removal of arbitrary entries.  A count per queued
+    address lets :meth:`find_address` skip the scan for any other address.
     """
 
     def __init__(self, capacity: int = 64, name: str = "queue") -> None:
@@ -28,7 +29,7 @@ class RequestQueue:
         self.capacity = capacity
         self.name = name
         self._entries: Deque[MemoryRequest] = deque()
-        self.total_enqueued = 0
+        self._address_counts: Dict[int, int] = {}
         self.max_occupancy = 0
 
     # ------------------------------------------------------------------
@@ -56,18 +57,25 @@ class RequestQueue:
         if self.is_full:
             raise QueueFullError("%s is full (%d entries)" % (self.name, self.capacity))
         self._entries.append(request)
-        self.total_enqueued += 1
+        counts = self._address_counts
+        counts[request.address] = counts.get(request.address, 0) + 1
         self.max_occupancy = max(self.max_occupancy, len(self._entries))
 
     def pop_oldest(self) -> MemoryRequest:
         """Remove and return the oldest entry."""
         if not self._entries:
             raise IndexError("pop from empty %s" % self.name)
-        return self._entries.popleft()
+        oldest = self._entries[0]
+        self.remove(oldest)
+        return oldest
 
     def remove(self, request: MemoryRequest) -> None:
         """Remove a specific entry (used by out-of-order FR-FCFS service)."""
         self._entries.remove(request)
+        counts = self._address_counts
+        counts[request.address] -= 1
+        if not counts[request.address]:
+            del counts[request.address]
 
     def peek_all(self) -> List[MemoryRequest]:
         """A snapshot list of queued entries in arrival order."""
@@ -79,6 +87,8 @@ class RequestQueue:
         Used for write-to-read forwarding: a read that hits a queued write
         can be satisfied without touching DRAM.
         """
+        if address not in self._address_counts:
+            return None
         for entry in self._entries:
             if entry.address == address:
                 return entry

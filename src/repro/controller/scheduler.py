@@ -31,12 +31,15 @@ class FRFCFSScheduler:
         A row hit sorts first; among equals the oldest (lowest arrival
         cycle, then lowest request id) wins, which preserves FCFS fairness
         and avoids starvation in the common case.  The request id makes
-        every key unique.
+        every key unique.  A request no controller has accepted yet is
+        decoded here.
         """
         decode = self.mapping.decode
 
         def key(request: MemoryRequest) -> Tuple[int, int, int]:
-            decoded = decode(request.address)
+            decoded = request.decoded
+            if decoded is None:
+                decoded = decode(request.address)
             bank = channel.rank(decoded.rank).bank(decoded.bank_group, decoded.bank)
             return (0 if bank.is_row_open(decoded.row) else 1, request.arrival_cycle, request.request_id)
 

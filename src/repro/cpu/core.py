@@ -122,6 +122,7 @@ class Core:
         self.core_id = core_id
         self.trace = trace
         self.config = config or CoreConfig()
+        self._cpu_cycles_per_dram_cycle = self.config.cpu_cycles_per_dram_cycle
         self._cursor = _open_cursor(trace)
         self._cpu_cycle: float = 0.0
         self._instructions_retired: int = 0
@@ -162,19 +163,25 @@ class Core:
 
     # ------------------------------------------------------------------
     def _structural_stall(self, issue_cycle: float, inst_index: int, mutate: bool) -> float:
-        """Apply ROB-occupancy and MSHR stalls to a tentative issue cycle."""
-        outstanding = self._outstanding if mutate else deque(self._outstanding)
+        """Apply ROB-occupancy and MSHR stalls to a tentative issue cycle.
+
+        Only ``mutate`` removes the outstanding reads the stall waited for.
+        """
+        outstanding = self._outstanding
+        count = len(outstanding)
+        head = 0
         # ROB: cannot run further than rob_entries instructions past the
         # oldest incomplete miss.
-        while outstanding and inst_index - outstanding[0][1] > self.config.rob_entries:
-            completion, _ = outstanding.popleft()
-            issue_cycle = max(issue_cycle, completion)
+        while head < count and inst_index - outstanding[head][1] > self.config.rob_entries:
+            issue_cycle = max(issue_cycle, outstanding[head][0])
+            head += 1
         # MSHRs: cannot have more than mshr_entries misses in flight.
-        while len(outstanding) >= self.config.mshr_entries:
-            completion, _ = outstanding.popleft()
-            issue_cycle = max(issue_cycle, completion)
+        while count - head >= self.config.mshr_entries:
+            issue_cycle = max(issue_cycle, outstanding[head][0])
+            head += 1
         if mutate:
-            self._outstanding = outstanding
+            for _ in range(head):
+                outstanding.popleft()
         return issue_cycle
 
     def step(self, memory) -> Tuple[int, bool, int]:
@@ -197,17 +204,15 @@ class Core:
 
         if is_write:
             # Posted writeback: consumes bandwidth, does not stall the core.
-            memory.write(address, self.config.cpu_to_dram(issue_cycle))
+            memory.write(address, issue_cycle / self._cpu_cycles_per_dram_cycle)
             self._writes += 1
         else:
             issue_cycle = self._structural_stall(issue_cycle, inst_index, mutate=True)
-            issue_dram = self.config.cpu_to_dram(issue_cycle + self.config.onchip_latency_cycles)
-            completion_dram, extra_cpu = memory.read(address, issue_dram)
-            completion_cpu = (
-                self.config.dram_to_cpu(completion_dram)
-                + self.config.onchip_latency_cycles
-                + extra_cpu
+            onchip = self.config.onchip_latency_cycles
+            completion_dram, extra_cpu = memory.read(
+                address, (issue_cycle + onchip) / self._cpu_cycles_per_dram_cycle
             )
+            completion_cpu = completion_dram * self._cpu_cycles_per_dram_cycle + onchip + extra_cpu
             self._outstanding.append((completion_cpu, inst_index))
             self._reads += 1
             self._total_read_latency += completion_cpu - issue_cycle

@@ -134,17 +134,19 @@ class System:
         recorded after every ``timeline_window``-th processed access; the
         off path pays one ``is not None`` test per step.
         """
-        active = list(range(len(self.cores)))
+        # A core's next issue cycle (None once it is done) depends only on
+        # its own cursor, cycle, retired count and outstanding reads, and
+        # only its own step writes them, so a step recomputes only the
+        # stepped core's entry.
+        next_cycles = [core.next_issue_cycle() for core in self.cores]
         steps = 0
-        while active:
-            # Pick the core whose next request issues earliest.
+        while True:
+            # Pick the core whose next request issues earliest; the lowest
+            # index wins a tie.
             best_core = None
             best_cycle = None
-            for index in active:
-                cycle = self.cores[index].next_issue_cycle()
-                if cycle is None:
-                    continue
-                if best_cycle is None or cycle < best_cycle:
+            for index, cycle in enumerate(next_cycles):
+                if cycle is not None and (best_cycle is None or cycle < best_cycle):
                     best_core, best_cycle = index, cycle
             if best_core is None:
                 break
@@ -154,8 +156,7 @@ class System:
                 steps += 1
                 if steps % timeline_window == 0:
                     self._sample_timeline(timeline_series, steps)
-            if core.done:
-                active.remove(best_core)
+            next_cycles[best_core] = core.next_issue_cycle()
 
         core_results = [core.finalize() for core in self.cores]
         memory_stats = self._collect_memory_stats()
@@ -195,7 +196,7 @@ class System:
             num_bpg = mapping.banks_per_group
             depths = [0] * (mapping.ranks * num_bg * num_bpg)
             for request in controller.write_queue.peek_all():
-                decoded = mapping.decode(request.address)
+                decoded = request.decoded
                 flat = (decoded.rank * num_bg + decoded.bank_group) * num_bpg
                 depths[flat + decoded.bank] += 1
         else:

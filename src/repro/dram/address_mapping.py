@@ -113,6 +113,14 @@ class AddressMapping:
         self._column_bits = _log2(columns_per_row)
         self._rank_bits = _log2(ranks)
         self._row_bits = _log2(rows)
+        # One (shift, mask) per field for decode, LSB first: channel, bank
+        # group, bank, column, rank, row.
+        self._fields = []
+        shift = self._offset_bits
+        for width in (self._channel_bits, self._bank_group_bits, self._bank_bits,
+                      self._column_bits, self._rank_bits, self._row_bits):
+            self._fields.append((shift, (1 << width) - 1))
+            shift += width
 
     # ------------------------------------------------------------------
     @property
@@ -151,27 +159,14 @@ class AddressMapping:
         """Decode a physical byte address into DRAM coordinates."""
         if address < 0:
             raise ValueError("address must be non-negative")
-        bits = address >> self._offset_bits
-
-        def take(width: int) -> int:
-            nonlocal bits
-            value = bits & ((1 << width) - 1) if width else 0
-            bits >>= width
-            return value
-
-        channel = take(self._channel_bits)
-        bank_group = take(self._bank_group_bits)
-        bank = take(self._bank_bits)
-        column = take(self._column_bits)
-        rank = take(self._rank_bits)
-        row = take(self._row_bits)
+        channel, bank_group, bank, column, rank, row = self._fields
         return DecodedAddress(
-            channel=channel,
-            rank=rank,
-            bank_group=bank_group,
-            bank=bank,
-            row=row,
-            column=column,
+            channel=(address >> channel[0]) & channel[1],
+            rank=(address >> rank[0]) & rank[1],
+            bank_group=(address >> bank_group[0]) & bank_group[1],
+            bank=(address >> bank[0]) & bank[1],
+            row=(address >> row[0]) & row[1],
+            column=(address >> column[0]) & column[1],
         )
 
     def decode_arrays(self, addresses: np.ndarray) -> DecodedArrays:

@@ -45,8 +45,6 @@ class Bank:
         self.next_precharge: int = 0
         self.next_read: int = 0
         self.next_write: int = 0
-        # Cycle of the last activate (for tRAS accounting).
-        self.last_activate_cycle: int = -(10**9)
         self.stats = BankStats()
 
     # ------------------------------------------------------------------
@@ -75,7 +73,6 @@ class Bank:
         """Latch ``row`` into the row buffer at ``cycle``."""
         t = self.timing
         self.open_row = row
-        self.last_activate_cycle = cycle
         self.stats.activates += 1
         # Column commands may follow after tRCD.
         self.next_read = max(self.next_read, cycle + t.tRCD)

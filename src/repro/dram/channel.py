@@ -160,7 +160,7 @@ class Channel:
             data_delay, burst = t.tCL, t.burst_cycles_read
         else:
             data_delay, burst = t.tCWL, self.write_burst_cycles
-        while col_cycle + data_delay < self._data_bus_free_at:
+        if col_cycle + data_delay < self._data_bus_free_at:
             col_cycle = self._data_bus_free_at - data_delay
 
         if is_read:

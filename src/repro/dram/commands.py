@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.dram.address_mapping import DecodedAddress
+
 __all__ = [
     "RequestType",
     "MemoryRequest",
@@ -45,9 +47,12 @@ class MetadataKind(enum.Enum):
     MAC = "mac"
 
 
-@dataclass
+@dataclass(eq=False)
 class MemoryRequest:
     """A cache-line granularity request presented to the memory controller.
+
+    Every request has its own ``request_id``, so two requests are equal only
+    when they are the same object.
 
     Attributes
     ----------
@@ -67,6 +72,9 @@ class MemoryRequest:
         For metadata requests, the id of the demand request that caused them.
     completion_cycle:
         Filled in by the controller when the request finishes.
+    decoded:
+        The DRAM coordinates of ``address``, filled in once by the controller
+        that accepts the request.
     """
 
     address: int
@@ -77,6 +85,7 @@ class MemoryRequest:
     parent_id: Optional[int] = None
     request_id: int = field(default_factory=lambda: next(_request_ids))
     completion_cycle: Optional[int] = None
+    decoded: Optional[DecodedAddress] = field(default=None, repr=False)
 
     @property
     def is_read(self) -> bool:

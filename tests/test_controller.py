@@ -80,6 +80,30 @@ class TestRequestQueue:
         with pytest.raises(ValueError):
             RequestQueue(capacity=0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        operations=st.lists(
+            st.tuples(st.sampled_from(["push", "pop_oldest", "remove"]), st.integers(0, 3)),
+            max_size=40,
+        )
+    )
+    def test_find_address_matches_a_linear_scan(self, operations):
+        # Four addresses repeat across up to eight entries, so the
+        # per-address counts go up and down through zero many times.
+        addresses = [index * 64 for index in range(4)]
+        queue = RequestQueue(capacity=8)
+        for operation, index in operations:
+            entries = queue.peek_all()
+            if operation == "push" and not queue.is_full:
+                queue.push(_write(addresses[index]))
+            elif operation == "pop_oldest" and entries:
+                queue.pop_oldest()
+            elif operation == "remove" and entries:
+                queue.remove(entries[index % len(entries)])
+            for address in addresses:
+                oldest = next((entry for entry in queue if entry.address == address), None)
+                assert queue.find_address(address) is oldest
+
 
 class TestFrfcfsScheduler:
     def test_prefers_row_hit(self):

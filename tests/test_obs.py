@@ -708,7 +708,7 @@ class TestServerObservability:
         service = ExperimentService(tmp_path / "service", jobs=1)
         service.start(recover=False)
         server = make_server(service, port=0)
-        thread = _threading.Thread(target=server.serve_forever, daemon=True)
+        thread = _threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         client = Client("http://%s:%d" % server.server_address[:2])
         try:

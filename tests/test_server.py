@@ -71,7 +71,7 @@ def service(tmp_path):
 def client(service):
     service.start()
     server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     try:
         yield Client("http://127.0.0.1:%d" % server.server_address[1])
@@ -306,7 +306,7 @@ class TestHTTP:
     def test_result_of_unfinished_job_is_a_409(self, service, tmp_path):
         # Worker never started: the job stays queued.
         server = make_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         try:
             client = Client("http://127.0.0.1:%d" % server.server_address[1])

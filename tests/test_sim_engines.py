@@ -14,6 +14,7 @@ import pytest
 from repro.cache.metadata_cache import MetadataCache
 from repro.cli import main
 from repro.cpu.trace import MemoryTrace, TraceRecord
+from repro.dram.address_mapping import AddressMapping
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownEngineError
 from repro.secure.base import MetadataPath
@@ -320,6 +321,36 @@ class TestBatchParity:
     def test_unknown_engine_rejected(self):
         with pytest.raises(UnknownEngineError):
             run_simulation("mcf", "secddr_ctr", FAST, engine="warp")
+
+
+class TestReferenceWork:
+    @pytest.mark.parametrize(
+        "configuration",
+        ["tdx_baseline", "secddr_ctr", "integrity_tree_64", "invisimem_realistic_xts"],
+    )
+    @pytest.mark.parametrize(
+        "workload", ["mcf", "lbm", "gcc", pytest.param(random_trace(7), id="forwarding")]
+    )
+    def test_each_accepted_request_is_decoded_once(self, monkeypatch, workload, configuration):
+        # The controller decodes a write when it queues it and a read when
+        # it sends it to DRAM; a read forwarded from the write queue is
+        # never decoded.
+        decode = AddressMapping.decode
+        calls = 0
+
+        def counting_decode(mapping, address):
+            nonlocal calls
+            calls += 1
+            return decode(mapping, address)
+
+        monkeypatch.setattr(AddressMapping, "decode", counting_decode)
+        experiment = ExperimentConfig(num_accesses=400, num_cores=2)
+        result = run_simulation(workload, configuration, experiment, engine="reference")
+        stats = result.memory_stats
+        assert stats["forwarded_reads"] > 0 or isinstance(workload, str)
+        assert calls == (
+            stats["controller_reads"] - stats["forwarded_reads"] + stats["controller_writes"]
+        )
 
 
 class SkewedReadSystem(EncryptOnlySystem):

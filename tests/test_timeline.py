@@ -317,7 +317,7 @@ class TestServerTimeline:
         service = ExperimentService(tmp_path / "service", jobs=1)
         service.start(recover=False)
         server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         client = Client("http://%s:%d" % server.server_address[:2])
         try:
