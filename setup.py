@@ -25,8 +25,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
-            # Historical alias, kept so existing scripts don't break.
-            "repro-secddr = repro.cli:main",
         ],
     },
 )

@@ -10,6 +10,7 @@ everything above the LLC is unchanged across configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Sequence
 
 __all__ = ["TraceRecord", "MemoryTrace"]
@@ -59,6 +60,13 @@ class MemoryTrace:
     @property
     def records(self) -> List[TraceRecord]:
         return list(self._records)
+
+    @cached_property
+    def chunk_arrays(self) -> list:
+        """The records as ``(gaps, writes, addrs)`` numpy chunks, built once (records never change)."""
+        from repro.traces.streaming import iter_memory_trace_chunks  # lazily: it imports this module
+
+        return list(iter_memory_trace_chunks(self))
 
     # ------------------------------------------------------------------
     @property

@@ -237,7 +237,9 @@ class BatchEngine(Engine):
     Write-queue entries sort on (arrival, sequence) within the row hits and
     the row misses of each FR-FCFS drain.  The rest (ROB/MSHR stalls, DDR
     bank/rank/bus constraints) lives in plain ints and lists -- no
-    ``MemoryRequest`` or ``DecodedAddress`` objects.
+    ``MemoryRequest`` or ``DecodedAddress`` objects.  The end-of-run metadata
+    flush and final drain are counted, not replayed, and an in-memory trace
+    keeps its chunk columns (``MemoryTrace.chunk_arrays``) across runs.
     """
 
     name = "batch"
@@ -278,7 +280,6 @@ def _simulate_batch(trace, spec, experiment):
     from repro.cpu.system import SystemConfig
     from repro.secure.configs import build_configuration
     from repro.sim.results import SimulationResult
-    from repro.traces.streaming import iter_memory_trace_chunks
 
     # The same system the reference engine builds; its description and its
     # controller / metadata-cache geometry drive the replay below.
@@ -689,10 +690,10 @@ def _simulate_batch(trace, spec, experiment):
             view = trace.offset(core_id * stride)
             core_chunks.append(_columnized(view.iter_chunk_arrays()))
     else:
-        # In-memory traces: columnize the record list once and share the
+        # In-memory traces: columnize the kept chunk columns and share the
         # gap/write columns across cores -- only addresses differ per core
         # (a constant stride), so per-core TraceRecord copies are never built.
-        base_chunks = list(_columnized(iter_memory_trace_chunks(trace)))
+        base_chunks = list(_columnized(trace.chunk_arrays))
 
         def _offset_chunks(offset):
             for addrs_a, gap_list, gapdiv_list, write_list in base_chunks:
@@ -951,21 +952,11 @@ def _simulate_batch(trace, spec, experiment):
             del active[pos]
 
     # ------------------------------------------------------------------
-    # End of simulation: flush metadata cache + drain the write queue
+    # End of simulation: count the metadata flush and the final drain
     # ------------------------------------------------------------------
-    # The reference flushes each set in way order; this flushes in recency
-    # order.  Nothing after the final drain reaches the result, so the two
-    # agree; a stat that observes the final drain needs the way order back,
-    # and engine parity will say so.
-    for set_index, lines in cache_sets.items():
-        for tag, dirty in lines.items():
-            if dirty:
-                address = (tag * num_sets + set_index) * 64
-                wfb, wrow = dec(address)
-                enq(address, wfb, wrow, cur_cycle)
-    drained = drain(cur_cycle, 0)
-    if drained > cur_cycle:
-        cur_cycle = drained
+    # The reference enqueues each dirty line (a line's value is its dirty bool) and
+    # drains the queue; each write is served once, and only that count reaches the result.
+    writes_served += len(wq) + sum(sum(lines.values()) for lines in cache_sets.values())
 
     # ------------------------------------------------------------------
     # Assemble results exactly as SystemResult / collect_stats do

@@ -36,7 +36,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -183,7 +183,7 @@ class SimulationJob:
             "configuration_spec": repr(spec),
             "mechanism": mechanism_token,
             "workload": workload_cache_token(self.workload),
-            "experiment": asdict(self.experiment),
+            "experiment": {f.name: getattr(self.experiment, f.name) for f in fields(self.experiment)},
         }
         # Every engine reproduces the reference results byte for byte, so
         # the engine stays out of the key: one engine's entries serve all.
@@ -322,7 +322,7 @@ class ResultCache:
 
     def _encode(self, result) -> Dict:
         """The JSON payload for one record (override to retarget)."""
-        return asdict(result)
+        return {f.name: getattr(result, f.name) for f in fields(result)}
 
     def get(self, key: str) -> Optional[SimulationResult]:
         """The cached result for ``key``, or None on a miss.

@@ -8,16 +8,21 @@ traces and DDR4/DDR5 mapping geometries.
 """
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.cli import main
+from repro.controller.memory_controller import MemoryController
 from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownEngineError
-from repro.secure.base import MetadataPath
+from repro.secure.base import MetadataPath, SecureMemorySystem
 from repro.secure.baseline import EncryptOnlySystem
 from repro.secure.configs import (
     CONFIGURATIONS,
@@ -34,13 +39,14 @@ from repro.sim.engines import (
     BatchEngineUnsupported,
     EngineRegistry,
     ReferenceEngine,
+    _batch_unsupported,
     engine_names,
     resolve_engine,
 )
 from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
-from repro.traces import load_trace, save_trace
-from repro.workloads import build_workload
+from repro.traces import load_trace, save_trace, streaming
+from repro.workloads import build_workload, workload_names
 
 FAST = ExperimentConfig(num_accesses=200, num_cores=2)
 #: Long enough to cross several refreshes and many write drains.
@@ -91,6 +97,21 @@ def tie_heavy_trace(records: int = 300) -> MemoryTrace:
     return MemoryTrace("ties", [
         TraceRecord(instruction_gap=12, is_write=index % 5 != 0, address=index * 4160)
         for index in range(records)
+    ])
+
+
+def write_heavy_trace(seed: int, accesses: int = 400) -> MemoryTrace:
+    """Four writes in five records over 256 MiB, far more lines than a 4 or
+    32 KiB metadata cache holds, so the end of a run leaves many of them
+    dirty."""
+    rng = random.Random(seed)
+    return MemoryTrace("writes%d" % seed, [
+        TraceRecord(
+            instruction_gap=rng.choice((0, 2, 8)),
+            is_write=rng.random() < 0.8,
+            address=rng.randrange(1 << 22) * 64,
+        )
+        for _ in range(accesses)
     ])
 
 
@@ -351,6 +372,119 @@ class TestReferenceWork:
         assert calls == (
             stats["controller_reads"] - stats["forwarded_reads"] + stats["controller_writes"]
         )
+
+
+class TestEndOfRun:
+    @pytest.mark.parametrize("configuration", ["integrity_tree_64", "integrity_tree_8_hash", "secddr_ctr"])
+    @pytest.mark.parametrize("kib", [4, 32])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_flushed_metadata_and_final_drain_are_counted(
+        self, monkeypatch, cores, kib, configuration
+    ):
+        # The batch engine counts the end-of-run metadata flush and final
+        # drain instead of replaying them; controller_writes must still
+        # match the reference, which replays both.
+        drains = []
+        finish = SecureMemorySystem.finish
+        drain_writes = MemoryController._drain_writes
+
+        def recording_finish(memory):
+            controller = memory.controller
+
+            def recording_drain(cycle, target):
+                if controller.write_queue.occupancy > target:
+                    drains.append(target)
+                return drain_writes(controller, cycle, target)
+
+            controller._drain_writes = recording_drain
+            finish(memory)
+
+        monkeypatch.setattr(SecureMemorySystem, "finish", recording_finish)
+        trace = write_heavy_trace(5)
+        experiment = ExperimentConfig(
+            num_accesses=len(trace), num_cores=cores, metadata_cache_bytes=kib * 1024
+        )
+        reference = run_simulation(trace, configuration, experiment, engine="reference")
+        batch = run_simulation(trace, configuration, experiment, engine="batch")
+        assert_identical(reference, batch)
+        # The flush fills the queue past its high watermark, so a watermark
+        # drain (down to the low one) comes before the final drain.
+        low = build_configuration(configuration).controller.config.write_drain_low_watermark
+        assert drains[-1] == 0 and low in drains[:-1]
+
+
+class TestTraceColumns:
+    def test_each_in_memory_trace_is_columnized_once(self, monkeypatch):
+        conversions = []
+        convert = streaming.iter_memory_trace_chunks
+
+        def counting_convert(trace, *args, **kwargs):
+            conversions.append(trace)
+            return convert(trace, *args, **kwargs)
+
+        monkeypatch.setattr(streaming, "iter_memory_trace_chunks", counting_convert)
+        trace = random_trace(5)
+        for configuration in ("tdx_baseline", "secddr_ctr", "integrity_tree_64"):
+            run_simulation(trace, configuration, FAST, engine="batch")
+        assert conversions == [trace]
+        kept = trace.chunk_arrays
+        fresh = list(convert(trace))
+        assert len(kept) == len(fresh)
+        for kept_columns, fresh_columns in zip(kept, fresh):
+            for a, b in zip(kept_columns, fresh_columns):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        shifted = trace.offset(4096).chunk_arrays
+        assert shifted is not kept
+        assert np.array_equal(shifted[0][2], kept[0][2] + 4096)
+
+
+#: Each SecDDR configuration and the encrypt-only configuration it extends.
+SECDDR_TWINS = [
+    ("secddr_ctr", "encrypt_only_ctr"),
+    ("secddr_xts", "encrypt_only_xts"),
+    ("secddr_ctr_pack8", "encrypt_only_ctr_pack8"),
+    ("secddr_ctr_pack128", "encrypt_only_ctr_pack128"),
+    ("secddr_xts_ddr5", "encrypt_only_xts_ddr5"),
+]
+
+
+class TestSecDDRCostsOnlyItsWriteBurst:
+    """Metamorphic relation: without eWCRC's longer write burst, SecDDR is
+    its encrypt-only twin.  Both engines replay only a system's metadata
+    path, its stock controller and its stock metadata cache, so equal
+    inputs there give equal results."""
+
+    @pytest.mark.parametrize("secddr, twin", SECDDR_TWINS)
+    def test_derivation_without_the_write_burst(self, secddr, twin):
+        derived = build_configuration(
+            resolve_configuration(secddr).derive(write_burst_cycles=None)
+        )
+        plain = build_configuration(twin)
+        assert _batch_unsupported(derived) is None and _batch_unsupported(plain) is None
+        assert derived.path == plain.path
+        assert derived.controller.config == plain.controller.config
+        assert derived.metadata_cache.config == plain.metadata_cache.config
+        assert build_configuration(secddr).controller.config != plain.controller.config
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        twins=st.sampled_from(SECDDR_TWINS),
+        workload=st.sampled_from(workload_names()),
+        cores=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_equals_its_twin_without_the_write_burst(self, twins, workload, cores, seed):
+        secddr, twin = twins
+        experiment = ExperimentConfig(num_accesses=400, num_cores=cores, seed=seed)
+        trace = build_workload(workload, num_accesses=400, seed=seed)
+        derived = resolve_configuration(secddr).derive(write_burst_cycles=None)
+        results = [
+            replace(run_simulation(trace, configuration, experiment, engine=engine),
+                    configuration=twin)
+            for configuration in (derived, twin)
+            for engine in ("reference", "batch")
+        ]
+        assert all(result == results[0] for result in results[1:])
 
 
 class SkewedReadSystem(EncryptOnlySystem):
