@@ -2,43 +2,23 @@
 
 Runs the same streamed-trace scenario as ``bench_trace_streaming.py``
 (workload ``mcf`` through ``secddr_ctr``, two cores) on both registered
-engines, asserts exact statistical parity, and reports accesses/second per
-engine plus the batch/reference speedup.
-
-Two entry points, both thin wrappers over the registered ``engines``
-:class:`repro.bench.BenchSpec`:
-
-* **pytest-benchmark** -- ``pytest benchmarks/bench_engines.py`` times both
-  engines and enforces the batch engine's speedup floor on this scenario
-  (``SPEEDUP_FLOOR``).
-* **standalone JSON recorder** -- ``python benchmarks/bench_engines.py
-  --out BENCH_<date>.json`` merges the ``engines`` entry into the record
-  through the file-locked writer (:func:`repro.bench.merge_bench_record`,
-  safe against concurrent CI jobs); ``--check <baseline.json>``
-  additionally gates the entry's metrics against a prior record (``repro
-  bench --check`` runs the same comparison over every registered bench).
+engines, asserts exact statistical parity, reports accesses/second per
+engine, and enforces the batch engine's speedup floor on this scenario
+(``SPEEDUP_FLOOR``) through the registered ``engines``
+:class:`repro.bench.BenchSpec`.  ``repro bench -b engines`` records the
+same spec into ``BENCH_<date>.json``.
 
 Scale with ``REPRO_BENCH_TRACE_ACCESSES`` (default 20000).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 from pathlib import Path
 
-from repro.bench import (
-    BenchContext,
-    compare_records,
-    environment_fingerprint,
-    find_baseline,
-    get_bench,
-    load_record,
-    merge_bench_record,
-    violations,
-)
+import pytest
+
+from repro.bench import BenchContext, get_bench
 from repro.sim.experiment import ExperimentConfig, run_simulation
 from repro.traces import load_trace, save_trace
 from repro.workloads.registry import build_workload
@@ -76,108 +56,45 @@ def _assert_parity(reference, batch) -> None:
     assert batch.memory_stats == reference.memory_stats, "batch engine broke stats parity"
 
 
-# ---------------------------------------------------------------------------
-# pytest-benchmark entry points
-# ---------------------------------------------------------------------------
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone mode needs no pytest
-    pytest = None
-
-if pytest is not None:
-
-    @pytest.fixture(scope="module")
-    def experiment() -> ExperimentConfig:
-        return _experiment()
-
-    @pytest.fixture(scope="module")
-    def streamed_trace(tmp_path_factory):
-        return _build_streamed_trace(tmp_path_factory.mktemp("engine-trace"))
-
-    def test_engines_agree_exactly(streamed_trace, experiment):
-        reference = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
-        batch = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch")
-        _assert_parity(reference, batch)
-
-    def test_reference_engine(benchmark, streamed_trace, experiment):
-        result = benchmark.pedantic(
-            lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference"),
-            rounds=ROUNDS, iterations=1,
-        )
-        print("reference: %.0f accesses/s (ipc %.4f)"
-              % (ACCESSES / benchmark.stats.stats.mean, result.total_ipc))
-
-    def test_batch_engine(benchmark, streamed_trace, experiment):
-        result = benchmark.pedantic(
-            lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch"),
-            rounds=ROUNDS, iterations=1,
-        )
-        print("batch: %.0f accesses/s (ipc %.4f)"
-              % (ACCESSES / benchmark.stats.stats.mean, result.total_ipc))
-
-    def test_batch_speedup_floor():
-        entry = get_bench("engines").measure(_context())
-        speedup = entry.metrics["speedup"]
-        print("speedup %.1fx (floor %.0fx)" % (speedup, SPEEDUP_FLOOR))
-        assert entry.metrics["parity_exact"] == 1.0, "batch engine broke parity"
-        assert speedup >= SPEEDUP_FLOOR, (
-            "batch engine speedup %.1fx is below the %.0fx floor" % (speedup, SPEEDUP_FLOOR)
-        )
+@pytest.fixture(scope="module")
+def experiment() -> ExperimentConfig:
+    return _experiment()
 
 
-# ---------------------------------------------------------------------------
-# Standalone recorder / regression gate
-# ---------------------------------------------------------------------------
-def default_baseline() -> "Path | None":
-    """The newest committed ``benchmarks/BENCH_*.json``, if any."""
-    return find_baseline(search=[Path(__file__).parent])
+@pytest.fixture(scope="module")
+def streamed_trace(tmp_path_factory):
+    return _build_streamed_trace(tmp_path_factory.mktemp("engine-trace"))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="merge the \"engines\" entry into FILE through the "
-                        "locked BENCH writer (other keys are preserved)")
-    parser.add_argument("--check", nargs="?", const="auto", default=None, metavar="BASELINE",
-                        help="fail when the engines entry violates its regression "
-                        "policies vs BASELINE (default: the newest committed "
-                        "benchmarks/BENCH_*.json; a no-op when none exists yet)")
-    args = parser.parse_args(argv)
-
-    spec = get_bench("engines")
-    entry = spec.measure(_context())
-    record = {
-        "benches": {"engines": entry.to_payload()},
-        "environment": environment_fingerprint(),
-    }
-    print(json.dumps(entry.to_payload(), indent=2))
-    print("speedup: %.1fx (parity %s)"
-          % (entry.metrics["speedup"],
-             "exact" if entry.metrics["parity_exact"] == 1.0 else "BROKEN"))
-
-    if args.out:
-        merge_bench_record(args.out, {"engines": entry.to_payload()})
-        print("merged \"engines\" into %s" % args.out)
-
-    if args.check is not None:
-        baseline = default_baseline() if args.check == "auto" else Path(args.check)
-        if baseline is None or not baseline.exists():
-            print("no baseline record found; skipping the regression gate")
-        elif args.out and baseline.resolve() == Path(args.out).resolve():
-            print("baseline is this run's own output; skipping the regression gate")
-        else:
-            deltas = compare_records(record, load_record(baseline))
-            failed = violations(deltas)
-            for delta in deltas:
-                print("%s.%s: %s -> %s [%s]" % (
-                    delta.bench, delta.metric, delta.baseline, delta.current, delta.status,
-                ))
-            if failed:
-                print("FAIL: %d engines metric(s) regressed past policy vs %s"
-                      % (len(failed), baseline), file=sys.stderr)
-                return 1
-    return 0
+def test_engines_agree_exactly(streamed_trace, experiment):
+    reference = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
+    batch = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch")
+    _assert_parity(reference, batch)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def test_reference_engine(benchmark, streamed_trace, experiment):
+    result = benchmark.pedantic(
+        lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference"),
+        rounds=ROUNDS, iterations=1,
+    )
+    print("reference: %.0f accesses/s (ipc %.4f)"
+          % (ACCESSES / benchmark.stats.stats.mean, result.total_ipc))
+
+
+def test_batch_engine(benchmark, streamed_trace, experiment):
+    result = benchmark.pedantic(
+        lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch"),
+        rounds=ROUNDS, iterations=1,
+    )
+    print("batch: %.0f accesses/s (ipc %.4f)"
+          % (ACCESSES / benchmark.stats.stats.mean, result.total_ipc))
+
+
+def test_batch_speedup_floor():
+    entry = get_bench("engines").measure(_context())
+    speedup = entry.metrics["speedup"]
+    print("speedup %.1fx (floor %.0fx)" % (speedup, SPEEDUP_FLOOR))
+    assert entry.metrics["parity_exact"] == 1.0, "batch engine broke parity"
+    assert speedup >= SPEEDUP_FLOOR, (
+        "batch engine speedup %.1fx is below the %.0fx floor" % (speedup, SPEEDUP_FLOOR)
+    )

@@ -7,39 +7,20 @@ timeline-recording (a windowed :class:`repro.obs.TimelineRecorder`),
 asserts exact result parity across all modes, and reports accesses/second
 per mode plus the on/off and timeline/off overhead ratios.
 
-Two entry points, both thin wrappers over the registered ``obs``
-:class:`repro.bench.BenchSpec`:
-
-* **pytest-benchmark** -- ``pytest benchmarks/bench_obs_overhead.py``
-  measures both modes and enforces the overhead ceiling the no-op registry
-  promises when observability is off.
-* **standalone JSON recorder** -- ``python benchmarks/bench_obs_overhead.py
-  --out BENCH_<date>.json`` merges the ``obs`` entry into the record
-  through the file-locked writer (:func:`repro.bench.merge_bench_record`);
-  ``--check <baseline.json>`` additionally gates the entry's metrics
-  against a prior record.
+``pytest benchmarks/bench_obs_overhead.py`` measures all three modes
+through the registered ``obs`` :class:`repro.bench.BenchSpec` and enforces
+the overhead ceiling the no-op registry promises when observability is
+off.  ``repro bench -b obs`` records the same spec into
+``BENCH_<date>.json``.
 
 Scale with ``REPRO_BENCH_TRACE_ACCESSES`` (default 20000).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
-from pathlib import Path
 
-from repro.bench import (
-    BenchContext,
-    compare_records,
-    environment_fingerprint,
-    find_baseline,
-    get_bench,
-    load_record,
-    merge_bench_record,
-    violations,
-)
+from repro.bench import BenchContext, get_bench
 
 ACCESSES = int(os.environ.get("REPRO_BENCH_TRACE_ACCESSES") or 20000)
 ROUNDS = 3
@@ -54,91 +35,23 @@ def _context() -> BenchContext:
     return BenchContext(rounds=ROUNDS, timing_accesses=ACCESSES)
 
 
-# ---------------------------------------------------------------------------
-# pytest-benchmark entry points
-# ---------------------------------------------------------------------------
-try:
-    import pytest
-except ImportError:  # pragma: no cover - standalone mode needs no pytest
-    pytest = None
-
-if pytest is not None:
-
-    def test_obs_overhead_and_parity():
-        entry = get_bench("obs").measure(_context())
-        ratio = entry.metrics["overhead_ratio"]
-        timeline_ratio = entry.metrics["timeline_overhead_ratio"]
-        print("obs on/off overhead %.3fx, timeline %.3fx (ceiling %.2fx)"
-              % (ratio, timeline_ratio, OVERHEAD_CEILING))
-        assert entry.metrics["parity_exact"] == 1.0, (
-            "instrumented run changed simulation results"
-        )
-        assert entry.metrics["timeline_parity_exact"] == 1.0, (
-            "timeline-recording run changed simulation results"
-        )
-        assert ratio <= OVERHEAD_CEILING, (
-            "observability overhead %.3fx exceeds the %.2fx ceiling"
-            % (ratio, OVERHEAD_CEILING)
-        )
-        assert timeline_ratio <= OVERHEAD_CEILING, (
-            "timeline overhead %.3fx exceeds the %.2fx ceiling"
-            % (timeline_ratio, OVERHEAD_CEILING)
-        )
-
-
-# ---------------------------------------------------------------------------
-# Standalone recorder / regression gate
-# ---------------------------------------------------------------------------
-def default_baseline() -> "Path | None":
-    """The newest committed ``benchmarks/BENCH_*.json``, if any."""
-    return find_baseline(search=[Path(__file__).parent])
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="merge the \"obs\" entry into FILE through the "
-                        "locked BENCH writer (other keys are preserved)")
-    parser.add_argument("--check", nargs="?", const="auto", default=None, metavar="BASELINE",
-                        help="fail when the obs entry violates its regression "
-                        "policies vs BASELINE (default: the newest committed "
-                        "benchmarks/BENCH_*.json; a no-op when none exists yet)")
-    args = parser.parse_args(argv)
-
-    spec = get_bench("obs")
-    entry = spec.measure(_context())
-    record = {
-        "benches": {"obs": entry.to_payload()},
-        "environment": environment_fingerprint(),
-    }
-    print(json.dumps(entry.to_payload(), indent=2))
-    print("overhead: %.3fx (parity %s)"
-          % (entry.metrics["overhead_ratio"],
-             "exact" if entry.metrics["parity_exact"] == 1.0 else "BROKEN"))
-
-    if args.out:
-        merge_bench_record(args.out, {"obs": entry.to_payload()})
-        print("merged \"obs\" into %s" % args.out)
-
-    if args.check is not None:
-        baseline = default_baseline() if args.check == "auto" else Path(args.check)
-        if baseline is None or not baseline.exists():
-            print("no baseline record found; skipping the regression gate")
-        elif args.out and baseline.resolve() == Path(args.out).resolve():
-            print("baseline is this run's own output; skipping the regression gate")
-        else:
-            deltas = compare_records(record, load_record(baseline))
-            failed = violations(deltas)
-            for delta in deltas:
-                print("%s.%s: %s -> %s [%s]" % (
-                    delta.bench, delta.metric, delta.baseline, delta.current, delta.status,
-                ))
-            if failed:
-                print("FAIL: %d obs metric(s) regressed past policy vs %s"
-                      % (len(failed), baseline), file=sys.stderr)
-                return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def test_obs_overhead_and_parity():
+    entry = get_bench("obs").measure(_context())
+    ratio = entry.metrics["overhead_ratio"]
+    timeline_ratio = entry.metrics["timeline_overhead_ratio"]
+    print("obs on/off overhead %.3fx, timeline %.3fx (ceiling %.2fx)"
+          % (ratio, timeline_ratio, OVERHEAD_CEILING))
+    assert entry.metrics["parity_exact"] == 1.0, (
+        "instrumented run changed simulation results"
+    )
+    assert entry.metrics["timeline_parity_exact"] == 1.0, (
+        "timeline-recording run changed simulation results"
+    )
+    assert ratio <= OVERHEAD_CEILING, (
+        "observability overhead %.3fx exceeds the %.2fx ceiling"
+        % (ratio, OVERHEAD_CEILING)
+    )
+    assert timeline_ratio <= OVERHEAD_CEILING, (
+        "timeline overhead %.3fx exceeds the %.2fx ceiling"
+        % (timeline_ratio, OVERHEAD_CEILING)
+    )

@@ -1,24 +1,18 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark is a thin pytest-benchmark wrapper over one registered
-:class:`repro.figures.FigureSpec` -- the figure definitions (job matrices,
-post-processing, expected-trend checks) live in :mod:`repro.figures.paper`,
-shared with the ``repro reproduce`` CLI.  Because a full-fidelity run (29
-workloads x 4 cores x many configurations) takes tens of minutes in pure
-Python, the default benchmark budget is reduced; the shape of every result
-(who wins, by roughly what factor) is preserved.  Scale the budget up with
-environment variables:
+The scripts here time what no figure covers: the two engines
+(``bench_engines.py``), streamed traces (``bench_trace_streaming.py``),
+the observability overhead guard (``bench_obs_overhead.py``) and the fuzz
+campaign (``bench_fuzz_campaign.py``).  Figures are built and
+trend-checked by ``repro reproduce --strict``; ``repro bench -b KEY``
+records a bench into ``BENCH_<date>.json``.  Environment knobs:
 
-* ``REPRO_BENCH_ACCESSES`` -- LLC-level accesses per workload trace
-  (default 1000; the paper's SimPoints correspond to millions).
-* ``REPRO_BENCH_CORES``    -- simulated cores (default 2; the paper uses 4).
-* ``REPRO_BENCH_WORKLOADS`` -- optional comma-separated subset of workloads.
-* ``REPRO_BENCH_JOBS``     -- worker processes for the simulation cross
-  product (default 1 = serial; results are identical either way).
-* ``REPRO_BENCH_CACHE``    -- result-cache directory (default
-  ``benchmarks/results/.simcache``; set to ``off`` to disable).  One warm
-  cache serves every figure benchmark: pairs already simulated by an earlier
-  benchmark or an earlier run are loaded from disk instead of re-simulated.
+* ``REPRO_BENCH_JOBS``  -- worker processes for the fuzz campaign (default
+  1 = serial; results are identical either way).
+* ``REPRO_BENCH_CACHE`` -- result-cache directory (default
+  ``benchmarks/results/.simcache``; set to ``off`` to disable).  The fuzz
+  campaign nests its scenario results under ``fuzz/`` inside it, so a
+  second run executes nothing.
 """
 
 from __future__ import annotations
@@ -29,12 +23,10 @@ from typing import Optional
 
 import pytest
 
-from repro.figures import FigureArtifact, FigureContext
-from repro.sim.experiment import ExperimentConfig
 from repro.sim.runner import ResultCache
 
-#: Directory where every benchmark's printed table/figure is also recorded,
-#: so the regenerated paper artifacts survive pytest's output capturing.
+#: Directory where every benchmark's printed output is also recorded, so
+#: it survives pytest's output capturing.
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -42,10 +34,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def record_benchmark_output(request, capsys):
     """Write each benchmark's printed output to ``benchmarks/results/``.
 
-    pytest captures stdout for passing tests, so the paper-style rows the
-    benchmarks print would otherwise only be visible with ``-s``.  This
-    fixture saves them to one text file per benchmark, which EXPERIMENTS.md
-    references as the measured record.
+    pytest captures stdout for passing tests, so the rows the benchmarks
+    print would otherwise only be visible with ``-s``.  This fixture saves
+    them to one text file per benchmark, named after the test.
     """
     yield
     captured = capsys.readouterr()
@@ -63,65 +54,19 @@ def _env_int(name: str, default: int) -> int:
     return int(value) if value else default
 
 
-def bench_experiment() -> ExperimentConfig:
-    """The experiment budget used by all figure benchmarks."""
-    return ExperimentConfig(
-        num_accesses=_env_int("REPRO_BENCH_ACCESSES", 1000),
-        num_cores=_env_int("REPRO_BENCH_CORES", 2),
-    )
-
-
 def bench_jobs() -> int:
-    """Worker processes used by the figure benchmarks (REPRO_BENCH_JOBS)."""
+    """Worker processes used by the fuzz benchmark (REPRO_BENCH_JOBS)."""
     return _env_int("REPRO_BENCH_JOBS", 1)
 
 
 def bench_cache() -> Optional[ResultCache]:
-    """The shared on-disk result cache, or None when disabled.
-
-    All figure benchmarks key into the same cache, so a (workload,
-    configuration, experiment) pair is only ever simulated once per budget --
-    a second run of any ``bench_fig*`` benchmark skips all simulations.
-    """
+    """The shared on-disk result cache, or None when disabled."""
     override = os.environ.get("REPRO_BENCH_CACHE")
     if override and override.lower() in ("off", "none", "0"):
         return None
-    # Keys fingerprint the configuration spec, workload profile, and
-    # experiment knobs -- but not simulator *code*.  After editing simulator
-    # logic, delete this directory (or bump CACHE_SCHEMA_VERSION in
-    # repro.sim.runner) or the benchmarks will replay pre-edit results.
+    # Keys fingerprint each scenario and configuration -- but not the
+    # functional model's *code*.  After editing it, delete this directory (or
+    # bump FUZZ_CACHE_SCHEMA_VERSION in repro.fuzz.engine) or the benchmark
+    # will replay pre-edit results.
     directory = Path(override) if override else RESULTS_DIR / ".simcache"
     return ResultCache(directory)
-
-
-def bench_context() -> FigureContext:
-    """The :class:`FigureContext` every figure benchmark builds its spec in.
-
-    Bundles the environment-tunable budget, the shared on-disk result cache,
-    and the worker count, so ``spec.build(bench_context())`` runs exactly
-    like ``repro reproduce`` does (same cache keys, same normalization).
-    REPRO_BENCH_WORKLOADS restricts the "all workloads" / "memory intensive"
-    sets; figures with fixed workload lists (the ablations) ignore it.
-    """
-    override = os.environ.get("REPRO_BENCH_WORKLOADS")
-    workload_filter = (
-        [name.strip() for name in override.split(",") if name.strip()] if override else None
-    )
-    return FigureContext(
-        experiment=bench_experiment(),
-        cache=bench_cache(),
-        jobs=bench_jobs(),
-        workload_filter=workload_filter,
-    )
-
-
-def assert_expected_trends(artifact: FigureArtifact) -> None:
-    """Print the artifact and fail the benchmark if any paper trend failed."""
-    print(artifact.format_text())
-    failed = [trend.description for trend in artifact.failed_trends]
-    assert not failed, "expected paper trends failed: %s" % "; ".join(failed)
-
-
-@pytest.fixture
-def experiment() -> ExperimentConfig:
-    return bench_experiment()

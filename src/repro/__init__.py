@@ -30,10 +30,11 @@ substrate its evaluation depends on:
   claims: seeded scenario generation, security oracles with a golden shadow
   memory, cached parallel campaigns, scenario shrinking, JSONL corpora
   (``repro fuzz``, see ``docs/fuzzing.md``).
-* :mod:`repro.bench` -- continuous evaluation: one registered
-  :class:`~repro.bench.BenchSpec` per ``benchmarks/`` script, metric-level
-  regression policies, file-locked ``BENCH_<date>.json`` records and the
-  ``repro bench --check`` CI gate (see ``docs/benchmarking.md``).
+* :mod:`repro.bench` -- continuous evaluation: registered
+  :class:`~repro.bench.BenchSpec` throughput, overhead and detection-rate
+  benches, metric-level regression policies, file-locked
+  ``BENCH_<date>.json`` records and the ``repro bench --check`` CI gate
+  (see ``docs/benchmarking.md``).
 * :mod:`repro.obs` -- unified observability: labelled metrics with exact
   cross-process aggregation (``GET /metrics`` Prometheus exposition),
   hierarchical ``perf_counter`` spans exportable to Chrome trace format

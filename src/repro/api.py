@@ -461,25 +461,22 @@ class Session:
         see :func:`repro.bench.bench_names`), ``smoke`` switches to the
         reduced CI budget, and ``context_options`` forward to
         :class:`repro.bench.BenchContext` (``timing_accesses``,
-        ``fuzz_budget``, ...).  Figure-backed benches run their job
-        matrices through the session's cache and worker pool — the same
-        cache keys ``Session.reproduce`` warms — so a warmed session
-        simulates nothing.  Returns a :class:`repro.bench.BenchReport`.
+        ``fuzz_budget``, ...).  The fuzz bench nests its scenario cache in
+        the session's cache (when it has one) and uses its worker pool, so
+        a second pass on a cached session executes nothing.  Returns a
+        :class:`repro.bench.BenchReport`.
         """
         from repro.bench import BenchContext, run_benches
 
         context = None
         if context_options:
             factory = BenchContext.smoke if smoke else BenchContext
-            context = factory(
-                jobs=self.jobs, progress=self.progress, **context_options
-            )
+            context = factory(jobs=self.jobs, **context_options)
         return run_benches(
             benches,
             smoke=smoke,
             cache=self.cache,
             jobs=self.jobs,
-            progress=self.progress,
             context=context,
         )
 

@@ -1,16 +1,15 @@
 """Continuous evaluation: registered benchmark specs with regression gates.
 
-The ``benchmarks/`` directory holds sixteen ad-hoc pytest-benchmark
-scripts; this package is their registered form.  Every script maps to one
-:class:`BenchSpec` declaring its measured metrics (accesses/sec, warm-cache
-latency, detection/false-alarm rates) and a per-metric regression policy
-(throughput −10%, detection-rate any drop).  ``repro bench`` — and
-``Session.bench()`` — runs selected specs through the shared
-:class:`~repro.sim.runner.ResultCache`/``ParallelRunner`` machinery, merges
-the measurements into the day's ``BENCH_<date>.json`` under stable keys
-(one file-locked writer, safe for concurrent CI jobs), and renders a
-``BENCH_REPORT.md`` delta table against the most recent committed baseline;
-``--check`` turns policy violations into a non-zero exit.  Environment
+Each registered :class:`BenchSpec` declares its measured metrics
+(accesses/sec, warm-cache latency, detection/false-alarm rates, parity
+flags) and a per-metric regression policy (throughput −10%, detection-rate
+any drop).  ``repro bench -b KEY`` — and ``Session.bench()`` — is the one
+way to record a bench: it runs the selected specs, merges the measurements
+into the day's ``BENCH_<date>.json`` under stable keys (one file-locked
+writer, safe for concurrent CI jobs), and renders a ``BENCH_REPORT.md``
+delta table against the most recent committed baseline; ``--check`` turns
+policy violations into a non-zero exit.  Figures are built and
+trend-checked by ``repro reproduce --strict``, not here.  Environment
 fingerprints (python/numpy/CPU count) are recorded so noisy timing
 comparisons across machines are flagged rather than hard-failed.
 """

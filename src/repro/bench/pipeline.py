@@ -7,8 +7,7 @@ from typing import Iterable, List, Optional
 
 from repro.bench.registry import resolve_benches
 from repro.bench.spec import BenchContext, BenchEntry, BenchReport
-from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import ProgressHook, ResultCache
+from repro.sim.runner import ResultCache
 
 __all__ = ["run_benches"]
 
@@ -17,30 +16,22 @@ def run_benches(
     benches: Optional[Iterable[str]] = None,
     *,
     smoke: bool = False,
-    experiment: Optional[ExperimentConfig] = None,
     cache: Optional[ResultCache] = None,
     jobs: int = 1,
-    progress: Optional[ProgressHook] = None,
-    workloads: Optional[List[str]] = None,
     context: Optional[BenchContext] = None,
 ) -> BenchReport:
     """Measure the selected specs (all of them for ``None``).
 
     ``smoke`` selects the reduced CI budget; a pre-built ``context`` wins
     over every other knob.  Without a cache an ephemeral one backs the pass
-    (figure-backed benches dedupe within the run but nothing persists);
-    hand in a persistent cache to make back-to-back passes all-hits.
+    (nothing persists); hand in a persistent cache to make back-to-back
+    passes all-hits.
     """
     import repro.bench.specs  # noqa: F401 - registers the specs
 
     specs = resolve_benches(list(benches) if benches is not None else None)
     if context is None:
-        kwargs = dict(jobs=jobs, progress=progress)
-        if experiment is not None:
-            kwargs["experiment"] = experiment
-        if workloads is not None:
-            kwargs["workloads"] = list(workloads)
-        context = BenchContext.smoke(**kwargs) if smoke else BenchContext(**kwargs)
+        context = BenchContext.smoke(jobs=jobs) if smoke else BenchContext(jobs=jobs)
         profile = "smoke" if smoke else "full"
     else:
         profile = "smoke" if smoke else "custom"

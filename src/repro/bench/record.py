@@ -1,12 +1,11 @@
 """On-disk ``BENCH_<date>.json`` records: one locked writer, stable keys.
 
-``benchmarks/bench_engines.py`` and ``bench_server.py`` used to hand-roll
-their own read-modify-write merging into the day's record, which loses keys
-when two CI jobs write concurrently (both read the same "before" state, last
-writer wins).  :func:`merge_bench_record` is the single writer now: it takes
-an exclusive lock on ``<path>.lock`` for the whole read-merge-write cycle
-and replaces the file atomically, so concurrent writers serialize and every
-key survives.
+Several CI jobs may merge into the same day's record.  A plain
+read-modify-write loses keys when two of them interleave (both read the
+same "before" state, last writer wins), so :func:`merge_bench_record` is
+the single writer: it takes an exclusive lock on ``<path>.lock`` for the
+whole read-merge-write cycle and replaces the file atomically, so
+concurrent writers serialize and every key survives.
 
 Record layout (``RECORD_SCHEMA_VERSION``)::
 
@@ -32,7 +31,7 @@ import platform
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 try:
     import fcntl
@@ -234,22 +233,15 @@ def merge_bench_record(
     return record
 
 
-def find_baseline(
-    exclude: Optional[Union[str, Path]] = None,
-    search: Optional[List[Union[str, Path]]] = None,
-) -> Optional[Path]:
+def find_baseline(exclude: Optional[Union[str, Path]] = None) -> Optional[Path]:
     """The newest committed ``BENCH_*.json`` to compare against.
 
     Looks in ``benchmarks/`` under the working directory (the committed
-    baseline in a repo checkout) and any extra ``search`` directories;
-    ``exclude`` drops this run's own output so a same-day run never gates
-    against itself.  Newest by filename — the date is the name.
+    baseline in a repo checkout); ``exclude`` drops this run's own output
+    so a same-day run never gates against itself.  Newest by filename —
+    the date is the name.
     """
-    directories = [Path("benchmarks")] + [Path(d) for d in (search or [])]
-    candidates: List[Path] = []
-    for directory in directories:
-        if directory.is_dir():
-            candidates.extend(directory.glob("BENCH_*.json"))
+    candidates = list(Path("benchmarks").glob("BENCH_*.json"))
     if exclude is not None:
         excluded = Path(exclude).resolve()
         candidates = [c for c in candidates if c.resolve() != excluded]

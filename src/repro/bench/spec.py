@@ -1,16 +1,16 @@
 """Benchmark specs: declared metrics, regression policies, and the harness.
 
 Mirrors :mod:`repro.figures.spec`: a :class:`BenchSpec` is a frozen
-declaration of *one* continuously tracked benchmark — which
-``benchmarks/bench_*.py`` script it backs, which metrics it measures, and
-what counts as a regression for each — plus a ``run`` callable that takes a
-:class:`BenchContext` and returns the measured values.
+declaration of *one* continuously tracked benchmark — which metrics it
+measures and what counts as a regression for each — plus a ``run``
+callable that takes a :class:`BenchContext` and returns the measured
+values.
 
 Two kinds of metric live side by side and are gated differently:
 
-* **deterministic** metrics (trend verdicts, detection/false-alarm rates,
-  parity flags) must be bit-identical run to run under the same scenario;
-  their policies are enforced unconditionally.
+* **deterministic** metrics (detection/false-alarm rates, parity flags)
+  must be bit-identical run to run under the same scenario; their policies
+  are enforced unconditionally.
 * **noisy** metrics (accesses/sec, warm-cache latency) wobble with the
   machine.  Their policies are enforced only when the baseline was recorded
   under the same environment fingerprint (python/numpy/CPU count); across
@@ -21,12 +21,10 @@ Two kinds of metric live side by side and are gated differently:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.figures.spec import FigureContext
-from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import ProgressHook, ResultCache
+from repro.sim.runner import ResultCache
 
 __all__ = [
     "MetricSpec",
@@ -34,16 +32,7 @@ __all__ = [
     "BenchContext",
     "BenchEntry",
     "BenchReport",
-    "SMOKE_ACCESSES",
-    "SMOKE_CORES",
-    "SMOKE_WORKLOADS",
 ]
-
-#: Smoke budget, aligned with ``repro reproduce --smoke`` so a smoke bench
-#: pass and a smoke reproduction share cache keys.
-SMOKE_ACCESSES = 240
-SMOKE_CORES = 1
-SMOKE_WORKLOADS = ("mcf", "pr", "gcc")
 
 
 @dataclass(frozen=True)
@@ -80,18 +69,13 @@ class MetricSpec:
 class BenchContext:
     """Everything a bench spec needs: budget knobs plus shared machinery.
 
-    One context is shared by every spec in a ``repro bench`` pass, so the
-    simulation jobs of figure-backed benches land in the same
-    :class:`ResultCache` (same keys as ``repro reproduce``) and a second
-    back-to-back pass simulates nothing.
+    One context is shared by every spec in a ``repro bench`` pass; the fuzz
+    campaign nests its scenario cache inside ``cache``, so a second
+    back-to-back pass against a persistent cache executes nothing.
     """
 
-    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
     cache: Optional[ResultCache] = None
     jobs: int = 1
-    progress: Optional[ProgressHook] = None
-    #: Optional workload restriction (smoke runs); None = registry default.
-    workloads: Optional[List[str]] = None
     #: Best-of rounds for timing loops (1 in smoke mode).
     rounds: int = 3
     #: Direct-timing loops (engines/trace benches) use this many accesses.
@@ -112,40 +96,23 @@ class BenchContext:
     def smoke(cls, **kwargs) -> "BenchContext":
         """The reduced-budget context CI's ``bench-gate`` job runs under."""
         defaults = dict(
-            experiment=ExperimentConfig(
-                num_accesses=SMOKE_ACCESSES, num_cores=SMOKE_CORES
-            ),
-            workloads=list(SMOKE_WORKLOADS),
             rounds=1,
             timing_accesses=2000,
             fuzz_budget=12,
-            server_accesses=SMOKE_ACCESSES,
+            server_accesses=240,
             server_submissions=10,
         )
         defaults.update(kwargs)
         return cls(**defaults)
-
-    def figure_context(self) -> FigureContext:
-        """The :class:`FigureContext` figure-backed benches build under."""
-        return FigureContext(
-            experiment=self.experiment,
-            cache=self.cache,
-            jobs=self.jobs,
-            progress=self.progress,
-            workload_filter=list(self.workloads) if self.workloads else None,
-        )
 
     def scenario(self) -> Dict[str, object]:
         """The budget fingerprint recorded with every entry.
 
         Baseline comparison only gates metrics measured under an *equal*
         scenario — comparing a smoke run against a full-budget record would
-        flag spurious regressions on every job-count metric.
+        flag spurious regressions on every budget-dependent metric.
         """
         return {
-            "accesses": self.experiment.num_accesses,
-            "cores": self.experiment.num_cores,
-            "workloads": list(self.workloads) if self.workloads else None,
             "rounds": self.rounds,
             "timing_accesses": self.timing_accesses,
             "fuzz_budget": self.fuzz_budget,
@@ -157,38 +124,20 @@ class BenchContext:
 
 @dataclass(frozen=True)
 class BenchSpec:
-    """One registered benchmark: source script, metrics, and how to run it."""
+    """One registered benchmark: its metrics and how to run it."""
 
     key: str
     title: str
     description: str
-    #: The ``benchmarks/`` script this spec is the registered form of; the
-    #: registry-completeness test maps every ``bench_*.py`` to a spec.
-    source: str
     metrics: Tuple[MetricSpec, ...]
     #: Measures the metrics; must return exactly the declared names.
     run: Callable[[BenchContext], Dict[str, float]]
-    #: Figure-registry key for figure-backed benches (informational).
-    figure: Optional[str] = None
 
     def metric(self, name: str) -> Optional[MetricSpec]:
         for metric in self.metrics:
             if metric.name == name:
                 return metric
         return None
-
-    def figure_spec(self):
-        """The backing :class:`~repro.figures.FigureSpec` (figure benches).
-
-        The ``benchmarks/bench_*.py`` pytest wrappers resolve their figure
-        through here, so the bench registry is the scripts' single source
-        of truth.
-        """
-        if self.figure is None:
-            raise ValueError("bench %r is not figure-backed" % self.key)
-        from repro.figures import get_figure
-
-        return get_figure(self.figure)
 
     def measure(self, ctx: BenchContext) -> "BenchEntry":
         """Run the spec and wrap the values in a validated entry."""

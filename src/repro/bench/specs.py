@@ -1,12 +1,11 @@
-"""The registered benchmark specs — one per ``benchmarks/bench_*.py``.
+"""The registered benchmark specs.
 
-Twelve benches are figure-backed: they run their figure's job matrix
-through the shared runner/cache (identical cache keys to ``repro
-reproduce``) and report trend verdicts plus warm-cache build time.  The
-remaining four measure what no figure covers: raw engine throughput
-(``engines``), streamed-trace throughput (``trace_streaming``), the HTTP
-service's transport overhead (``server``), and the security-property fuzz
-battery's detection/false-alarm rates (``fuzz``).
+Each measures what no figure covers: raw engine throughput (``engines``),
+streamed-trace throughput (``trace_streaming``), the observability
+overhead guard (``obs``), the HTTP service's transport overhead
+(``server``), and the security-property fuzz battery's detection and
+false-alarm rates (``fuzz``).  Figures are built and trend-checked by
+``repro reproduce --strict`` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import tempfile
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict
 
 from repro.bench.registry import register_bench
 from repro.bench.spec import BenchContext, BenchSpec, MetricSpec
@@ -24,138 +23,6 @@ __all__ = []  # everything is reached through the registry
 _TIMING_CONFIGURATION = "secddr_ctr"
 _TIMING_WORKLOAD = "mcf"
 _TIMING_CORES = 2
-
-
-# ----------------------------------------------------------------------
-# Figure-backed benches
-_FIGURE_METRICS: Tuple[MetricSpec, ...] = (
-    MetricSpec("trends_passed", unit="trends", max_regression=0.0),
-    MetricSpec("trends_total", unit="trends", max_regression=0.0),
-    MetricSpec("unique_jobs", unit="jobs"),
-    MetricSpec("build_seconds", unit="s", higher_is_better=False, noisy=True),
-)
-
-
-def _run_figure(figure_key: str, extra=None) -> Callable[[BenchContext], Dict[str, float]]:
-    def run(ctx: BenchContext) -> Dict[str, float]:
-        from repro.figures import get_figure
-        from repro.figures.pipeline import collect_jobs
-        from repro.sim.runner import ParallelRunner
-
-        fctx = ctx.figure_context()
-        spec = get_figure(figure_key)
-        jobs = collect_jobs([spec], fctx)
-        if jobs:
-            runner = ParallelRunner(
-                jobs=ctx.jobs, cache=fctx.cache, progress=ctx.progress
-            )
-            runner.run(jobs)
-        started = time.perf_counter()
-        artifact = spec.build(fctx)
-        build_seconds = time.perf_counter() - started
-        metrics = {
-            "trends_passed": float(len(artifact.trends) - len(artifact.failed_trends)),
-            "trends_total": float(len(artifact.trends)),
-            "unique_jobs": float(len(jobs)),
-            "build_seconds": round(build_seconds, 4),
-        }
-        if extra is not None:
-            metrics.update(extra(artifact))
-        return metrics
-
-    return run
-
-
-def _figure_bench(
-    key: str,
-    source: str,
-    title: str,
-    description: str,
-    figure: Optional[str] = None,
-    extra_metrics: Tuple[MetricSpec, ...] = (),
-    extra=None,
-) -> BenchSpec:
-    return register_bench(BenchSpec(
-        key=key,
-        title=title,
-        description=description,
-        source=source,
-        metrics=_FIGURE_METRICS + extra_metrics,
-        run=_run_figure(figure or key, extra=extra),
-        figure=figure or key,
-    ))
-
-
-_figure_bench(
-    "table1", "bench_table1_config.py",
-    "Table I configuration registry",
-    "Registered-configuration census and Table I parameters (no simulation).",
-)
-_figure_bench(
-    "table2", "bench_table2_power.py",
-    "Table II area/power model",
-    "SecDDR area arithmetic from the paper's component table (no simulation).",
-)
-_figure_bench(
-    "fig6", "bench_fig6_performance.py",
-    "Figure 6 normalized performance",
-    "Normalized IPC of every mechanism over the workload set.",
-)
-_figure_bench(
-    "fig7", "bench_fig7_metadata_cache.py",
-    "Figure 7 metadata-cache sweep",
-    "Integrity-tree metadata-cache sensitivity sweep.",
-)
-_figure_bench(
-    "fig8", "bench_fig8_arity.py",
-    "Figure 8 tree-arity sweep",
-    "Integrity-tree arity sensitivity sweep.",
-)
-_figure_bench(
-    "fig10", "bench_fig10_invisimem_xts.py",
-    "Figure 10 InvisiMem (XTS)",
-    "SecDDR vs InvisiMem under XTS encryption, normalized IPC.",
-)
-_figure_bench(
-    "fig12", "bench_fig12_invisimem_ctr.py",
-    "Figure 12 InvisiMem (CTR)",
-    "SecDDR vs InvisiMem under counter-mode encryption, normalized IPC.",
-)
-_figure_bench(
-    "attacks", "bench_attack_detection.py",
-    "Attack-detection matrix",
-    "The standard attack campaign against the functional SecDDR model; "
-    "tracks the SecDDR detection rate on top of the trend verdicts.",
-    extra_metrics=(
-        MetricSpec("detection_rate", unit="fraction", max_regression=0.0),
-    ),
-    extra=lambda artifact: {
-        "detection_rate": (
-            artifact.summary["secddr_detected"]
-            / max(artifact.summary["secddr_attacks_total"], 1.0)
-        ),
-    },
-)
-_figure_bench(
-    "security", "bench_security_analysis.py",
-    "Section III security arithmetic",
-    "Collision/replay-window arithmetic from Section III (no simulation).",
-)
-_figure_bench(
-    "scalability", "bench_scalability.py",
-    "Scalability sweep",
-    "Simulation cost scaling across budgets (figure-backed sweep).",
-)
-_figure_bench(
-    "ablation_cache", "bench_ablation_metadata_cache.py",
-    "Metadata-cache ablation",
-    "Fixed-workload metadata-cache ablation.",
-)
-_figure_bench(
-    "ablation_burst", "bench_ablation_write_burst.py",
-    "Write-burst ablation",
-    "Fixed-workload write-burst ablation.",
-)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +59,6 @@ register_bench(BenchSpec(
     title="Security-property fuzz battery",
     description="Seeded tamper-fuzz campaign over the functional profiles; "
     "SecDDR detection rate, false alarms, and oracle violations.",
-    source="bench_fuzz_campaign.py",
     metrics=(
         MetricSpec("detection_rate", unit="fraction", max_regression=0.0),
         MetricSpec("false_alarms", unit="scenarios", higher_is_better=False,
@@ -266,7 +132,6 @@ register_bench(BenchSpec(
     title="Batch vs reference engine throughput",
     description="Streamed-trace accesses/sec per engine plus the "
     "batch/reference speedup; parity asserted as a gated metric.",
-    source="bench_engines.py",
     metrics=(
         MetricSpec("reference_accesses_per_second", unit="acc/s", noisy=True),
         MetricSpec("batch_accesses_per_second", unit="acc/s",
@@ -311,7 +176,6 @@ register_bench(BenchSpec(
     title="Streamed vs in-memory trace throughput",
     description="run_simulation accesses/sec over a materialized trace vs "
     "the chunked on-disk streaming path, with parity gated.",
-    source="bench_trace_streaming.py",
     metrics=(
         MetricSpec("in_memory_accesses_per_second", unit="acc/s", noisy=True),
         MetricSpec("streamed_accesses_per_second", unit="acc/s",
@@ -448,7 +312,6 @@ register_bench(BenchSpec(
     description="Cold single-job runner passes with metrics+tracing off vs "
     "on vs timeline-recording; gates the on/off overhead ratio and result "
     "parity so the zero-overhead-when-off contract stays honest.",
-    source="bench_obs_overhead.py",
     metrics=(
         MetricSpec("off_accesses_per_second", unit="acc/s", noisy=True),
         MetricSpec("on_accesses_per_second", unit="acc/s", noisy=True),
@@ -470,7 +333,6 @@ register_bench(BenchSpec(
     description="Submission throughput and warm end-to-end latency of the "
     "experiment service vs direct dispatch on the same warm cache; "
     "byte-parity of served results gated.",
-    source="bench_server.py",
     metrics=(
         MetricSpec("submissions_per_second", unit="req/s",
                    max_regression=0.10, noisy=True),

@@ -60,10 +60,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 
-from repro.analysis.power import table2_power_overheads
-from repro.analysis.scalability import scalability_sweep
-from repro.analysis.security_math import SecurityAnalysis
-from repro.attacks.campaign import AttackCampaign, run_standard_campaign
 from repro.errors import (
     AmbiguousConfigurationError,
     RegistryLookupError,
@@ -82,8 +78,6 @@ from repro.sim.sweep import arity_sweep, counter_packing_sweep
 from repro.workloads.registry import ALL_WORKLOADS, workload_names
 
 __all__ = ["build_parser", "command_summaries", "main"]
-
-GB = 2**30
 
 #: Budget used by ``reproduce --smoke`` (tiny traces, single core, three
 #: representative workloads): small enough for CI, large enough to exercise
@@ -128,20 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print every registry as one JSON document (the same serializer "
         "the experiment service's GET /registries uses)",
     )
-    subparsers.add_parser("attack", help="run the attack campaign and print the detection matrix")
-    subparsers.add_parser("power", help="print the Table II power-overhead model")
-    subparsers.add_parser("security", help="print the Section III security arithmetic")
-
-    scalability = subparsers.add_parser(
-        "scalability", help="print the tree-vs-SecDDR scalability sweep"
-    )
-    scalability.add_argument(
-        "--measured", action="store_true",
-        help="also simulate the mechanisms and print measured gmean normalized IPC",
-    )
-    scalability.add_argument("-a", "--accesses", type=int, default=1500, help="LLC accesses per trace")
-    scalability.add_argument("-n", "--cores", type=int, default=2, help="number of simulated cores")
-    _add_runner_arguments(scalability)
 
     compare = subparsers.add_parser(
         "compare", help="simulate configurations over workloads and print normalized IPC"
@@ -372,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--smoke", action="store_true",
-        help="tiny CI budget: %d accesses, %d core, workloads %s, reduced "
-        "timing/fuzz/server scales" % (SMOKE_ACCESSES, SMOKE_CORES, SMOKE_WORKLOADS),
+        help="tiny CI budget: reduced timing, fuzz and server scales",
     )
     bench.add_argument(
         "--check", nargs="?", const="auto", default=None, metavar="BASELINE",
@@ -696,7 +675,8 @@ def _print_attack_registry() -> None:
     from repro.fuzz.actions import TAMPER_ACTIONS
 
     attacks = standard_attacks()
-    print("Attack battery (%d scenarios; run with 'repro attack')" % len(attacks))
+    print("Attack battery (%d scenarios; run with 'repro reproduce --figures attacks')"
+          % len(attacks))
     print("%-26s %s" % ("name", "description"))
     for attack in attacks:
         summary = ((attack.__doc__ or "").strip().splitlines() or [""])[0]
@@ -707,64 +687,6 @@ def _print_attack_registry() -> None:
     print("%-18s %-10s %s" % ("kind", "needs", "description"))
     for kind, action in TAMPER_ACTIONS.items():
         print("%-18s %-10s %s" % (kind, action.detected_by, action.description))
-
-
-def _cmd_attack() -> int:
-    results = run_standard_campaign()
-    print(AttackCampaign.format_matrix(results))
-    undetected = [r for r in results if r.configuration == "secddr" and not r.detected]
-    print()
-    print("SecDDR detected %d / %d attacks."
-          % (sum(1 for r in results if r.configuration == "secddr" and r.detected),
-             sum(1 for r in results if r.configuration == "secddr")))
-    return 1 if undetected else 0
-
-
-def _cmd_power() -> int:
-    print("%-22s %10s %16s %12s" % ("configuration", "AES units", "AES power (mW)", "overhead"))
-    for row in table2_power_overheads():
-        print("%-22s %10d %16.1f %11.1f%%" % (
-            row.configuration, row.aes_units_per_ecc_chip,
-            row.aes_power_per_ecc_chip_mw, row.overhead_per_rank_percent,
-        ))
-    return 0
-
-
-def _cmd_security() -> int:
-    for key, value in SecurityAnalysis().report().items():
-        print("%-44s %g" % (key, value))
-    return 0
-
-
-def _cmd_scalability(args: argparse.Namespace) -> int:
-    sweep = scalability_sweep()
-    print("%-12s %18s %18s %12s %12s" % (
-        "capacity", "64-ary tree", "8-ary hash tree", "SecDDR+CTR", "SecDDR+XTS",
-    ))
-    for capacity, points in sweep.items():
-        print("%-12s %18d %18d %12d %12d" % (
-            "%d GiB" % (capacity // GB),
-            points["counter_tree"].worst_case_extra_accesses,
-            points["hash_merkle_tree"].worst_case_extra_accesses,
-            points["secddr_ctr"].worst_case_extra_accesses,
-            points["secddr_xts"].worst_case_extra_accesses,
-        ))
-    if args.measured:
-        from repro.analysis.scalability import measured_protection_overheads
-
-        cache = _build_cache(args)
-        measured = measured_protection_overheads(
-            experiment=ExperimentConfig(num_accesses=args.accesses, num_cores=args.cores),
-            jobs=args.jobs,
-            cache=cache,
-            progress=_build_progress(args),
-        )
-        print()
-        print("Measured gmean normalized IPC (simulated):")
-        for config, gmean in measured.items():
-            print("%-28s %.3f" % (config, gmean))
-        _print_cache_stats(args, cache)
-    return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -1104,7 +1026,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         cache=cache,
         jobs=args.jobs,
-        progress=_build_progress(args),
     )
     for entry in report.entries:
         printed = ", ".join(
@@ -1261,14 +1182,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_list(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "attack":
-        return _cmd_attack()
-    if args.command == "power":
-        return _cmd_power()
-    if args.command == "security":
-        return _cmd_security()
-    if args.command == "scalability":
-        return _cmd_scalability(args)
     if args.command == "compare":
         return _cmd_compare(args)
     if args.command == "sweep":

@@ -7,7 +7,7 @@ This package owns the "one command, every figure" path of the reproduction:
   shared budget/cache/parallelism), and :class:`FigureArtifact` (the
   reproduced rows, summary metrics, reproduced-vs-paper deltas, trends).
 * :mod:`repro.figures.registry` -- the name -> spec registry that the CLI,
-  the benchmark harness, and ``docs/reproducing-the-paper.md`` all key off.
+  the experiment service, and ``docs/reproducing-the-paper.md`` all key off.
 * :mod:`repro.figures.paper` -- the registered specs for every artifact of
   the SecDDR paper (Tables I-II, Figures 6/7/8/10/12, the attack matrix,
   the security arithmetic, scalability, and the ablations).

@@ -8,8 +8,7 @@ III security arithmetic, the scalability analysis, and the two ablations.
 Each spec declares its simulation job matrix (for cross-figure
 deduplication), builds its artifact through :func:`run_comparison` / the
 analytic models against the shared result cache, and evaluates the paper's
-expected trends.  The thin wrappers in ``benchmarks/bench_*.py`` execute the
-same specs under pytest-benchmark.
+expected trends.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The figure registry: every reproducible paper artifact, keyed by name.
 
-``repro reproduce --figures ...``, the benchmark harness, and the docs all
+``repro reproduce --figures ...``, the experiment service, and the docs all
 resolve figure keys through this registry, so the set of reproducible
 artifacts is defined in exactly one place.  Unknown keys raise
 :class:`~repro.errors.UnknownFigureError` with a closest-match suggestion,

@@ -14,9 +14,9 @@ table of the paper in one place:
   models into a :class:`FigureArtifact`: tabular rows, summary metrics,
   reproduced-vs-paper deltas, and expected-trend checks.
 
-The benchmark harness (``benchmarks/bench_*.py``), the ``repro reproduce``
-CLI subcommand, and ``docs/reproducing-the-paper.md`` all key off the same
-registered specs, so a figure's definition lives in exactly one place.
+The ``repro reproduce`` CLI subcommand, the experiment service, and
+``docs/reproducing-the-paper.md`` all key off the same registered specs, so
+a figure's definition lives in exactly one place.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class TrendResult:
 
     Trends encode the paper's qualitative claims; they are evaluated during
     ``build`` and recorded -- the pipeline reports failures without aborting,
-    while the benchmark wrappers turn any failure into a test failure.
+    while ``repro reproduce --strict`` turns any failure into exit code 1.
     """
 
     description: str
@@ -110,7 +110,7 @@ class FigureArtifact:
         return str(value)
 
     def format_text(self) -> str:
-        """Paper-style text rendering (what the benchmarks print/record)."""
+        """Paper-style text rendering of the title and rows."""
         lines = ["=" * 78, "%s   [%s]" % (self.title, self.paper_ref), "=" * 78]
         cells = [self.columns] + [
             [self.cell(row.get(column)) for column in self.columns] for row in self.rows

@@ -519,7 +519,6 @@ class ExperimentService:
             smoke=bool(request.get("smoke", True)),
             cache=self.cache,
             jobs=self.jobs,
-            progress=self._progress_hook(record),
         )
         artifacts = self.store.artifacts_dir(record.id)
         record_path = default_record_path(artifacts)

@@ -1,11 +1,11 @@
 """Tests for ``repro.bench``: the continuous-evaluation harness.
 
-Covers the registry (every ``benchmarks/bench_*.py`` script has a
-registered spec), the measurement contract (identical metric keys across
-warm runs, second pass all cache hits), the regression gate (``repro bench
---check`` fails on a perturbed baseline and passes against its own
-record), the on-disk ``BENCH_<date>.json`` schema round-trip, and the
-file-locked merge writer raced from two OS processes.
+Covers the registry (the committed baseline records every registered
+spec), the measurement contract (identical metric keys across warm runs,
+second pass all cache hits), the regression gate (``repro bench --check``
+fails on a perturbed baseline and passes against its own record), the
+on-disk ``BENCH_<date>.json`` schema round-trip, and the file-locked merge
+writer raced from two OS processes.
 """
 
 import json
@@ -23,6 +23,7 @@ from repro.bench import (
     default_record_path,
     environment_fingerprint,
     environments_match,
+    find_baseline,
     get_bench,
     load_record,
     merge_bench_record,
@@ -37,31 +38,30 @@ from repro.errors import UnknownBenchError
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
 
-#: A cheap subset used wherever the tests actually run specs; fig6 collects
-#: cache-keyed simulation jobs, table2 is analysis-only.
-FAST_BENCHES = ["fig6", "table2"]
+#: A cheap subset used wherever the tests actually run specs; fuzz runs
+#: cache-keyed jobs, engines times two short simulations outside the cache.
+FAST_BENCHES = ["fuzz", "engines"]
 
 
 # ---------------------------------------------------------------------------
 # Registry completeness
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_every_benchmark_script_has_a_registered_spec(self):
-        """ISSUE acceptance: the registry mirrors ``benchmarks/bench_*.py``."""
-        scripts = sorted(p.name for p in BENCHMARKS_DIR.glob("bench_*.py"))
-        assert scripts, "expected benchmark scripts in benchmarks/"
-        sources = {get_bench(name).source for name in bench_names()}
-        missing = [script for script in scripts if script not in sources]
-        assert not missing, (
-            "benchmarks/ scripts without a registered BenchSpec: %s" % missing
-        )
+    def test_committed_baseline_covers_every_bench_at_the_smoke_scenario(self):
+        """``repro bench --check --smoke`` gates every bench: none is ``new``
+        or ``scenario-mismatch`` against the newest committed baseline."""
+        baseline = max(BENCHMARKS_DIR.glob("BENCH_*.json"), key=lambda path: path.name)
+        benches = load_record(baseline)["benches"]
+        assert sorted(benches) == sorted(bench_names()), baseline.name
+        smoke = BenchContext.smoke().scenario()
+        for key, entry in benches.items():
+            assert entry["scenario"] == smoke, (baseline.name, key)
 
-    def test_registered_sources_exist_on_disk(self):
-        for name in bench_names():
-            spec = get_bench(name)
-            assert (BENCHMARKS_DIR / spec.source).is_file(), (
-                "bench %r claims source %r which does not exist" % (name, spec.source)
-            )
+    def test_no_bench_duplicates_a_figure(self):
+        """A figure is built and trend-checked by ``repro reproduce`` alone."""
+        from repro.figures import figure_names
+
+        assert not set(bench_names()) & set(figure_names())
 
     def test_unknown_bench_suggests_closest(self):
         with pytest.raises(UnknownBenchError) as excinfo:
@@ -77,18 +77,6 @@ class TestRegistry:
             spec = get_bench(name)
             gated = [m for m in spec.metrics if m.max_regression is not None]
             assert gated, "bench %r has no regression policy at all" % name
-
-    def test_figure_backed_specs_resolve_their_figure(self):
-        from repro.figures.spec import FigureSpec
-
-        for name in bench_names():
-            spec = get_bench(name)
-            if spec.figure is not None:
-                assert isinstance(spec.figure_spec(), FigureSpec)
-
-    def test_non_figure_spec_refuses_figure_resolution(self):
-        with pytest.raises(ValueError, match="not figure-backed"):
-            get_bench("engines").figure_spec()
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +136,17 @@ class TestWarmRuns:
     def test_entries_carry_the_smoke_scenario(self, tmp_path):
         from repro.sim.runner import ResultCache
 
-        report = run_benches(["table2"], smoke=True, cache=ResultCache(tmp_path / "c"))
+        report = run_benches(["engines"], smoke=True, cache=ResultCache(tmp_path / "c"))
         (entry,) = report.entries
-        assert entry.scenario["accesses"] == 240
-        assert entry.scenario["cores"] == 1
-        assert entry.metrics["trends_passed"] == entry.metrics["trends_total"]
+        assert entry.scenario["timing_accesses"] == 2000
+        assert entry.scenario["rounds"] == 1
+        assert entry.metrics["parity_exact"] == 1.0
 
     def test_measure_rejects_undeclared_metrics(self):
-        spec = get_bench("table2")
+        spec = get_bench("engines")
         broken = type(spec)(
             key=spec.key, title=spec.title, description=spec.description,
-            source=spec.source, metrics=spec.metrics,
-            run=lambda ctx: {"surprise": 1.0}, figure=spec.figure,
+            metrics=spec.metrics, run=lambda ctx: {"surprise": 1.0},
         )
         with pytest.raises(ValueError, match="declares"):
             broken.measure(BenchContext.smoke())
@@ -171,40 +158,40 @@ class TestWarmRuns:
 class TestRecordRoundTrip:
     def _payload(self, value=1.0):
         return {
-            "scenario": {"accesses": 240, "cores": 1},
-            "metrics": {"trends_passed": value, "trends_total": value},
+            "scenario": {"fuzz_budget": 12, "fuzz_seed": 7},
+            "metrics": {"detection_rate": value, "scenarios": value},
             "elapsed_seconds": 0.5,
         }
 
     def test_merge_then_load_round_trips(self, tmp_path):
         path = tmp_path / "BENCH_2026-01-01.json"
-        merge_bench_record(path, {"table2": self._payload()}, profile="smoke")
+        merge_bench_record(path, {"fuzz": self._payload()}, profile="smoke")
         record = load_record(path)
         assert record["schema"] == 1
         assert record["profile"] == "smoke"
-        assert record["benches"]["table2"] == self._payload()
+        assert record["benches"]["fuzz"] == self._payload()
         assert record["environment"] == environment_fingerprint()
 
     def test_merge_preserves_other_keys(self, tmp_path):
         path = tmp_path / "BENCH_2026-01-01.json"
-        merge_bench_record(path, {"table2": self._payload(1.0)})
-        merge_bench_record(path, {"security": self._payload(2.0)})
+        merge_bench_record(path, {"fuzz": self._payload(1.0)})
+        merge_bench_record(path, {"obs": self._payload(2.0)})
         record = load_record(path)
-        assert set(record["benches"]) == {"table2", "security"}
-        assert record["benches"]["table2"]["metrics"]["trends_passed"] == 1.0
+        assert set(record["benches"]) == {"fuzz", "obs"}
+        assert record["benches"]["fuzz"]["metrics"]["detection_rate"] == 1.0
 
     def test_merge_overwrites_stale_entry_for_same_key(self, tmp_path):
         path = tmp_path / "BENCH_2026-01-01.json"
-        merge_bench_record(path, {"table2": self._payload(1.0)})
-        merge_bench_record(path, {"table2": self._payload(3.0)})
+        merge_bench_record(path, {"fuzz": self._payload(1.0)})
+        merge_bench_record(path, {"fuzz": self._payload(3.0)})
         record = load_record(path)
-        assert record["benches"]["table2"]["metrics"]["trends_passed"] == 3.0
+        assert record["benches"]["fuzz"]["metrics"]["detection_rate"] == 3.0
 
     def test_corrupt_record_is_replaced_not_fatal(self, tmp_path):
         path = tmp_path / "BENCH_2026-01-01.json"
         path.write_text("{not json")
-        merge_bench_record(path, {"table2": self._payload()})
-        assert "table2" in load_record(path)["benches"]
+        merge_bench_record(path, {"fuzz": self._payload()})
+        assert "fuzz" in load_record(path)["benches"]
 
     def test_default_record_path_is_dated(self, tmp_path):
         path = default_record_path(tmp_path)
@@ -242,24 +229,24 @@ class TestRecordRoundTrip:
 # Baseline comparison + report
 # ---------------------------------------------------------------------------
 class TestCompare:
-    def _record(self, passed=5.0, throughput=1000.0, env=None, accesses=240):
+    def _record(self, detected=1.0, throughput=1000.0, env=None, accesses=2000):
         return {
             "schema": 1,
             "profile": "smoke",
             "environment": env or environment_fingerprint(),
             "benches": {
-                "table2": {
-                    "scenario": {"accesses": accesses, "cores": 1},
+                "fuzz": {
+                    "scenario": {"timing_accesses": accesses, "fuzz_budget": 12},
                     "metrics": {
-                        "trends_passed": passed,
-                        "trends_total": 5.0,
-                        "unique_jobs": 12.0,
-                        "build_seconds": 0.2,
+                        "detection_rate": detected,
+                        "false_alarms": 0.0,
+                        "oracle_violations": 0.0,
+                        "scenarios": 12.0,
                     },
                     "elapsed_seconds": 1.0,
                 },
                 "engines": {
-                    "scenario": {"accesses": accesses},
+                    "scenario": {"timing_accesses": accesses},
                     "metrics": {
                         "reference_accesses_per_second": throughput / 10.0,
                         "batch_accesses_per_second": throughput,
@@ -278,9 +265,9 @@ class TestCompare:
         assert all(d.status in ("ok", "info") for d in deltas)
 
     def test_deterministic_drop_is_a_violation(self):
-        deltas = compare_records(self._record(passed=4.0), self._record(passed=5.0))
+        deltas = compare_records(self._record(detected=0.9), self._record(detected=1.0))
         failed = violations(deltas)
-        assert [(d.bench, d.metric) for d in failed] == [("table2", "trends_passed")]
+        assert [(d.bench, d.metric) for d in failed] == [("fuzz", "detection_rate")]
         assert failed[0].status == "regressed"
 
     def test_noisy_drop_fails_only_under_matching_environment(self):
@@ -300,36 +287,53 @@ class TestCompare:
     def test_scenario_mismatch_never_gates(self):
         """A smoke run is not compared against a full-budget baseline."""
         deltas = compare_records(
-            self._record(passed=0.0, accesses=240),
-            self._record(passed=5.0, accesses=3000),
+            self._record(detected=0.0, accesses=2000),
+            self._record(detected=1.0, accesses=20000),
         )
         assert violations(deltas) == []
         assert all(d.status == "scenario-mismatch" for d in deltas)
 
     def test_report_renders_deltas_and_summary(self):
-        record = self._record(passed=4.0)
-        deltas = compare_records(record, self._record(passed=5.0))
+        record = self._record(detected=0.9)
+        deltas = compare_records(record, self._record(detected=1.0))
         text = render_bench_report(record, deltas, baseline_path="old.json")
-        assert "| `table2` | `trends_passed` |" in text
+        assert "| `fuzz` | `detection_rate` |" in text
         assert "1 policy violation(s)" in text
 
     def test_report_without_baseline_says_so(self):
         text = render_bench_report(self._record(), None)
         assert "No baseline record found" in text
 
+    def test_find_baseline_picks_the_newest_other_record(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert find_baseline() is None
+        committed = tmp_path / "benchmarks"
+        committed.mkdir()
+        for name in ("BENCH_2026-01-02.json", "BENCH_2026-01-10.json", "BENCH_2026-02-01.json.lock"):
+            (committed / name).write_text("{}")
+        assert find_baseline() == Path("benchmarks/BENCH_2026-01-10.json")
+        own = committed / "BENCH_2026-01-10.json"
+        assert find_baseline(exclude=own) == Path("benchmarks/BENCH_2026-01-02.json")
+
 
 # ---------------------------------------------------------------------------
 # The CLI gate (`repro bench --check`)
 # ---------------------------------------------------------------------------
+@pytest.fixture(scope="class")
+def gate_cache(tmp_path_factory):
+    """One fuzz scenario cache for the gate tests: only the first run is cold."""
+    return tmp_path_factory.mktemp("gate-cache")
+
+
 class TestCliGate:
     def _run(self, out, cache, *extra):
         return main([
-            "bench", "--smoke", "-b", "table2", "-o", str(out),
+            "bench", "--smoke", "-b", "fuzz", "-o", str(out),
             "--cache-dir", str(cache), *extra,
         ])
 
-    def test_check_passes_against_own_identical_record(self, tmp_path, capsys):
-        out, cache = tmp_path / "out", tmp_path / "cache"
+    def test_check_passes_against_own_identical_record(self, tmp_path, capsys, gate_cache):
+        out, cache = tmp_path / "out", gate_cache
         assert self._run(out, cache) == 0
         record_path = default_record_path(out)
         assert record_path.is_file()
@@ -339,14 +343,14 @@ class TestCliGate:
         assert "regression gate passed" in capsys.readouterr().out
         assert (out / "BENCH_REPORT.md").is_file()
 
-    def test_check_fails_on_perturbed_baseline(self, tmp_path, capsys):
+    def test_check_fails_on_perturbed_baseline(self, tmp_path, capsys, gate_cache):
         """ISSUE acceptance: a synthetic regression makes --check exit non-zero."""
-        out, cache = tmp_path / "out", tmp_path / "cache"
+        out, cache = tmp_path / "out", gate_cache
         assert self._run(out, cache) == 0
         record = load_record(default_record_path(out))
-        # Pretend the baseline passed one more trend than we do now: any
-        # drop on a deterministic zero-tolerance metric must fail the gate.
-        record["benches"]["table2"]["metrics"]["trends_passed"] += 1.0
+        # Pretend the baseline raised one false alarm fewer than we do now:
+        # any rise of a deterministic zero-tolerance metric must fail the gate.
+        record["benches"]["fuzz"]["metrics"]["false_alarms"] -= 1.0
         baseline = tmp_path / "BENCH_perturbed.json"
         baseline.write_text(json.dumps(record))
         assert self._run(out, cache, "--check", str(baseline)) == 1
@@ -354,20 +358,20 @@ class TestCliGate:
         assert "REGRESSED" in captured.err
         assert "policy violation" in captured.err
 
-    def test_check_without_any_baseline_is_a_pass(self, tmp_path, capsys, monkeypatch):
+    def test_check_without_any_baseline_is_a_pass(self, tmp_path, capsys, monkeypatch, gate_cache):
         # chdir away from the checkout so the committed benchmarks/BENCH_*
         # baseline is out of reach and auto-discovery genuinely finds nothing.
         monkeypatch.chdir(tmp_path)
-        out, cache = tmp_path / "out", tmp_path / "cache"
+        out, cache = tmp_path / "out", gate_cache
         assert self._run(out, cache, "--check") == 0
         assert "no baseline" in capsys.readouterr().out.lower()
 
     def test_unknown_bench_key_is_a_clean_registry_error(self, tmp_path, capsys):
-        code = main(["bench", "-b", "tabel2", "-o", str(tmp_path)])
+        code = main(["bench", "-b", "engnes", "-o", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown benchmark" in err.lower()
-        assert "table2" in err  # closest match
+        assert "engines" in err  # closest match
 
     def test_list_includes_the_bench_registry(self, capsys):
         assert main(["list"]) == 0

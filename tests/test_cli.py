@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import csv
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -153,24 +156,45 @@ class TestCommands:
         assert "mcf" in out and "sssp" in out
         assert "writes" in out
 
-    def test_power_table(self, capsys):
-        assert main(["power"]) == 0
-        assert "x8 8Gb" in capsys.readouterr().out
+    def _reproduce(self, out, key, *extra):
+        """Build one figure with ``repro reproduce``; returns its CSV rows."""
+        assert main(["reproduce", "--figures", key, "--out", str(out), *extra]) == 0
+        with open(out / ("%s.csv" % key), newline="") as handle:
+            return list(csv.DictReader(handle))
 
-    def test_security_report(self, capsys):
-        assert main(["security"]) == 0
-        assert "counter_overflow_years" in capsys.readouterr().out
+    def test_power_table(self, tmp_path):
+        rows = self._reproduce(tmp_path, "table2")
+        assert "x8 8Gb DDR4-3200" in [row["configuration"] for row in rows]
 
-    def test_scalability_table(self, capsys):
-        assert main(["scalability"]) == 0
-        out = capsys.readouterr().out
-        assert "1024 GiB" in out
+    def test_security_report(self, tmp_path):
+        rows = self._reproduce(tmp_path, "security")
+        assert "counter_overflow_years" in [row["quantity"] for row in rows]
 
-    def test_attack_matrix(self, capsys):
-        assert main(["attack"]) == 0
-        out = capsys.readouterr().out
-        assert "bus_replay" in out
-        assert "detected" in out
+    def test_scalability_table(self, tmp_path):
+        rows = self._reproduce(tmp_path, "scalability", "--smoke")
+        assert rows[-1]["capacity_gib"] == "1024"
+
+    def test_attack_matrix(self, tmp_path):
+        rows = self._reproduce(tmp_path, "attacks", "--strict")
+        matrix = {row["attack"]: row for row in rows}
+        assert matrix["bus_replay"]["secddr"] == "detected"
+        assert all(row["secddr"] == "detected" for row in rows)
+
+    def test_attack_miss_fails_strict_reproduce(self, tmp_path, capsys, monkeypatch):
+        """``--strict`` exits 1 when full SecDDR misses an attack."""
+        import repro.figures.paper as paper
+        from repro.attacks.results import AttackOutcome
+
+        results = [
+            dataclasses.replace(result, outcome=AttackOutcome.SUCCEEDED)
+            if (result.configuration, result.attack) == ("secddr", "bus_replay") else result
+            for result in paper.run_standard_campaign()
+        ]
+        monkeypatch.setattr(paper, "run_standard_campaign", lambda: results)
+        argv = ["reproduce", "--figures", "attacks", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv + ["--strict"]) == 1
+        assert "attacks: full SecDDR detects every attack" in capsys.readouterr().err
 
     def test_compare_small_run(self, capsys):
         exit_code = main([
@@ -254,12 +278,10 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "tdx_baseline" in err and "mcf" in err  # per-job completion lines
 
-    def test_scalability_measured(self, capsys):
-        assert main(["scalability", "--measured", "-a", "200", "-n", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "1024 GiB" in out  # analytic table still printed
-        assert "Measured gmean normalized IPC" in out
-        assert "secddr_xts" in out
+    def test_scalability_measured(self, tmp_path):
+        self._reproduce(tmp_path, "scalability", "--smoke")
+        report = (tmp_path / "REPORT.md").read_text()
+        assert "| measured_gmean/secddr_xts |" in report
 
 
 class TestEngineFlag:

@@ -27,6 +27,7 @@ OBSERVABILITY_DOC = DOCS_DIR / "observability.md"
 GUIDE_HEADING = re.compile(r"^### `([a-z0-9_]+)`", re.MULTILINE)
 
 SRC_DIR = REPO_ROOT / "src"
+BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
 MARKDOWN_NAME = re.compile(r"[\w./-]+\.md\b")
 #: Markdown files the code writes as artifacts, not documents in the repo.
 GENERATED_MARKDOWN = {"REPORT.md", "BENCH_REPORT.md"}
@@ -166,6 +167,17 @@ class TestCommandDocumentation:
         ]
         assert not missing, "README does not show these subcommands: %s" % missing
 
+    def test_every_shown_command_exists(self):
+        commands = {name for name, _ in command_summaries()}
+        shown = {
+            (path.name, word)
+            for path in [README, *sorted(DOCS_DIR.glob("*.md"))]
+            for word in re.findall(r"^\s*\$ repro ([a-z][\w-]*)", path.read_text(), re.MULTILINE)
+        }
+        assert shown, "no '$ repro <command>' lines found in the docs"
+        unknown = sorted(pair for pair in shown if pair[1] not in commands)
+        assert not unknown, "docs show commands the CLI does not have: %s" % unknown
+
     def test_cli_docstring_agrees_with_the_parser(self):
         import repro.cli
 
@@ -203,11 +215,11 @@ class TestDocstringReferences:
     def test_every_markdown_file_named_in_a_docstring_exists(self):
         named = {
             (name, path.relative_to(REPO_ROOT).as_posix())
-            for path in SRC_DIR.rglob("*.py")
+            for path in [*SRC_DIR.rglob("*.py"), *BENCHMARKS_DIR.glob("*.py")]
             for doc in _docstrings(path)
             for name in MARKDOWN_NAME.findall(doc)
             if name.rsplit("/", 1)[-1] not in GENERATED_MARKDOWN
         }
-        assert named, "no markdown file is named in any src/ docstring"
+        assert named, "no markdown file is named in any docstring"
         missing = sorted((name, where) for name, where in named if not (REPO_ROOT / name).is_file())
         assert not missing, "docstrings name missing files: %s" % missing

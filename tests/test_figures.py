@@ -107,6 +107,13 @@ class TestPipeline:
         for outcome in report.outcomes:
             assert outcome.artifact.rows, outcome.artifact.key
             assert outcome.artifact.columns, outcome.artifact.key
+        # A figure that silently drops a trend check fails here; fig7 checks
+        # nothing unless a high-locality workload is in the set.
+        assert {o.artifact.key: len(o.artifact.trends) for o in report.outcomes} == {
+            "table1": 2, "table2": 4, "fig6": 4, "fig7": 0, "fig8": 4, "fig10": 3,
+            "fig12": 3, "attacks": 4, "security": 6, "scalability": 3,
+            "ablation_cache": 3, "ablation_burst": 3,
+        }
 
     def test_each_distinct_trace_is_built_once(self, tmp_path, monkeypatch):
         """A full pass runs its jobs workload-major, so the small trace LRU

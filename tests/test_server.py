@@ -400,23 +400,23 @@ class TestBenchJobs:
         # matching how unknown configurations/workloads are reported.
         from repro.errors import UnknownBenchError
 
-        with pytest.raises(UnknownBenchError, match="table2"):
-            validate_request({"kind": "bench", "benches": ["tabel2"]})
+        with pytest.raises(UnknownBenchError, match="engines"):
+            validate_request({"kind": "bench", "benches": ["engnes"]})
 
     def test_bench_validation_requires_boolean_smoke(self):
         with pytest.raises(RequestError, match="smoke"):
-            validate_request({"kind": "bench", "benches": ["table2"], "smoke": "yes"})
+            validate_request({"kind": "bench", "benches": ["engines"], "smoke": "yes"})
 
     def test_bench_job_runs_and_writes_artifacts(self, service):
         service.start()
-        record = service.submit({"kind": "bench", "benches": ["table2"], "smoke": True})
+        record = service.submit({"kind": "bench", "benches": ["engines"], "smoke": True})
         finished = service.wait(record.id, timeout=120)
         assert finished.state == "done"
         payload = json.loads(service.store.result_path(record.id).read_bytes())
         assert payload["kind"] == "bench"
-        assert payload["benches"] == ["table2"]
+        assert payload["benches"] == ["engines"]
         assert payload["profile"] == "smoke"
-        assert "trends_passed" in payload["metrics"]["table2"]
+        assert payload["metrics"]["engines"]["parity_exact"] == 1.0
         names = payload["artifacts"]
         assert "BENCH_REPORT.md" in names
         assert any(n.startswith("BENCH_") and n.endswith(".json") for n in names)
