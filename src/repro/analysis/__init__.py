@@ -25,7 +25,6 @@ from repro.analysis.security_math import (
 )
 from repro.analysis.scalability import (
     ScalabilityPoint,
-    measured_protection_overheads,
     scalability_sweep,
     secddr_scalability,
     tree_scalability,
@@ -44,7 +43,6 @@ __all__ = [
     "dimm_substitution_match_probability",
     "SecurityAnalysis",
     "ScalabilityPoint",
-    "measured_protection_overheads",
     "scalability_sweep",
     "secddr_scalability",
     "tree_scalability",

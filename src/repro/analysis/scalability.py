@@ -12,23 +12,15 @@ simulator at terabyte scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
+from typing import Dict, Iterable
 
 from repro.secure.integrity_tree import TreeGeometry, hash_merkle_tree_geometry
-
-if TYPE_CHECKING:  # pragma: no cover - keeps repro.analysis import light
-    from repro.secure.configs import ConfigurationLike
-    from repro.sim.engines import EngineLike
-    from repro.sim.experiment import ExperimentConfig
-    from repro.sim.runner import ProgressHook, ResultCache
 
 __all__ = [
     "ScalabilityPoint",
     "tree_scalability",
     "secddr_scalability",
     "scalability_sweep",
-    "measured_protection_overheads",
 ]
 
 LINE_BYTES = 64
@@ -132,41 +124,3 @@ def scalability_sweep(
             "secddr_xts": secddr_scalability(capacity, counter_mode=False),
         }
     return sweep
-
-
-def measured_protection_overheads(
-    workloads: Iterable[str] = ("mcf", "pr"),
-    configurations: "Iterable[ConfigurationLike]" = (
-        "integrity_tree_64", "secddr_ctr", "secddr_xts",
-    ),
-    baseline: "ConfigurationLike" = "tdx_baseline",
-    experiment: "Optional[ExperimentConfig]" = None,
-    jobs: int = 1,
-    cache: "Optional[ResultCache]" = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    progress: "Optional[ProgressHook]" = None,
-    engine: "Optional[EngineLike]" = None,
-) -> Dict[str, float]:
-    """Empirical companion to the analytic sweep, run through the job runner.
-
-    The analytic functions above predict *worst-case extra accesses*; this
-    simulates the same mechanisms at the (capacity-independent) simulator
-    scale and reports gmean normalized IPC per configuration, reusing the
-    shared result cache so it is free after any figure benchmark has run.
-    """
-    # Imported lazily so the otherwise purely analytic repro.analysis
-    # package does not pull in the whole simulator stack at import time.
-    from repro.sim.experiment import run_comparison
-
-    comparison = run_comparison(
-        configurations=list(configurations),
-        workloads=list(workloads),
-        baseline=baseline,
-        experiment=experiment,
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        progress=progress,
-        engine=engine,
-    )
-    return {config: comparison.gmean(config) for config in comparison.configurations}

@@ -48,17 +48,13 @@ def run_benches(
     from repro.bench.record import environment_fingerprint
 
     try:
-        hits_before = context.cache.hits
-        misses_before = context.cache.misses
         entries: List[BenchEntry] = [spec.measure(context) for spec in specs]
         return BenchReport(
             entries=entries,
             profile=profile,
             environment=environment_fingerprint(),
-            simulated_jobs=(
-                context.cache.misses - misses_before + context.extra_simulated
-            ),
-            cached_jobs=context.cache.hits - hits_before + context.extra_cached,
+            simulated_jobs=context.extra_simulated,
+            cached_jobs=context.extra_cached,
         )
     finally:
         if ephemeral is not None:

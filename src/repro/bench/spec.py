@@ -87,8 +87,8 @@ class BenchContext:
     #: HTTP-service bench knobs.
     server_accesses: int = 400
     server_submissions: int = 50
-    #: Accounting filled in by runs that manage their own nested cache (the
-    #: fuzz campaign); the harness adds the shared-cache hit/miss delta.
+    #: Cache-keyed jobs executed and served from cache, filled in by the
+    #: fuzz campaign (its nested cache is the only one a bench reads).
     extra_simulated: int = 0
     extra_cached: int = 0
 

@@ -807,9 +807,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     # Unlike compare/sweep, reproduce defaults to a *persistent* cache under
     # the artifact directory: re-invoking against the same --out re-simulates
-    # nothing.  --cache-dir / $REPRO_CACHE_DIR relocate it; --no-cache falls
-    # back to an ephemeral cache inside the pipeline (dedup still works, but
-    # nothing survives the run).
+    # nothing.  --cache-dir / $REPRO_CACHE_DIR relocate it; with --no-cache
+    # the pipeline still dedups jobs in memory, but nothing survives the run.
     cache = _build_cache(args, default_dir=os.path.join(args.out, ".simcache"))
 
     report = reproduce_figures(
@@ -1067,7 +1066,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # the dashboard sits next to BENCH_REPORT.md.
         _write_timeline(recorder, os.path.join(args.out, "timeline.json"))
         _write_timeline(recorder, os.path.join(args.out, "dashboard.html"))
-    _print_cache_stats(args, cache)
 
     if args.check is None:
         return 0

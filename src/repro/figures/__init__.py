@@ -2,18 +2,19 @@
 
 This package owns the "one command, every figure" path of the reproduction:
 
-* :mod:`repro.figures.spec` -- :class:`FigureSpec` (a figure's job matrix,
-  post-processing, and expected-trend checks), :class:`FigureContext` (the
-  shared budget/cache/parallelism), and :class:`FigureArtifact` (the
-  reproduced rows, summary metrics, reproduced-vs-paper deltas, trends).
+* :mod:`repro.figures.spec` -- :class:`FigureSpec` (the comparisons a
+  figure is made of, its post-processing, and its expected-trend checks),
+  :class:`FigureContext` (the shared budget and workload selection), and
+  :class:`FigureArtifact` (the reproduced rows, summary metrics,
+  reproduced-vs-paper deltas, trends).
 * :mod:`repro.figures.registry` -- the name -> spec registry that the CLI,
   the experiment service, and ``docs/reproducing-the-paper.md`` all key off.
 * :mod:`repro.figures.paper` -- the registered specs for every artifact of
   the SecDDR paper (Tables I-II, Figures 6/7/8/10/12, the attack matrix,
   the security arithmetic, scalability, and the ablations).
-* :mod:`repro.figures.pipeline` -- :func:`reproduce`: dedup every selected
-  spec's jobs across figures, run them in one cached parallel pass, then
-  build all artifacts against the warm cache.
+* :mod:`repro.figures.pipeline` -- :func:`reproduce`: dedup the jobs of
+  every selected spec's comparisons across figures, run them in one cached
+  parallel pass, then build all artifacts from those results.
 * :mod:`repro.figures.report` -- per-figure CSV/JSON artifacts and the
   combined ``REPORT.md``.
 
@@ -33,7 +34,6 @@ from repro.figures.spec import (
     FigureSpec,
     PaperDelta,
     TrendResult,
-    comparison_jobs,
 )
 from repro.figures.registry import (
     FIGURES,
@@ -45,7 +45,6 @@ from repro.figures.registry import (
 from repro.figures.pipeline import (
     FigureOutcome,
     ReproductionReport,
-    collect_jobs,
     reproduce,
 )
 from repro.figures.report import (
@@ -66,8 +65,6 @@ __all__ = [
     "PaperDelta",
     "ReproductionReport",
     "TrendResult",
-    "collect_jobs",
-    "comparison_jobs",
     "figure_names",
     "figure_payload",
     "get_figure",

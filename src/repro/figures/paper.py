@@ -5,10 +5,10 @@ Low-Cost Secure Memories by Protecting the DDR Interface* (DSN 2023):
 Tables I-II, Figures 6/7/8/10/12, the attack-detection matrix, the Section
 III security arithmetic, the scalability analysis, and the two ablations.
 
-Each spec declares its simulation job matrix (for cross-figure
-deduplication), builds its artifact through :func:`run_comparison` / the
-analytic models against the shared result cache, and evaluates the paper's
-expected trends.
+Each spec declares the baseline-normalized comparisons it is made of once
+(the pipeline dedups their jobs across figures), builds its artifact from
+their results and the analytic models, and evaluates the paper's expected
+trends.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from repro.analysis.area import AreaModel
 from repro.analysis.power import table2_power_overheads
-from repro.analysis.scalability import measured_protection_overheads, scalability_sweep
+from repro.analysis.scalability import scalability_sweep
 from repro.analysis.security_math import SecurityAnalysis
 from repro.attacks.campaign import AttackCampaign, run_standard_campaign
 from repro.dram.timing import DDR4_3200
@@ -28,13 +28,11 @@ from repro.figures.spec import (
     FigureSpec,
     PaperDelta,
     TrendResult,
-    comparison_jobs,
 )
 from repro.secure.configs import CONFIGURATIONS, build_configuration
-from repro.sim.experiment import default_system_parameters, run_comparison
+from repro.sim.experiment import Comparison, default_system_parameters
 from repro.sim.results import ComparisonResult
-from repro.sim.runner import ParallelRunner, SimulationJob
-from repro.sim.sweep import arity_group, arity_sweep, counter_packing_sweep, packing_group
+from repro.sim.sweep import arity_group, packing_group
 from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
 from repro.workloads.registry import memory_intensive_workloads
 
@@ -90,7 +88,7 @@ def _gmean_summary(comparison: ComparisonResult) -> Dict[str, float]:
 
 # ----------------------------------------------------------------------
 # Table I: system configuration.
-def _table1_build(ctx: FigureContext) -> FigureArtifact:
+def _table1_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     systems = [build_configuration(name) for name in CONFIGURATIONS]
     rows = [
         {"parameter": key, "value": value}
@@ -120,7 +118,7 @@ def _table1_build(ctx: FigureContext) -> FigureArtifact:
 
 # ----------------------------------------------------------------------
 # Table II: AES power overhead.
-def _table2_build(ctx: FigureContext) -> FigureArtifact:
+def _table2_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     power_rows = table2_power_overheads()
     area = AreaModel()
     rows = [
@@ -172,21 +170,12 @@ def _table2_build(ctx: FigureContext) -> FigureArtifact:
 
 # ----------------------------------------------------------------------
 # Figure 6: headline normalized performance.
-def _fig6_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    return comparison_jobs(
-        FIG6_CONFIGURATIONS, ctx.all_workloads(),
-        baseline=BASELINE, experiment=ctx.experiment, engine=ctx.engine,
-    )
+def _fig6_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    return {"main": Comparison(FIG6_CONFIGURATIONS, ctx.all_workloads(), BASELINE, ctx.experiment)}
 
 
-def _fig6_build(ctx: FigureContext) -> FigureArtifact:
-    comparison = run_comparison(
-        configurations=FIG6_CONFIGURATIONS,
-        workloads=ctx.all_workloads(),
-        baseline=BASELINE,
-        experiment=ctx.experiment,
-        **ctx.runner_kwargs(),
-    )
+def _fig6_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
+    comparison = runs["main"]
     ctr_gain = comparison.speedup_over("secddr_ctr", "integrity_tree_64")
     xts_gain = comparison.speedup_over("secddr_xts", "integrity_tree_64")
     ctr_vs_upper = comparison.gmean("secddr_ctr") / comparison.gmean("encrypt_only_ctr")
@@ -213,17 +202,15 @@ def _fig6_build(ctx: FigureContext) -> FigureArtifact:
 
 # ----------------------------------------------------------------------
 # Figure 7: metadata-cache behaviour under the tree.
-def _fig7_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    return [
-        SimulationJob(configuration="integrity_tree_64", workload=w, experiment=ctx.experiment)
-        for w in ctx.all_workloads()
-    ]
+def _fig7_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    # Figure 7 plots raw tree results, so the tree is its own baseline.
+    tree = "integrity_tree_64"
+    return {"tree": Comparison([tree], ctx.all_workloads(), tree, ctx.experiment)}
 
 
-def _fig7_build(ctx: FigureContext) -> FigureArtifact:
-    runner = ParallelRunner(jobs=ctx.jobs, cache=ctx.cache, progress=ctx.progress)
-    matrix = runner.run_matrix(["integrity_tree_64"], ctx.all_workloads(), ctx.experiment)
-    results = matrix["integrity_tree_64"]
+def _fig7_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
+    tree = runs["tree"]
+    results = tree.results[tree.baseline]
     rows = [
         {
             "workload": workload,
@@ -256,33 +243,30 @@ def _fig7_build(ctx: FigureContext) -> FigureArtifact:
 # ----------------------------------------------------------------------
 # Figure 8: tree-arity and counter-packing sensitivity.
 FIG8_POINTS = (8, 64, 128)
+#: One comparison per arity group, then one per packing group.  The packing
+#: groups reuse the arity groups' SecDDR / encrypt-only configurations, so
+#: their jobs dedup against the arity ones.
+FIG8_GROUPS = {
+    **{"arity/%d" % point: arity_group(point) for point in FIG8_POINTS},
+    **{"packing/%d" % point: packing_group(point) for point in FIG8_POINTS},
+}
 
 
-def _fig8_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    jobs: List[SimulationJob] = []
+def _fig8_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
     workloads = ctx.memory_intensive()
-    for arity in FIG8_POINTS:
-        jobs += comparison_jobs(
-            list(arity_group(arity).values()), workloads,
-            baseline=BASELINE, experiment=ctx.experiment, engine=ctx.engine,
-        )
-    for packing in FIG8_POINTS:
-        # The packing groups reuse the arity groups' SecDDR / encrypt-only
-        # configurations, so these jobs dedup against the ones above.
-        jobs += comparison_jobs(
-            list(packing_group(packing).values()), workloads,
-            baseline=BASELINE, experiment=ctx.experiment, engine=ctx.engine,
-        )
-    return jobs
+    return {
+        name: Comparison(list(group.values()), workloads, BASELINE, ctx.experiment)
+        for name, group in FIG8_GROUPS.items()
+    }
 
 
-def _fig8_build(ctx: FigureContext) -> FigureArtifact:
-    workloads = ctx.memory_intensive()
-    common = dict(
-        workloads=workloads, experiment=ctx.experiment, baseline=BASELINE, **ctx.runner_kwargs()
-    )
-    arity = arity_sweep(arities=FIG8_POINTS, **common)
-    packing = counter_packing_sweep(packings=FIG8_POINTS, **common)
+def _fig8_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
+    gmeans = {
+        name: {role: runs[name].gmean(config) for role, config in group.items()}
+        for name, group in FIG8_GROUPS.items()
+    }
+    arity = {point: gmeans["arity/%d" % point] for point in FIG8_POINTS}
+    packing = {point: gmeans["packing/%d" % point] for point in FIG8_POINTS}
     rows: List[Dict[str, object]] = []
     for value, roles in arity.items():
         rows.append({
@@ -330,9 +314,8 @@ def _fig8_build(ctx: FigureContext) -> FigureArtifact:
 # ----------------------------------------------------------------------
 # Figures 10 and 12: SecDDR vs. InvisiMem.
 def _invisimem_artifact(
-    ctx: FigureContext,
+    comparison: ComparisonResult,
     key: str,
-    configurations: List[str],
     secddr: str,
     realistic: str,
     unrealistic: str,
@@ -341,13 +324,6 @@ def _invisimem_artifact(
     paper_realistic: float,
     paper_unrealistic: float,
 ) -> FigureArtifact:
-    comparison = run_comparison(
-        configurations=configurations,
-        workloads=ctx.all_workloads(),
-        baseline=BASELINE,
-        experiment=ctx.experiment,
-        **ctx.runner_kwargs(),
-    )
     over_realistic = comparison.speedup_over(secddr, realistic)
     over_unrealistic = comparison.speedup_over(secddr, unrealistic)
     return FigureArtifact(
@@ -378,16 +354,13 @@ def _invisimem_artifact(
     )
 
 
-def _fig10_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    return comparison_jobs(
-        FIG10_CONFIGURATIONS, ctx.all_workloads(),
-        baseline=BASELINE, experiment=ctx.experiment, engine=ctx.engine,
-    )
+def _fig10_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    return {"main": Comparison(FIG10_CONFIGURATIONS, ctx.all_workloads(), BASELINE, ctx.experiment)}
 
 
-def _fig10_build(ctx: FigureContext) -> FigureArtifact:
+def _fig10_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     return _invisimem_artifact(
-        ctx, "fig10", FIG10_CONFIGURATIONS,
+        runs["main"], "fig10",
         secddr="secddr_xts",
         realistic="invisimem_realistic_xts",
         unrealistic="invisimem_unrealistic_xts",
@@ -397,16 +370,13 @@ def _fig10_build(ctx: FigureContext) -> FigureArtifact:
     )
 
 
-def _fig12_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    return comparison_jobs(
-        FIG12_CONFIGURATIONS, ctx.all_workloads(),
-        baseline=BASELINE, experiment=ctx.experiment, engine=ctx.engine,
-    )
+def _fig12_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    return {"main": Comparison(FIG12_CONFIGURATIONS, ctx.all_workloads(), BASELINE, ctx.experiment)}
 
 
-def _fig12_build(ctx: FigureContext) -> FigureArtifact:
+def _fig12_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     return _invisimem_artifact(
-        ctx, "fig12", FIG12_CONFIGURATIONS,
+        runs["main"], "fig12",
         secddr="secddr_ctr",
         realistic="invisimem_realistic_ctr",
         unrealistic="invisimem_unrealistic_ctr",
@@ -427,7 +397,7 @@ REPLAY_STYLE_ATTACKS = (
 )
 
 
-def _attacks_build(ctx: FigureContext) -> FigureArtifact:
+def _attacks_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     results = run_standard_campaign()
     matrix = AttackCampaign.summarize(results)
     attacks = sorted({r.attack for r in results})
@@ -476,7 +446,7 @@ def _attacks_build(ctx: FigureContext) -> FigureArtifact:
 
 # ----------------------------------------------------------------------
 # Section III security arithmetic.
-def _security_build(ctx: FigureContext) -> FigureArtifact:
+def _security_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     report = SecurityAnalysis().report()
     rows = [{"quantity": key, "value": value} for key, value in report.items()]
 
@@ -520,17 +490,15 @@ SCALABILITY_MEASURED_WORKLOADS = ("mcf", "pr")
 SCALABILITY_MEASURED_CONFIGURATIONS = ("integrity_tree_64", "secddr_ctr", "secddr_xts")
 
 
-def _scalability_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    return comparison_jobs(
-        list(SCALABILITY_MEASURED_CONFIGURATIONS),
-        list(SCALABILITY_MEASURED_WORKLOADS),
-        baseline=BASELINE,
-        experiment=ctx.experiment,
-        engine=ctx.engine,
-    )
+def _scalability_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    # The simulated companion of the analytic sweep, at the
+    # (capacity-independent) simulator scale.
+    return {"measured": Comparison(
+        SCALABILITY_MEASURED_CONFIGURATIONS, SCALABILITY_MEASURED_WORKLOADS, BASELINE, ctx.experiment,
+    )}
 
 
-def _scalability_build(ctx: FigureContext) -> FigureArtifact:
+def _scalability_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
     analytic = scalability_sweep(capacities_bytes=SCALABILITY_CAPACITIES)
     rows = [
         {
@@ -545,13 +513,7 @@ def _scalability_build(ctx: FigureContext) -> FigureArtifact:
         }
         for capacity, points in analytic.items()
     ]
-    measured = measured_protection_overheads(
-        workloads=SCALABILITY_MEASURED_WORKLOADS,
-        configurations=SCALABILITY_MEASURED_CONFIGURATIONS,
-        baseline=BASELINE,
-        experiment=ctx.experiment,
-        **ctx.runner_kwargs(),
-    )
+    measured = runs["measured"]
     capacities = sorted(analytic)
     tree_costs = [analytic[c]["counter_tree"].worst_case_extra_accesses for c in capacities]
     secddr_costs = [analytic[c]["secddr_ctr"].worst_case_extra_accesses for c in capacities]
@@ -566,7 +528,9 @@ def _scalability_build(ctx: FigureContext) -> FigureArtifact:
             "tree64_metadata_pct", "hash8_metadata_pct", "secddr_ctr_metadata_pct",
         ],
         rows=rows,
-        summary={"measured_gmean/%s" % config: value for config, value in measured.items()},
+        summary={
+            "measured_gmean/%s" % config: measured.gmean(config) for config in measured.configurations
+        },
         trends=[
             TrendResult("the tree's worst-case traversal cost grows with capacity",
                         tree_costs[-1] > tree_costs[0]),
@@ -586,31 +550,21 @@ ABLATION_CACHE_SIZES = (32 * 1024, 128 * 1024, 512 * 1024)
 ABLATION_CACHE_CONFIGURATIONS = ("integrity_tree_64", "secddr_ctr", "secddr_xts")
 
 
-def _ablation_cache_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    jobs: List[SimulationJob] = []
-    for size in ABLATION_CACHE_SIZES:
-        experiment = ctx.experiment_with(metadata_cache_bytes=size)
-        jobs += comparison_jobs(
-            list(ABLATION_CACHE_CONFIGURATIONS),
-            list(ABLATION_CACHE_WORKLOADS),
-            baseline=BASELINE,
-            experiment=experiment,
-            engine=ctx.engine,
+def _ablation_cache_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    return {
+        str(size): Comparison(
+            ABLATION_CACHE_CONFIGURATIONS, ABLATION_CACHE_WORKLOADS, BASELINE,
+            ctx.experiment_with(metadata_cache_bytes=size),
         )
-    return jobs
+        for size in ABLATION_CACHE_SIZES
+    }
 
 
-def _ablation_cache_build(ctx: FigureContext) -> FigureArtifact:
-    gmeans: Dict[int, Dict[str, float]] = {}
-    for size in ABLATION_CACHE_SIZES:
-        comparison = run_comparison(
-            configurations=list(ABLATION_CACHE_CONFIGURATIONS),
-            workloads=list(ABLATION_CACHE_WORKLOADS),
-            baseline=BASELINE,
-            experiment=ctx.experiment_with(metadata_cache_bytes=size),
-            **ctx.runner_kwargs(),
-        )
-        gmeans[size] = {c: comparison.gmean(c) for c in ABLATION_CACHE_CONFIGURATIONS}
+def _ablation_cache_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
+    gmeans = {
+        size: {c: runs[str(size)].gmean(c) for c in ABLATION_CACHE_CONFIGURATIONS}
+        for size in ABLATION_CACHE_SIZES
+    }
     rows = [
         {"metadata_cache_kb": size // 1024, **gmeans[size]}
         for size in ABLATION_CACHE_SIZES
@@ -649,32 +603,23 @@ def _ablation_cache_build(ctx: FigureContext) -> FigureArtifact:
 ABLATION_BURST_WORKLOADS = ("lbm", "roms", "fotonik3d", "bwaves", "mcf")
 
 
-def _ablation_burst_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    workloads = list(ABLATION_BURST_WORKLOADS)
-    return comparison_jobs(
-        ["secddr_xts", "encrypt_only_xts"], workloads,
-        baseline=BASELINE, experiment=ctx.experiment, engine=ctx.engine,
-    ) + comparison_jobs(
-        ["secddr_xts_ddr5", "encrypt_only_xts_ddr5"], workloads,
-        baseline="tdx_baseline_ddr5", experiment=ctx.experiment, engine=ctx.engine,
-    )
+def _ablation_burst_comparisons(ctx: FigureContext) -> Dict[str, Comparison]:
+    return {
+        "ddr4": Comparison(
+            ["secddr_xts", "encrypt_only_xts"], ABLATION_BURST_WORKLOADS, BASELINE, ctx.experiment,
+        ),
+        "ddr5": Comparison(
+            ["secddr_xts_ddr5", "encrypt_only_xts_ddr5"], ABLATION_BURST_WORKLOADS,
+            "tdx_baseline_ddr5", ctx.experiment,
+        ),
+    }
 
 
-def _ablation_burst_build(ctx: FigureContext) -> FigureArtifact:
-    workloads = list(ABLATION_BURST_WORKLOADS)
-    ddr4 = run_comparison(
-        configurations=["secddr_xts", "encrypt_only_xts"],
-        workloads=workloads, baseline=BASELINE,
-        experiment=ctx.experiment, **ctx.runner_kwargs(),
-    )
-    ddr5 = run_comparison(
-        configurations=["secddr_xts_ddr5", "encrypt_only_xts_ddr5"],
-        workloads=workloads, baseline="tdx_baseline_ddr5",
-        experiment=ctx.experiment, **ctx.runner_kwargs(),
-    )
+def _ablation_burst_build(ctx: FigureContext, runs: Dict[str, ComparisonResult]) -> FigureArtifact:
+    ddr4, ddr5 = runs["ddr4"], runs["ddr5"]
     rows = []
     ddr4_overheads: Dict[str, float] = {}
-    for workload in workloads:
+    for workload in ABLATION_BURST_WORKLOADS:
         ddr4_ratio = (
             ddr4.normalized["secddr_xts"][workload]
             / ddr4.normalized["encrypt_only_xts"][workload]
@@ -738,8 +683,7 @@ register_figure(FigureSpec(
     paper_ref="Figure 6",
     description="Normalized IPC of tree/SecDDR/encrypt-only (CTR and XTS) over every workload.",
     build=_fig6_build,
-    jobs=_fig6_jobs,
-    simulated=True,
+    comparisons=_fig6_comparisons,
 ))
 register_figure(FigureSpec(
     key="fig7",
@@ -747,8 +691,7 @@ register_figure(FigureSpec(
     paper_ref="Figure 7",
     description="Metadata cache miss rate and metadata MPKI under the 64-ary tree.",
     build=_fig7_build,
-    jobs=_fig7_jobs,
-    simulated=True,
+    comparisons=_fig7_comparisons,
 ))
 register_figure(FigureSpec(
     key="fig8",
@@ -756,8 +699,7 @@ register_figure(FigureSpec(
     paper_ref="Figure 8",
     description="Gmean normalized IPC per tree arity and counters-per-line packing.",
     build=_fig8_build,
-    jobs=_fig8_jobs,
-    simulated=True,
+    comparisons=_fig8_comparisons,
 ))
 register_figure(FigureSpec(
     key="fig10",
@@ -765,8 +707,7 @@ register_figure(FigureSpec(
     paper_ref="Figure 10",
     description="SecDDR against unrealistic/realistic InvisiMem variants under AES-XTS.",
     build=_fig10_build,
-    jobs=_fig10_jobs,
-    simulated=True,
+    comparisons=_fig10_comparisons,
 ))
 register_figure(FigureSpec(
     key="fig12",
@@ -774,8 +715,7 @@ register_figure(FigureSpec(
     paper_ref="Figure 12",
     description="SecDDR against unrealistic/realistic InvisiMem variants under CTR encryption.",
     build=_fig12_build,
-    jobs=_fig12_jobs,
-    simulated=True,
+    comparisons=_fig12_comparisons,
 ))
 register_figure(FigureSpec(
     key="attacks",
@@ -797,8 +737,7 @@ register_figure(FigureSpec(
     paper_ref="Sections I / II-D",
     description="Analytic tree-vs-SecDDR scaling from 16 GiB to 1 TiB plus measured gmeans.",
     build=_scalability_build,
-    jobs=_scalability_jobs,
-    simulated=True,
+    comparisons=_scalability_comparisons,
 ))
 register_figure(FigureSpec(
     key="ablation_cache",
@@ -806,8 +745,7 @@ register_figure(FigureSpec(
     paper_ref="Section IV ablation",
     description="Tree vs SecDDR gmean IPC with 32/128/512 KB metadata caches.",
     build=_ablation_cache_build,
-    jobs=_ablation_cache_jobs,
-    simulated=True,
+    comparisons=_ablation_cache_comparisons,
 ))
 register_figure(FigureSpec(
     key="ablation_burst",
@@ -815,6 +753,5 @@ register_figure(FigureSpec(
     paper_ref="Section IV-B ablation",
     description="SecDDR+XTS vs encrypt-only XTS on write-heavy workloads, DDR4 and DDR5.",
     build=_ablation_burst_build,
-    jobs=_ablation_burst_jobs,
-    simulated=True,
+    comparisons=_ablation_burst_comparisons,
 ))

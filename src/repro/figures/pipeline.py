@@ -3,28 +3,25 @@
 :func:`reproduce` is what ``repro reproduce`` runs:
 
 1. resolve the selected :class:`~repro.figures.spec.FigureSpec` keys;
-2. union every spec's simulation jobs and **deduplicate across specs** by
-   result-cache key (Figure 7 shares all of its jobs with Figure 6, the
-   scalability measurements are a subset of Figure 6, the Figure 8 packing
-   sweep reuses the arity sweep's configurations, ...);
-3. fan the unique jobs out through one
-   :class:`~repro.sim.runner.ParallelRunner` into the shared
-   :class:`~repro.sim.runner.ResultCache`;
-4. build every artifact against the now-warm cache -- by construction the
-   build phase performs **zero** additional simulations, and a second
-   invocation against the same cache re-simulates nothing at all.
-
-When the caller provides no cache, an ephemeral one is created for the
-duration of the pass so step 4 still reads step 3's results.
+2. key every job of every spec's declared comparisons once and
+   **deduplicate across specs** by that result-cache key (Figure 7 shares
+   all of its jobs with Figure 6, the scalability measurements are a subset
+   of Figure 6, the Figure 8 packing comparisons reuse the arity
+   comparisons' configurations, ...);
+3. run the unique jobs once, workload-major, through one
+   :class:`~repro.sim.runner.ParallelRunner` and the result cache, when
+   there is one -- a second invocation against the same cache re-simulates
+   nothing at all;
+4. normalize each declared comparison from those in-memory results and
+   build every artifact from them: the build phase runs and reads nothing.
 """
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro import obs
 from repro.figures.registry import resolve_figures
@@ -38,7 +35,7 @@ from repro.sim.runner import (
     resolve_cache,
 )
 
-__all__ = ["FigureOutcome", "ReproductionReport", "collect_jobs", "reproduce"]
+__all__ = ["FigureOutcome", "ReproductionReport", "reproduce"]
 
 
 @dataclass
@@ -61,9 +58,6 @@ class ReproductionReport:
     unique_jobs: int
     #: How many of those actually ran (the rest were warm-cache hits).
     simulated_jobs: int
-    #: Simulations performed while building artifacts -- always 0 when every
-    #: spec's declared job matrix covers its build (enforced by tests).
-    build_misses: int
     elapsed_seconds: float
     cache_directory: Optional[str] = None
     workload_filter: Optional[List[str]] = field(default=None)
@@ -89,29 +83,10 @@ class ReproductionReport:
         ]
 
 
-def collect_jobs(specs: Iterable[FigureSpec], ctx: FigureContext) -> List[SimulationJob]:
-    """The union of every spec's job matrix, deduplicated by cache key.
-
-    The cache key fingerprints the full configuration spec, the workload
-    identity, and every experiment knob, so two specs requesting the same
-    (workload, configuration, budget) triple collapse to one job even when
-    one names the configuration and the other passes a derived value.
-
-    The jobs come back workload-major: sorted, stably, by (workload name,
-    accesses, seed), so the runner builds each distinct trace once.
-    """
-    unique: List[SimulationJob] = []
-    seen = set()
-    for spec in specs:
-        for job in spec.jobs(ctx):
-            key = job.cache_key()
-            if key not in seen:
-                seen.add(key)
-                unique.append(job)
-    unique.sort(key=lambda job: (
-        job.workload_name, job.experiment.num_accesses, job.experiment.seed
-    ))
-    return unique
+def _trace_identity(job: SimulationJob):
+    """Sorting on this runs each distinct trace's jobs together (stably, so
+    declaration order breaks ties), and the runner builds each trace once."""
+    return job.workload_name, job.experiment.num_accesses, job.experiment.seed
 
 
 def reproduce(
@@ -129,59 +104,60 @@ def reproduce(
     ``engine`` selects the simulation engine for every job in the pass (see
     :mod:`repro.sim.engines`); engines share cache keys, so a pass run on
     the batch engine warms exactly the entries a later reference pass would
-    read.
+    read.  Without a cache, jobs still dedup by key within the pass and
+    every unique job is simulated.
     """
     specs = resolve_figures(list(figures) if figures is not None else None)
     started = time.perf_counter()
     cache = resolve_cache(cache, cache_dir)
-    ephemeral: Optional[tempfile.TemporaryDirectory] = None
-    if cache is None:
-        # Without a shared cache the build phase could not see the fan-out
-        # phase's results; an ephemeral cache keeps the pipeline's "simulate
-        # once, render many" contract without persisting anything.
-        ephemeral = tempfile.TemporaryDirectory(prefix="repro-figures-cache-")
-        cache = ResultCache(ephemeral.name)
     ctx = FigureContext(
         experiment=experiment or ExperimentConfig(),
-        cache=cache,
-        jobs=jobs,
-        progress=progress,
         workload_filter=list(workload_filter) if workload_filter else None,
-        engine=engine,
     )
-    try:
-        with obs.span("reproduce", figures=len(specs)):
-            unique = collect_jobs(specs, ctx)
-            misses_before = cache.misses
-            runner = ParallelRunner(jobs=ctx.jobs, cache=cache, progress=progress)
-            runner.run(unique)
-            simulated = cache.misses - misses_before
+    with obs.span("reproduce", figures=len(specs)):
+        # Each declared job is keyed once: equal keys are one job, and each
+        # comparison keeps its own jobs' keys, in its jobs' order.
+        unique: Dict[str, SimulationJob] = {}
+        declared = []
+        for spec in specs:
+            comparisons = spec.comparisons(ctx) if spec.simulated else {}
+            keys: Dict[str, List[str]] = {}
+            for name, comparison in comparisons.items():
+                keys[name] = []
+                for job in comparison.jobs(engine):
+                    key = job.cache_key()
+                    unique.setdefault(key, job)
+                    keys[name].append(key)
+            declared.append((spec, comparisons, keys))
+        order = sorted(unique, key=lambda key: _trace_identity(unique[key]))
+        misses_before = cache.misses if cache is not None else 0
+        runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
+        results = dict(zip(order, runner.run([unique[key] for key in order])))
+        simulated = len(order) if cache is None else cache.misses - misses_before
 
-            outcomes: List[FigureOutcome] = []
-            build_misses_before = cache.misses
-            for spec in specs:
-                build_started = time.perf_counter()
-                with obs.span("figure", key=spec.key):
-                    artifact = spec.build(ctx)
-                outcomes.append(
-                    FigureOutcome(spec, artifact, time.perf_counter() - build_started)
-                )
-            build_misses = cache.misses - build_misses_before
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()
+        outcomes: List[FigureOutcome] = []
+        for spec, comparisons, keys in declared:
+            build_started = time.perf_counter()
+            with obs.span("figure", key=spec.key):
+                runs = {
+                    name: comparison.normalize([results[key] for key in keys[name]])
+                    for name, comparison in comparisons.items()
+                }
+                artifact = spec.build(ctx, runs)
+            outcomes.append(
+                FigureOutcome(spec, artifact, time.perf_counter() - build_started)
+            )
 
     registry = obs.current().registry
     recorder = obs.current().timeline
     return ReproductionReport(
         outcomes=outcomes,
         experiment=ctx.experiment,
-        jobs=ctx.jobs,
-        unique_jobs=len(unique),
+        jobs=jobs,
+        unique_jobs=len(order),
         simulated_jobs=simulated,
-        build_misses=build_misses,
         elapsed_seconds=time.perf_counter() - started,
-        cache_directory=None if ephemeral is not None else str(cache.directory),
+        cache_directory=None if cache is None else str(cache.directory),
         workload_filter=ctx.workload_filter,
         metrics_summary=None if registry is obs.NULL_REGISTRY else registry.summary(),
         timeline=recorder.to_payload() if recorder is not None else None,

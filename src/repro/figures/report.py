@@ -171,7 +171,7 @@ def render_report_markdown(report: ReproductionReport) -> str:
             ["unique simulation jobs (deduplicated across figures)", str(report.unique_jobs)],
             ["jobs actually simulated (rest were cache hits)", str(report.simulated_jobs)],
             ["wall time", "%.1f s" % report.elapsed_seconds],
-            ["result cache", report.cache_directory or "ephemeral (discarded)"],
+            ["result cache", report.cache_directory or "none"],
         ],
     )
     if report.timeline and report.timeline.get("series"):

@@ -3,15 +3,15 @@
 A :class:`FigureSpec` captures everything needed to regenerate one figure or
 table of the paper in one place:
 
-* its **job matrix** -- the (workload x configuration) simulation jobs the
-  artifact depends on, expressed as plain
-  :class:`~repro.sim.runner.SimulationJob` values so the reproduction
-  pipeline can union and deduplicate jobs *across* figures before running
-  anything (Figure 7 reuses every tree simulation Figure 6 already needs,
-  the scalability spec reuses Figure 6's SecDDR runs, and so on);
-* its **post-processing** -- the ``build`` callable that turns simulation
-  results (read back through the shared result cache) and the analytical
-  models into a :class:`FigureArtifact`: tabular rows, summary metrics,
+* its **comparisons** -- the baseline-normalized
+  :class:`~repro.sim.experiment.Comparison` matrices the artifact is made
+  of, declared once, so the reproduction pipeline can union and deduplicate
+  their jobs *across* figures before running anything (Figure 7 reuses
+  every tree simulation Figure 6 already needs, the scalability spec reuses
+  Figure 6's SecDDR runs, and so on);
+* its **post-processing** -- the ``build`` callable that turns those
+  comparisons' results and the analytical models into a
+  :class:`FigureArtifact`: tabular rows, summary metrics,
   reproduced-vs-paper deltas, and expected-trend checks.
 
 The ``repro reproduce`` CLI subcommand, the experiment service, and
@@ -22,17 +22,15 @@ a figure's definition lives in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.cpu.trace import MemoryTrace
-from repro.secure.configs import ConfigurationLike, resolve_configuration
-from repro.sim.engines import EngineLike
-from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import ProgressHook, ResultCache, SimulationJob
+from repro.sim.experiment import Comparison, ExperimentConfig
+from repro.sim.results import ComparisonResult
 from repro.traces.streaming import ChunkedTrace
 from repro.workloads.registry import memory_intensive_workloads, workload_names
 
-#: A workload entry in a figure's job matrix: a registry name or a pre-built
+#: A workload entry in a figure's comparisons: a registry name or a pre-built
 #: trace value (in-memory or streamed -- jobs carry either verbatim).
 WorkloadLike = Union[str, MemoryTrace, ChunkedTrace]
 
@@ -44,7 +42,6 @@ __all__ = [
     "PaperDelta",
     "TrendResult",
     "WorkloadLike",
-    "comparison_jobs",
 ]
 
 #: A single table cell: figures mix names, counts, and measurements.
@@ -137,26 +134,20 @@ class FigureArtifact:
 
 @dataclass
 class FigureContext:
-    """Everything a spec needs to build its jobs and its artifact.
+    """What a spec reads to declare its comparisons and build its artifact.
 
     One context is shared by every spec in a reproduction pass, so all
-    figures run under the same experiment budget, result cache, and degree
-    of parallelism -- which is what makes cross-figure job deduplication
-    sound (equal budgets produce equal cache keys).
+    figures run under the same experiment budget and workload selection --
+    which is what makes cross-figure job deduplication sound (equal budgets
+    produce equal cache keys).  The pipeline, not the context, owns the
+    engine, the result cache and the degree of parallelism.
     """
 
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    cache: Optional[ResultCache] = None
-    jobs: int = 1
-    progress: Optional[ProgressHook] = None
-    #: Simulation engine used by every job in the pass (None = default).
-    #: Parity-verified engines share cache keys, so a pass run with the
-    #: batch engine warms the same cache entries the reference pass reads.
-    engine: Optional[EngineLike] = None
     #: Optional workload restriction (e.g. CI smoke runs): replaces the
     #: "all workloads" / "memory intensive" sets a spec would otherwise use.
     #: Entries may be registry names or pre-built trace values (streamed
-    #: traces included); trace values flow into the job matrices verbatim.
+    #: traces included); trace values flow into the comparisons verbatim.
     #: Specs with a *fixed* workload list (the ablations) ignore it, so
     #: their assertions keep operating on the workloads they reason about.
     workload_filter: Optional[List[WorkloadLike]] = None
@@ -171,38 +162,26 @@ class FigureContext:
             return list(self.workload_filter)
         return memory_intensive_workloads()
 
-    def runner_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments wiring ``run_comparison`` onto the shared runner."""
-        return {
-            "jobs": self.jobs,
-            "cache": self.cache,
-            "progress": self.progress,
-            "engine": self.engine,
-        }
-
     def experiment_with(self, **overrides) -> ExperimentConfig:
         """The shared budget with some fields replaced (ablation sweeps)."""
         return replace(self.experiment, **overrides)
 
 
-#: Builds the simulation jobs an artifact depends on (empty for analytic specs).
-JobsBuilder = Callable[[FigureContext], List[SimulationJob]]
-#: Turns (cached) simulation results and analytic models into the artifact.
-ArtifactBuilder = Callable[[FigureContext], "FigureArtifact"]
-
-
-def _no_jobs(ctx: FigureContext) -> List[SimulationJob]:
-    return []
+#: Declares the comparisons an artifact is made of, by name.
+ComparisonsBuilder = Callable[[FigureContext], Dict[str, Comparison]]
+#: Turns those comparisons' results and the analytic models into the artifact.
+ArtifactBuilder = Callable[[FigureContext, Dict[str, ComparisonResult]], "FigureArtifact"]
 
 
 @dataclass(frozen=True)
 class FigureSpec:
     """One registered paper figure/table.
 
-    ``jobs(ctx)`` must cover every simulation ``build(ctx)`` performs: the
-    pipeline fans the union of all specs' jobs through the parallel runner
-    first, then builds each artifact against the warm cache (zero extra
-    simulations).  ``tests/test_figures.py`` enforces the invariant.
+    ``comparisons(ctx)`` declares, by name, every simulation the artifact
+    depends on; analytic specs declare none.  The pipeline runs the union of
+    all specs' jobs once, then calls ``build(ctx, runs)`` with ``runs``
+    mapping each declared name to its
+    :class:`~repro.sim.results.ComparisonResult` (empty for analytic specs).
     """
 
     key: str
@@ -210,41 +189,9 @@ class FigureSpec:
     paper_ref: str
     description: str
     build: ArtifactBuilder
-    jobs: JobsBuilder = _no_jobs
-    #: Whether the artifact depends on timing simulations (vs. purely
-    #: analytic / functional models); drives runtime notes in the docs.
-    simulated: bool = False
+    comparisons: Optional[ComparisonsBuilder] = None
 
-
-def comparison_jobs(
-    configurations: Sequence[ConfigurationLike],
-    workloads: Sequence[WorkloadLike],
-    baseline: ConfigurationLike = "tdx_baseline",
-    experiment: Optional[ExperimentConfig] = None,
-    engine: Optional[EngineLike] = None,
-) -> List[SimulationJob]:
-    """The job matrix behind ``run_comparison`` for the same arguments.
-
-    The signature mirrors :func:`repro.sim.experiment.run_comparison`
-    (``configurations, workloads, baseline=..., experiment=...,
-    engine=...``), so the two call vocabularies stay interchangeable.
-
-    Mirrors the runner's matrix construction: the baseline is prepended
-    unless a configuration with its name is already selected, and each
-    (workload, configuration) pair becomes one self-contained job.
-    """
-    experiment = experiment or ExperimentConfig()
-    config_list = list(configurations)
-    names = {c if isinstance(c, str) else c.name for c in config_list}
-    if resolve_configuration(baseline).name not in names:
-        config_list = [baseline] + config_list
-    return [
-        SimulationJob(
-            configuration=config,
-            workload=workload,
-            experiment=experiment,
-            engine=engine,
-        )
-        for workload in workloads
-        for config in config_list
-    ]
+    @property
+    def simulated(self) -> bool:
+        """Whether the artifact depends on timing simulations at all."""
+        return self.comparisons is not None

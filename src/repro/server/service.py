@@ -472,7 +472,6 @@ class ExperimentService:
             "figures": [outcome.artifact.key for outcome in report.outcomes],
             "unique_jobs": report.unique_jobs,
             "simulated_jobs": report.simulated_jobs,
-            "build_misses": report.build_misses,
             "failed_trends": report.failed_trends,
             "artifacts": sorted(path.name for path in paths),
         }

@@ -30,6 +30,7 @@ from repro.sim.runner import (
     SimulationJob,
 )
 from repro.sim.experiment import (
+    Comparison,
     ExperimentConfig,
     run_simulation,
     run_comparison,
@@ -57,6 +58,7 @@ __all__ = [
     "ParallelRunner",
     "ResultCache",
     "SimulationJob",
+    "Comparison",
     "ExperimentConfig",
     "run_simulation",
     "run_comparison",

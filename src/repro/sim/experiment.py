@@ -3,9 +3,9 @@
 This module is the entry point the benchmark harness and the examples build
 on (the documented user-facing facade is :class:`repro.api.Session`).
 ``run_simulation`` simulates one workload under one secure-memory
-configuration; ``run_comparison`` runs a set of configurations over a set of
-workloads and normalizes everything to the TDX-like baseline, which is
-exactly how the paper presents Figures 6, 8, 10 and 12.
+configuration; a :class:`Comparison` is a set of configurations over a set
+of workloads, normalized to the TDX-like baseline, which is exactly how the
+paper presents Figures 6, 8, 10 and 12, and ``run_comparison`` runs one.
 
 Configurations may be registry names or :class:`SystemConfiguration` values
 (including unregistered ``derive()``-d variants); workloads may be registry
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.cpu.trace import MemoryTrace
 from repro.errors import AmbiguousConfigurationError
@@ -30,12 +30,15 @@ from repro.sim.runner import (
     ParallelRunner,
     ProgressHook,
     ResultCache,
+    SimulationJob,
     resolve_cache,
+    workload_cache_token,
     workload_profile_token,
 )
 from repro.workloads.registry import build_workload
 
 __all__ = [
+    "Comparison",
     "ExperimentConfig",
     "run_simulation",
     "run_comparison",
@@ -65,8 +68,9 @@ def _build_workload_cached(
     # Trace construction is deterministic and traces are never mutated, so
     # one instance can be shared by every configuration in a comparison (and
     # by repeated jobs in one process) without rebuilding it per job.
-    # ``repro.figures.pipeline.collect_jobs`` sorts a reproduce pass's jobs
-    # workload-major, so a tiny LRU suffices; keeping it small bounds
+    # ``Comparison.jobs`` lists a matrix workload-major and
+    # ``repro.figures.pipeline.reproduce`` sorts a pass's unique jobs the
+    # same way, so a tiny LRU suffices; keeping it small bounds
     # how many (potentially huge) traces stay pinned for the process life.
     # ``profile_token`` keys the memo to the workload's generator profile so
     # an in-process profile edit rebuilds the trace instead of serving the
@@ -113,6 +117,126 @@ def run_simulation(
     return resolved_engine.simulate(trace, spec, experiment)
 
 
+def _unique_by_name(entries: Iterable, identity: Callable, conflict: str) -> Dict[str, object]:
+    """``{name: entry}``, first seen first: exact duplicates collapse, and two
+    entries sharing a name but not ``identity`` raise ``conflict % name``."""
+    unique: Dict[str, object] = {}
+    for entry in entries:
+        name = entry if isinstance(entry, str) else entry.name
+        if name not in unique:
+            unique[name] = entry
+        elif identity(entry) != identity(unique[name]):
+            raise AmbiguousConfigurationError(conflict % name)
+    return unique
+
+
+class Comparison:
+    """A set of configurations over a set of workloads, normalized to a baseline.
+
+    This is how the paper presents Figures 6, 8, 10 and 12, and the unit a
+    figure declares (:attr:`repro.figures.spec.FigureSpec.comparisons`).
+    Construction applies the matrix rules once:
+
+    * the baseline is prepended unless a configuration already has its name
+      -- and a *different* spec under that name is rejected, since
+      normalizing it to itself would print a meaningless all-1.0 table;
+    * exact duplicates collapse to one entry;
+    * two different specs, or two different traces, sharing one name are
+      rejected, because names key the result table.
+
+    ``configurations`` and ``workloads`` then map each name to its entry
+    (registry name, ``SystemConfiguration``, or trace value), baseline
+    first.  :meth:`jobs` lists the matrix workload-major and
+    :meth:`normalize` turns the jobs' outcomes into a
+    :class:`~repro.sim.results.ComparisonResult`.
+    """
+
+    def __init__(
+        self,
+        configurations: Iterable[ConfigurationLike],
+        workloads: Iterable[Union[str, MemoryTrace]],
+        baseline: ConfigurationLike = "tdx_baseline",
+        experiment: Optional[ExperimentConfig] = None,
+    ) -> None:
+        self.experiment = experiment or ExperimentConfig()
+        baseline_spec = resolve_configuration(baseline)
+        self.baseline = baseline_spec.name
+        configs = _unique_by_name(
+            configurations, resolve_configuration,
+            "two different configurations share the name %r; give derived "
+            "specs distinct names (derive(name=...))",
+        )
+        if self.baseline not in configs:
+            configs = {self.baseline: baseline, **configs}
+        elif resolve_configuration(configs[self.baseline]) != baseline_spec:
+            raise AmbiguousConfigurationError(
+                "configuration named %r differs from the %r baseline spec; "
+                "rename the derived configuration (derive(name=...)) or pass "
+                "it as the baseline" % (self.baseline, self.baseline)
+            )
+        self.configurations = configs
+        # Named workloads stay unresolved: trace construction is a pure
+        # function of (name, profile, experiment knobs), so every
+        # configuration still replays the exact same access stream -- which
+        # the normalization depends on -- while jobs satisfied by the cache
+        # never build their trace at all.
+        self.workloads = _unique_by_name(
+            workloads, workload_cache_token,
+            "two different workloads share the name %r; rename one "
+            "(trace.with_name(...) or register it under a distinct name)",
+        )
+
+    def jobs(self, engine: Optional[EngineLike] = None) -> List[SimulationJob]:
+        """One job per (workload, configuration) pair, workload-major."""
+        return [
+            SimulationJob(
+                configuration=config, workload=workload, experiment=self.experiment, engine=engine
+            )
+            for workload in self.workloads.values()
+            for config in self.configurations.values()
+        ]
+
+    def normalize(self, outcomes: Sequence[object]) -> ComparisonResult:
+        """The normalized table of ``outcomes``, given in :meth:`jobs` order.
+
+        Raises :class:`~repro.sim.runner.JobFailedError` when any outcome is
+        a :class:`~repro.sim.runner.JobFailure`: a normalized table cannot
+        be built from a partial matrix.
+        """
+        cells = iter(outcomes)
+        results: Dict[str, Dict[str, SimulationResult]] = {c: {} for c in self.configurations}
+        for workload in self.workloads:
+            for config in self.configurations:
+                results[config][workload] = next(cells)
+        failed = [
+            value
+            for per_workload in results.values()
+            for value in per_workload.values()
+            if isinstance(value, JobFailure)
+        ]
+        if failed:
+            raise JobFailedError(failed)
+        raw: Dict[str, Dict[str, float]] = {
+            config: {workload: result.total_ipc for workload, result in per_workload.items()}
+            for config, per_workload in results.items()
+        }
+        normalized: Dict[str, Dict[str, float]] = {c: {} for c in self.configurations}
+        for workload in self.workloads:
+            base_ipc = raw[self.baseline][workload]
+            for config in self.configurations:
+                normalized[config][workload] = (
+                    raw[config][workload] / base_ipc if base_ipc > 0 else 0.0
+                )
+        return ComparisonResult(
+            baseline=self.baseline,
+            workloads=list(self.workloads),
+            configurations=list(self.configurations),
+            raw_ipc=raw,
+            normalized=normalized,
+            results=results,
+        )
+
+
 def run_comparison(
     configurations: Iterable[ConfigurationLike],
     workloads: Iterable[Union[str, MemoryTrace]],
@@ -131,7 +255,8 @@ def run_comparison(
     :meth:`repro.api.Session.compare` and documented in
     ``docs/architecture.md``): ``(configurations, workloads, baseline=...,
     experiment=..., jobs=..., cache=..., cache_dir=..., progress=...,
-    engine=...)``.
+    engine=...)``.  It builds a :class:`Comparison`, runs its jobs, and
+    normalizes their outcomes.
 
     Configurations (and the baseline) may be registry names or
     ``SystemConfiguration`` values.  ``jobs`` fans the (workload,
@@ -150,72 +275,11 @@ def run_comparison(
     partial matrix, but a retry only re-runs the failing pairs.  The
     experiment service maps this onto a ``failed`` job with error detail.
     """
-    experiment = experiment or ExperimentConfig()
-    cache = resolve_cache(cache, cache_dir)
-    config_list = list(configurations)
-    baseline_spec = resolve_configuration(baseline)
-    baseline_name = baseline_spec.name
-    config_names = [
-        c if isinstance(c, str) else c.name for c in config_list
-    ]
-    if baseline_name in config_names:
-        # Names are user-controlled (derive(name=...)), so a name match must
-        # not silently stand in for the baseline: normalizing a different
-        # spec to itself would print a meaningless all-1.0 table.
-        entry = config_list[config_names.index(baseline_name)]
-        if resolve_configuration(entry) != baseline_spec:
-            raise AmbiguousConfigurationError(
-                "configuration named %r differs from the %r baseline spec; "
-                "rename the derived configuration (derive(name=...)) or pass "
-                "it as the baseline" % (baseline_name, baseline_name)
-            )
-    else:
-        config_list = [baseline] + config_list
-        config_names = [baseline_name] + config_names
-    workload_list = list(workloads)
-
-    # Named workloads are passed to the jobs unresolved: trace construction
-    # is a pure function of (name, profile, experiment knobs), so every
-    # configuration still replays the exact same access stream -- which the
-    # baseline-normalized figures depend on -- while jobs satisfied by the
-    # cache never build their trace at all.
-    workload_names: List[str] = [
-        workload if isinstance(workload, str) else workload.name for workload in workload_list
-    ]
-
-    runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress, failures=failures)
-    results: Dict[str, Dict[str, SimulationResult]] = runner.run_matrix(
-        config_list, workload_list, experiment, engine=engine
+    comparison = Comparison(configurations, workloads, baseline, experiment)
+    runner = ParallelRunner(
+        jobs=jobs, cache=resolve_cache(cache, cache_dir), progress=progress, failures=failures
     )
-    failed = [
-        value
-        for per_workload in results.values()
-        for value in per_workload.values()
-        if isinstance(value, JobFailure)
-    ]
-    if failed:
-        raise JobFailedError(failed)
-    raw: Dict[str, Dict[str, float]] = {
-        config: {workload: result.total_ipc for workload, result in per_workload.items()}
-        for config, per_workload in results.items()
-    }
-
-    normalized: Dict[str, Dict[str, float]] = {c: {} for c in config_names}
-    for workload_name in workload_names:
-        base_ipc = raw[baseline_name][workload_name]
-        for config in config_names:
-            normalized[config][workload_name] = (
-                raw[config][workload_name] / base_ipc if base_ipc > 0 else 0.0
-            )
-
-    return ComparisonResult(
-        baseline=baseline_name,
-        workloads=workload_names,
-        configurations=config_names,
-        raw_ipc=raw,
-        normalized=normalized,
-        results=results,
-    )
+    return comparison.normalize(runner.run(comparison.jobs(engine)))
 
 
 def default_system_parameters() -> Dict[str, str]:

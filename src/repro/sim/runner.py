@@ -41,13 +41,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.trace import MemoryTrace
-from repro.errors import AmbiguousConfigurationError
 from repro import obs
 from repro.secure.configs import (
     CONFIGURATIONS,
     ConfigurationLike,
     SystemConfiguration,
-    resolve_configuration,
 )
 from repro.secure.configs import REGISTRY as CONFIGURATION_REGISTRY
 from repro.sim.engines import EngineLike, resolve_engine
@@ -453,7 +451,7 @@ class ParallelRunner:
     ``failures`` selects what happens when a job raises:
 
     * ``"raise"`` (the default, and the historical behavior) propagates the
-      exception out of :meth:`run` / :meth:`run_matrix`;
+      exception out of :meth:`run`;
     * ``"capture"`` records a :class:`JobFailure` in that job's result slot,
       emits a ``"failed"`` :class:`JobEvent`, and keeps going -- the rest of
       the matrix completes (and is cached), which is what lets the
@@ -588,66 +586,3 @@ class ParallelRunner:
             self._emit(
                 JobEvent(job.configuration_name, job.workload_name, "done", index, total, elapsed)
             )
-
-    # ------------------------------------------------------------------
-    def run_matrix(
-        self,
-        configurations: Sequence[ConfigurationLike],
-        workloads: Sequence[Union[str, MemoryTrace]],
-        experiment: "ExperimentConfig",
-        engine: Optional[EngineLike] = None,
-    ) -> Dict[str, Dict[str, SimulationResult]]:
-        """Run the full cross product; returns ``{config name: {workload: result}}``.
-
-        Configurations may be names or :class:`SystemConfiguration` values;
-        the result table is keyed by name either way.  Exact duplicates are
-        collapsed and run once, but two *different* specs sharing one name
-        would be indistinguishable in the table -- that is rejected.
-
-        In ``failures="capture"`` mode a job that raised contributes a
-        :class:`JobFailure` as its table value while every other cell still
-        holds its :class:`~repro.sim.results.SimulationResult`.
-        """
-        seen: Dict[str, ConfigurationLike] = {}
-        config_list: List[ConfigurationLike] = []
-        for config in configurations:
-            name = config if isinstance(config, str) else config.name
-            if name in seen:
-                if resolve_configuration(config) != resolve_configuration(seen[name]):
-                    raise AmbiguousConfigurationError(
-                        "two different configurations share the name %r; give "
-                        "derived specs distinct names (derive(name=...))" % name
-                    )
-                continue
-            seen[name] = config
-            config_list.append(config)
-        names = list(seen)
-        # The result table is keyed by workload name too, so two *different*
-        # traces sharing one name (e.g. two imported stores whose headers
-        # both say "mcf") would silently overwrite each other's row.
-        workload_tokens: Dict[str, str] = {}
-        for workload in workloads:
-            workload_name = workload if isinstance(workload, str) else workload.name
-            token = workload_cache_token(workload)
-            previous = workload_tokens.setdefault(workload_name, token)
-            if previous != token:
-                raise AmbiguousConfigurationError(
-                    "two different workloads share the name %r; rename one "
-                    "(trace.with_name(...) or register it under a distinct "
-                    "name)" % workload_name
-                )
-        job_list = [
-            SimulationJob(
-                configuration=config,
-                workload=workload,
-                experiment=experiment,
-                engine=engine,
-            )
-            for workload in workloads
-            for config in config_list
-        ]
-        outcomes = self.run(job_list)
-        table: Dict[str, Dict[str, SimulationResult]] = {name: {} for name in names}
-        for job, result in zip(job_list, outcomes):
-            table[job.configuration_name][job.workload_name] = result
-        return table

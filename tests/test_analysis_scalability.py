@@ -79,19 +79,3 @@ class TestSweep:
     def test_protected_gib_property(self):
         point = secddr_scalability(16 * GB)
         assert point.protected_gib == pytest.approx(16.0)
-
-
-class TestMeasuredProtectionOverheads:
-    def test_simulated_gmeans_match_the_analytic_ordering(self):
-        from repro.analysis.scalability import measured_protection_overheads
-        from repro.sim.experiment import ExperimentConfig
-
-        measured = measured_protection_overheads(
-            workloads=["mcf"],
-            configurations=["integrity_tree_64", "secddr_xts"],
-            experiment=ExperimentConfig(num_accesses=300, num_cores=2),
-        )
-        assert measured["tdx_baseline"] == pytest.approx(1.0)
-        # The analytic model's claim holds empirically: the tree pays for its
-        # extra accesses, SecDDR+XTS does not.
-        assert measured["secddr_xts"] > measured["integrity_tree_64"]

@@ -146,14 +146,18 @@ class TestDerivedParallelEqualsSerial:
         derived = CONFIGURATIONS["secddr_ctr"].derive(name="dup")
         other = CONFIGURATIONS["secddr_xts"].derive(name="dup")
         with pytest.raises(ValueError, match="share the name"):
-            ParallelRunner().run_matrix([derived, other], ["gcc"], FAST)
+            run_comparison([derived, other], ["gcc"], experiment=FAST)
 
     def test_exact_duplicates_collapse_and_run_once(self):
-        matrix = ParallelRunner().run_matrix(
-            ["secddr_xts", "secddr_xts", CONFIGURATIONS["secddr_xts"]], ["gcc"], FAST
+        events = []
+        result = run_comparison(
+            ["secddr_xts", "secddr_xts", CONFIGURATIONS["secddr_xts"]], ["gcc"],
+            experiment=FAST, progress=events.append,
         )
-        assert list(matrix) == ["secddr_xts"]
-        assert matrix["secddr_xts"]["gcc"].total_ipc > 0
+        assert result.configurations == ["tdx_baseline", "secddr_xts"]
+        assert list(result.results) == ["tdx_baseline", "secddr_xts"]
+        assert [e.status for e in events].count("done") == 2
+        assert result.results["secddr_xts"]["gcc"].total_ipc > 0
 
     def test_derived_config_shadowing_the_baseline_name_rejected(self):
         impostor = CONFIGURATIONS["secddr_xts"].derive(name="tdx_baseline")

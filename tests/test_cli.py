@@ -213,6 +213,13 @@ class TestCommands:
         parallel_out = capsys.readouterr().out
         assert parallel_out == serial_out
 
+    def test_compare_lists_a_repeated_configuration_once(self, capsys):
+        argv = ["compare", "-w", "gcc", "-c", "secddr_xts,secddr_xts", "-a", "200", "-n", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].split() == ["workload", "tdx_baseline", "secddr_xts"]
+        assert out.count("gmean secddr_xts") == 1
+
     def test_compare_uses_and_reports_cache(self, tmp_path, capsys):
         argv = [
             "compare", "-w", "gcc", "-c", "secddr_xts", "-a", "200", "-n", "1",

@@ -69,7 +69,7 @@ class TestArchitectureDoc:
 
     def test_canonical_comparison_signature_is_documented(self):
         # The canonical kwargs shared by run_comparison / Session.compare /
-        # comparison_jobs (satellite of the engine API redesign).
+        # Comparison.
         text = ARCHITECTURE.read_text()
         assert "configurations" in text and "engine=" in text
 

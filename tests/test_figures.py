@@ -6,15 +6,14 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import UnknownFigureError
 from repro.figures import (
     ARTIFACT_SCHEMA_VERSION,
     FIGURES,
     FigureArtifact,
-    FigureContext,
     PaperDelta,
     TrendResult,
-    collect_jobs,
     figure_names,
     figure_payload,
     get_figure,
@@ -24,11 +23,9 @@ from repro.figures import (
 )
 from repro.figures.report import write_figure_csv, write_figure_json
 from repro.cli import main
-from repro.secure.configs import resolve_configuration
 from repro.sim import experiment as experiment_module
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import ResultCache, SimulationJob
-from repro.workloads.registry import REGISTRY as WORKLOAD_REGISTRY
+from repro.sim.runner import ResultCache
 
 #: Every artifact of the paper, in registry (paper) order.
 EXPECTED_KEYS = [
@@ -39,11 +36,15 @@ EXPECTED_KEYS = [
 TINY = ExperimentConfig(num_accesses=80, num_cores=1)
 TINY_WORKLOADS = ["mcf", "pr"]
 
-
-def tiny_context(**kwargs):
-    kwargs.setdefault("experiment", TINY)
-    kwargs.setdefault("workload_filter", list(TINY_WORKLOADS))
-    return FigureContext(**kwargs)
+#: Unique simulation jobs of each figure alone at the TINY budget; the
+#: analytic specs simulate nothing.
+UNIQUE_JOBS = {
+    "table1": 0, "table2": 0, "fig6": 12, "fig7": 2, "fig8": 20, "fig10": 10,
+    "fig12": 10, "attacks": 0, "security": 0, "scalability": 8,
+    "ablation_cache": 36, "ablation_burst": 30,
+}
+#: All twelve together: the figures share many of their jobs.
+ALL_UNIQUE_JOBS = 87
 
 
 class TestRegistry:
@@ -59,51 +60,58 @@ class TestRegistry:
         assert [spec.key for spec in resolve_figures()] == EXPECTED_KEYS
 
 
-class TestJobMatrices:
+class TestWhatThePipelineRuns:
     @pytest.mark.parametrize("key", EXPECTED_KEYS)
-    def test_spec_builds_a_valid_job_matrix(self, key):
-        """Every declared job resolves and has a computable cache key."""
-        spec = get_figure(key)
-        jobs = spec.jobs(tiny_context())
-        assert (len(jobs) > 0) == spec.simulated
-        for job in jobs:
-            assert isinstance(job, SimulationJob)
-            resolve_configuration(job.configuration)
-            if isinstance(job.workload, str):
-                WORKLOAD_REGISTRY[job.workload]
-            assert len(job.cache_key()) == 64
+    def test_each_figure_alone_runs_its_jobs_once_on_the_chosen_engine(self, key):
+        """Without a cache every unique job is simulated exactly once, each
+        on the pass's engine, and only the specs that declare comparisons
+        count as simulated."""
+        observation = obs.Observation(registry=obs.MetricsRegistry())
+        with obs.observing(observation):
+            report = reproduce(
+                figures=[key], experiment=TINY, workload_filter=TINY_WORKLOADS,
+                engine="reference",
+            )
+        assert report.unique_jobs == UNIQUE_JOBS[key]
+        assert report.simulated_jobs == report.unique_jobs
+        assert report.cache_directory is None
+        assert get_figure(key).simulated == (UNIQUE_JOBS[key] > 0)
+        engines = {
+            name: value for name, value in observation.registry.summary().items()
+            if name.startswith("engine_jobs_total")
+        }
+        expected = {"engine_jobs_total{engine=reference}": report.unique_jobs}
+        assert engines == (expected if report.unique_jobs else {})
 
-    def test_job_matrices_overlap_across_figures(self):
-        """Dedup matters: fig7's jobs are a strict subset of fig6's."""
-        ctx = tiny_context()
-        fig6_keys = {job.cache_key() for job in get_figure("fig6").jobs(ctx)}
-        fig7_keys = {job.cache_key() for job in get_figure("fig7").jobs(ctx)}
-        assert fig7_keys < fig6_keys
-        scalability_keys = {job.cache_key() for job in get_figure("scalability").jobs(ctx)}
-        assert scalability_keys <= fig6_keys
+    def test_figures_share_their_jobs(self):
+        """fig7's and the scalability spec's jobs are all among fig6's."""
+        report = reproduce(
+            figures=["fig6", "fig7", "scalability"], experiment=TINY,
+            workload_filter=TINY_WORKLOADS,
+        )
+        assert report.unique_jobs == UNIQUE_JOBS["fig6"]
 
-    def test_collect_jobs_deduplicates(self):
-        ctx = tiny_context()
-        specs = [get_figure("fig6"), get_figure("fig7"), get_figure("scalability")]
-        unique = collect_jobs(specs, ctx)
-        assert len(unique) == len(get_figure("fig6").jobs(ctx))
+    def test_scalability_summary_orders_the_measured_mechanisms(self):
+        report = reproduce(
+            figures=["scalability"], experiment=TINY, workload_filter=TINY_WORKLOADS,
+        )
+        summary = report.artifacts[0].summary
+        assert summary["measured_gmean/tdx_baseline"] == pytest.approx(1.0)
+        # The analytic model's claim holds empirically: the tree pays for its
+        # extra accesses, SecDDR+XTS does not.
+        assert summary["measured_gmean/secddr_xts"] > summary["measured_gmean/integrity_tree_64"]
 
 
 class TestPipeline:
-    def test_all_figures_build_from_their_declared_jobs(self, tmp_path):
-        """End-to-end over every spec: the fan-out phase must cover every
-        simulation the build phase performs (zero build-phase cache misses).
-        """
-        report = reproduce(
-            experiment=TINY,
-            workload_filter=TINY_WORKLOADS,
-            cache=ResultCache(tmp_path / "cache"),
-        )
+    def test_all_figures_read_each_job_once(self, tmp_path):
+        """End-to-end over every spec: a cold pass looks each unique job up
+        once (all misses), a warm pass reads each once (all hits), and the
+        build phase reads nothing back."""
+        cache = ResultCache(tmp_path / "cache")
+        report = reproduce(experiment=TINY, workload_filter=TINY_WORKLOADS, cache=cache)
         assert [o.artifact.key for o in report.outcomes] == EXPECTED_KEYS
-        assert report.unique_jobs > 0
-        assert report.build_misses == 0, (
-            "some spec simulates jobs its jobs() matrix does not declare"
-        )
+        assert report.unique_jobs == report.simulated_jobs == ALL_UNIQUE_JOBS
+        assert (cache.hits, cache.misses) == (0, ALL_UNIQUE_JOBS)
         for outcome in report.outcomes:
             assert outcome.artifact.rows, outcome.artifact.key
             assert outcome.artifact.columns, outcome.artifact.key
@@ -114,6 +122,14 @@ class TestPipeline:
             "fig12": 3, "attacks": 4, "security": 6, "scalability": 3,
             "ablation_cache": 3, "ablation_burst": 3,
         }
+
+        warm_cache = ResultCache(tmp_path / "cache")
+        warm = reproduce(experiment=TINY, workload_filter=TINY_WORKLOADS, cache=warm_cache)
+        assert (warm_cache.hits, warm_cache.misses) == (ALL_UNIQUE_JOBS, 0)
+        assert (warm.unique_jobs, warm.simulated_jobs) == (ALL_UNIQUE_JOBS, 0)
+        assert [figure_payload(a) for a in warm.artifacts] == [
+            figure_payload(a) for a in report.artifacts
+        ]
 
     def test_each_distinct_trace_is_built_once(self, tmp_path, monkeypatch):
         """A full pass runs its jobs workload-major, so the small trace LRU
@@ -160,13 +176,6 @@ class TestPipeline:
         )
         assert parallel.artifacts[0].rows == serial.artifacts[0].rows
         assert parallel.artifacts[0].summary == serial.artifacts[0].summary
-
-    def test_ephemeral_cache_still_feeds_the_build_phase(self):
-        report = reproduce(
-            figures=["fig7"], experiment=TINY, workload_filter=TINY_WORKLOADS,
-        )
-        assert report.cache_directory is None
-        assert report.build_misses == 0
 
 
 def sample_artifact():

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulation
+from repro.sim.experiment import Comparison, ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import (
     CACHE_SCHEMA_VERSION,
     JobEvent,
@@ -192,18 +192,26 @@ class TestResultCache:
         assert workload_cache_token(trace) is workload_cache_token(trace)
 
 
-class TestRunMatrix:
-    def test_matrix_covers_the_cross_product(self):
-        runner = ParallelRunner()
-        matrix = runner.run_matrix(CONFIGS, WORKLOADS, FAST)
-        assert set(matrix) == set(CONFIGS)
-        for config in CONFIGS:
-            assert set(matrix[config]) == set(WORKLOADS)
+class TestComparisonMatrix:
+    def test_comparison_covers_the_cross_product(self):
+        comparison = run_comparison(CONFIGS, WORKLOADS, experiment=FAST)
+        assert comparison.configurations == ["tdx_baseline"] + CONFIGS
+        assert list(comparison.results) == comparison.configurations
+        for config in comparison.configurations:
+            assert list(comparison.results[config]) == WORKLOADS
             for workload in WORKLOADS:
-                result = matrix[config][workload]
+                result = comparison.results[config][workload]
                 assert result.configuration == config
                 assert result.workload == workload
                 assert result.total_ipc > 0
+
+    def test_jobs_are_workload_major(self):
+        comparison = Comparison(CONFIGS, WORKLOADS, experiment=FAST)
+        assert [(job.workload_name, job.configuration_name) for job in comparison.jobs()] == [
+            (workload, config)
+            for workload in WORKLOADS
+            for config in ["tdx_baseline"] + CONFIGS
+        ]
 
 
 class TestRunComparisonCaching:

@@ -579,13 +579,20 @@ class TestStreamingSimulation:
             REGISTRY.unregister("streamed_bg")
 
     def test_figure_matrix_accepts_streamed_workload(self, tmp_path):
-        from repro.figures.spec import FigureContext, comparison_jobs
+        from repro.figures.spec import FigureContext
+        from repro.sim.experiment import Comparison
+
+        from repro.errors import AmbiguousConfigurationError
 
         view = load_trace(save_trace(small_trace(200), tmp_path / "t").path)
+        # The stored trace is named "mcf" too: a matrix cannot hold both.
+        with pytest.raises(AmbiguousConfigurationError, match="share the name"):
+            Comparison(["secddr_ctr"], [view, "mcf"], experiment=EXPERIMENT)
+        view = view.with_name("mcf_stored")
         ctx = FigureContext(experiment=EXPERIMENT, workload_filter=[view, "mcf"])
         assert ctx.all_workloads() == [view, "mcf"]
-        jobs = comparison_jobs(["secddr_ctr"], ctx.all_workloads(), experiment=EXPERIMENT)
-        assert {job.workload_name for job in jobs} == {view.name, "mcf"}
+        jobs = Comparison(["secddr_ctr"], ctx.all_workloads(), experiment=EXPERIMENT).jobs()
+        assert {job.workload_name for job in jobs} == {"mcf_stored", "mcf"}
         for job in jobs:
             assert job.cache_key()  # streamed entries fingerprint cleanly
 
