@@ -495,7 +495,7 @@ def _add_timeline_arguments(subparser: argparse.ArgumentParser) -> None:
 def _add_engine_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="simulation engine: 'batch' (default; a run-ahead replay, about 6-8x "
+        help="simulation engine: 'batch' (default; a run-ahead replay, about 7-8x "
         "faster) or 'reference' (the per-access object model batch reproduces "
         "bit for bit); run 'repro list' for the engine registry",
     )

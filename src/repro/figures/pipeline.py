@@ -3,7 +3,7 @@
 :func:`reproduce` is what ``repro reproduce`` runs:
 
 1. resolve the selected :class:`~repro.figures.spec.FigureSpec` keys;
-2. key every job of every spec's declared comparisons once and
+2. key each distinct job of every spec's declared comparisons once and
    **deduplicate across specs** by that result-cache key (Figure 7 shares
    all of its jobs with Figure 6, the scalability measurements are a subset
    of Figure 6, the Figure 8 packing comparisons reuse the arity
@@ -115,8 +115,10 @@ def reproduce(
         workload_filter=list(workload_filter) if workload_filter else None,
     )
     with obs.span("reproduce", figures=len(specs)):
-        # Each declared job is keyed once: equal keys are one job, and each
-        # comparison keeps its own jobs' keys, in its jobs' order.
+        # Equal declared jobs are one job, keyed once; equal keys are one
+        # job too.  Each comparison keeps its own jobs' keys, in its jobs'
+        # order, and the runner reuses the unique jobs' keys.
+        keyed: Dict[SimulationJob, str] = {}
         unique: Dict[str, SimulationJob] = {}
         declared = []
         for spec in specs:
@@ -125,14 +127,16 @@ def reproduce(
             for name, comparison in comparisons.items():
                 keys[name] = []
                 for job in comparison.jobs(engine):
-                    key = job.cache_key()
-                    unique.setdefault(key, job)
+                    key = keyed.get(job)
+                    if key is None:
+                        key = keyed[job] = job.cache_key()
+                        unique.setdefault(key, job)
                     keys[name].append(key)
             declared.append((spec, comparisons, keys))
         order = sorted(unique, key=lambda key: _trace_identity(unique[key]))
         misses_before = cache.misses if cache is not None else 0
         runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
-        results = dict(zip(order, runner.run([unique[key] for key in order])))
+        results = dict(zip(order, runner.run([unique[key] for key in order], keys=order)))
         simulated = len(order) if cache is None else cache.misses - misses_before
 
         outcomes: List[FigureOutcome] = []

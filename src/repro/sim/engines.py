@@ -6,8 +6,8 @@ The batch engine consumes whole trace chunks as numpy arrays -- vectorized
 DRAM address decode (:meth:`repro.dram.address_mapping.AddressMapping.decode_arrays`),
 metadata-cache coordinates as array probes
 (:meth:`repro.cache.metadata_cache.MetadataCache.index_and_tag_arrays`) and
-secure-mechanism overhead columns precomputed per chunk -- then replays the
-flattened state machine without allocating a single per-access object.
+each core's prefetch plan precomputed per chunk -- then replays only what
+depends on timing, without allocating a single per-access object.
 
 Both engines are registered in :data:`ENGINES` and selected by the
 ``engine=`` parameter threaded through :func:`repro.sim.experiment.run_simulation`,
@@ -25,6 +25,7 @@ one description, :class:`repro.secure.base.MetadataPath`.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
@@ -223,23 +224,31 @@ class ReferenceEngine(Engine):
 class BatchEngine(Engine):
     """Vectorized chunk-at-a-time engine with exact reference parity.
 
-    Per chunk, everything stateless is precomputed as numpy columns: issue
-    deltas (``gap / issue_width``), DRAM locations as (flat bank, row) for
-    data and metadata addresses, metadata-cache set/tag pairs and
-    integrity-tree leaf indices.  The replay then runs one core at a time:
-    the core that issues next, in :meth:`repro.cpu.system.System.run`'s
-    order, keeps stepping while its next issue cycle stays below every
-    other core's (or ties and the core comes first), with its state in
-    local variables.  Each core's next issue cycle is computed once per
-    step.  Each metadata-cache set is one insertion-ordered dict
-    ``{tag: dirty}``, least recently used first, and one loop walks the
-    counter line and then the off-chip tree levels up to the first hit.
-    Write-queue entries sort on (arrival, sequence) within the row hits and
-    the row misses of each FR-FCFS drain.  The rest (ROB/MSHR stalls, DDR
-    bank/rank/bus constraints) lives in plain ints and lists -- no
-    ``MemoryRequest`` or ``DecodedAddress`` objects.  The end-of-run metadata
-    flush and final drain are counted, not replayed, and an in-memory trace
-    keeps its chunk columns (``MemoryTrace.chunk_arrays``) across runs.
+    Per chunk, everything that does not depend on timing is precomputed:
+    issue deltas (``gap / issue_width``), DRAM locations as (flat bank, row)
+    for data and metadata addresses, metadata-cache set/tag pairs and
+    integrity-tree leaf indices, as numpy columns; and each core's prefetch
+    plan -- which reads an earlier prefetch covers and which prefetch targets
+    each other read issues first -- which is
+    :class:`~repro.cache.prefetcher.StreamPrefetcher` run over the core's
+    read addresses alone.  The chunk's prefetch targets are decoded in one
+    vectorized call.  An in-memory trace keeps its chunk columns
+    (``MemoryTrace.chunk_arrays``) and each core offset's plans across runs;
+    a streamed trace plans chunk by chunk and keeps nothing.
+
+    The replay then runs one core at a time: the core that issues next, in
+    :meth:`repro.cpu.system.System.run`'s order, keeps stepping while its
+    next issue cycle stays below every other core's (or ties and the core
+    comes first).  Each core is a generator whose frame holds its state, so
+    switching cores saves and restores nothing; its next issue cycle is
+    computed once per step.  Each metadata-cache set is one
+    insertion-ordered dict ``{tag: dirty}``, least recently used first, and
+    one loop walks the counter line and then the off-chip tree levels up to
+    the first hit.  Write-queue entries sort on (arrival, sequence) within
+    the row hits and the row misses of each FR-FCFS drain.  The rest
+    (ROB/MSHR stalls, DDR bank/rank/bus constraints) lives in plain ints and
+    lists -- no ``MemoryRequest`` or ``DecodedAddress`` objects.  The
+    end-of-run metadata flush and final drain are counted, not replayed.
     """
 
     name = "batch"
@@ -271,6 +280,13 @@ def _batch_unsupported(memory):
     if memory.layout.line_bytes != 64 or memory.metadata_cache.config.line_bytes != 64:
         return "%s uses metadata lines that are not 64 bytes" % system_class.__name__
     return None
+
+
+#: Each in-memory trace's prefetch plans, kept across runs: per trace, a dict
+#: from a core's address offset (None without a prefetcher) to its chunks'
+#: (plan, targets) pairs (see ``refill`` in :func:`_simulate_batch`).  Weak
+#: keys: the plans die with their trace and never travel with a pickled one.
+_PREFETCH_PLANS = weakref.WeakKeyDictionary()
 
 
 def _simulate_batch(trace, spec, experiment):
@@ -641,9 +657,9 @@ def _simulate_batch(trace, spec, experiment):
             return meta_completion, extra
         return data_completion, extra
 
-    def secure_read_dyn(address, dram_float):
-        # Prefetch-generated address: scalar column computation.
-        fb, row = dec(address)
+    def secure_read_dyn(address, fb, row, dram_float):
+        # A prefetch target: its DRAM location comes decoded with its chunk,
+        # its metadata coordinates are computed here.
         if not with_meta:
             return secure_read(address, fb, row, dram_float, 0, 0, 0, 0, 0, 0)
         meta_line = (address >> 6) // meta_per_line
@@ -669,9 +685,10 @@ def _simulate_batch(trace, spec, experiment):
     # ------------------------------------------------------------------
     def _columnized(chunk_iter):
         # Normalize a (gaps, writes, addresses) chunk stream into the columns
-        # the replay loop consumes: an int64 address array (still needed for
-        # decode/cache-coordinate vector math) plus plain-list gap / issue-
-        # delta / write columns.  Empty chunks are dropped here.
+        # the replay consumes: an int64 address array (still needed for
+        # decode/cache-coordinate vector math), plain-list gap and issue-
+        # delta columns, and the write flags the prefetch plan reads.  Empty
+        # chunks are dropped here.
         for gaps_a, writes_a, addrs_a in chunk_iter:
             if not len(gaps_a):
                 continue
@@ -680,50 +697,38 @@ def _simulate_batch(trace, spec, experiment):
                 np.ascontiguousarray(addrs_a, dtype=np.int64),
                 gaps_a.tolist(),
                 (gaps_a / issue_width).tolist(),
-                writes_a.tolist(),
+                writes_a,
             )
 
-    core_chunks = []
     if callable(getattr(trace, "iter_chunk_arrays", None)):
-        # Chunked store traces: per-core offset views are lazy array adds.
-        for core_id in range(num_cores):
-            view = trace.offset(core_id * stride)
-            core_chunks.append(_columnized(view.iter_chunk_arrays()))
+        # Chunked store traces: per-core offset views are lazy array adds,
+        # and each core plans its prefetches chunk by chunk, keeping nothing.
+        kept_plans = None
+
+        def _offset_chunks(offset):
+            return _columnized(trace.offset(offset).iter_chunk_arrays())
     else:
         # In-memory traces: columnize the kept chunk columns and share the
         # gap/write columns across cores -- only addresses differ per core
-        # (a constant stride), so per-core TraceRecord copies are never built.
+        # (a constant stride), so per-core TraceRecord copies are never
+        # built -- and keep each core offset's prefetch plans with the trace.
         base_chunks = list(_columnized(trace.chunk_arrays))
+        kept_plans = _PREFETCH_PLANS.setdefault(trace, {})
 
         def _offset_chunks(offset):
-            for addrs_a, gap_list, gapdiv_list, write_list in base_chunks:
-                yield (
-                    (addrs_a + offset) if offset else addrs_a,
-                    gap_list,
-                    gapdiv_list,
-                    write_list,
-                )
+            for addrs_a, gap_list, gapdiv_list, writes_a in base_chunks:
+                yield (addrs_a + offset) if offset else addrs_a, gap_list, gapdiv_list, writes_a
 
-        for core_id in range(num_cores):
-            core_chunks.append(_offset_chunks(core_id * stride))
-
-    # Per core: the current chunk's 12 columns (see refill), the index of
-    # its pending record, that record's issue cycle and the ROB/MSHR head
-    # its issue scan stopped at, then the state its last step left.
-    core_cols = [None] * num_cores
-    core_idx = [0] * num_cores
-    core_next = [0.0] * num_cores
-    next_head = [0] * num_cores
+    # What each core last published for tl_sample and the results: its CPU
+    # cycle, retired instructions, ROB/MSHR head, outstanding reads'
+    # completions and instruction indices, and (once done) its read count
+    # and summed read latency.
     core_cpu = [0.0] * num_cores
     core_instr = [0] * num_cores
-    core_reads = [0] * num_cores
-    core_lat = [0.0] * num_cores
+    out_head = [0] * num_cores
     out_comp = [[] for _ in range(num_cores)]
     out_inst = [[] for _ in range(num_cores)]
-    out_head = [0] * num_cores
-    pf_last = [-1] * num_cores
-    pf_streak = [0] * num_cores
-    pf_sets = [set() for _ in range(num_cores)]
+    tallies = [(0, 0.0)] * num_cores
 
     # Chunk refills are the batch engine's unit of work; when tracing is on
     # each one becomes an "engine-chunk" span (child of the live "engine"
@@ -768,12 +773,10 @@ def _simulate_batch(trace, spec, experiment):
             metadata_accesses, metadata_hits, rob, mshr, depths,
         )
 
-    def refill(c):
-        chunk_start = tracer.now() if tracer is not None else 0.0
-        try:
-            addrs_a, gap_list, gapdiv_list, write_list = next(core_chunks[c])
-        except StopIteration:
-            return False
+    def decode_chunk(addrs_a, targets_a):
+        # A chunk's DRAM locations and metadata coordinates, then its
+        # prefetch targets' DRAM locations, as plain lists.  A function of its
+        # own so that its arrays die here, not in refill's suspended frame.
         decoded = mapping.decode_arrays(addrs_a)
         meta = ((),) * 6
         if with_meta:
@@ -787,44 +790,112 @@ def _simulate_batch(trace, spec, experiment):
                 # Tree leaves; all 0 (and unread) without a tree.
                 np.minimum(meta_line_a, leaf_limit).tolist(),
             )
-        core_cols[c] = (
-            gap_list, gapdiv_list, write_list, addrs_a.tolist(),
+        tdec = mapping.decode_arrays(targets_a)
+        return (
             mapping.flat_bank_arrays(decoded).tolist(), decoded.row.tolist(),
-        ) + meta
-        if tracer is not None:
-            tracer.record(
-                "engine-chunk", chunk_start, tracer.now() - chunk_start,
-                attrs={"core": c, "accesses": len(gap_list)},
-            )
-        return True
+        ) + meta + (
+            mapping.flat_bank_arrays(tdec).tolist(), tdec.row.tolist(),
+        )
 
-    def advance(c, limit, tie_ok):
-        # Step core c, at least once, and on while its next issue cycle is
-        # below ``limit``, the earliest other core's, or equal to it when
-        # ``tie_ok``: then c precedes every core issuing at ``limit`` in
-        # ``active``, and System.run()'s first-index-wins argmin would pick
-        # c each time.  Other cores' issue cycles depend on their own state
-        # only, so they hold while c runs.  Returns c's next issue cycle, or
-        # None when its trace is done.
+    def refill(c):
+        # Core c's chunks as the replay's 15 columns, one chunk per next().
+        # The prefetch plan has one entry per record: None for a write, -1
+        # for a read an earlier prefetch covers, and k >= 0 for a read that
+        # first issues the chunk's next k prefetch targets.  It is
+        # StreamPrefetcher's covers() then observe_miss() on each read, whose
+        # state (outstanding targets, last line, streak) carries across
+        # chunks.  It depends on the core's read addresses alone, so an
+        # in-memory trace keeps it per core offset across runs (line 0 starts
+        # a streak only at offset 0, where the last line starts at -1).
+        offset = c * stride
+        key = offset if prefetch_enabled else None
+        plans = kept_plans.get(key) if kept_plans is not None else None
+        # The plans this run builds, when the trace keeps them.
+        built = [] if plans is None and kept_plans is not None else None
+        outstanding = set()
+        last_line = -1
+        streak = 0
+        chunk_start = tracer.now() if tracer is not None else 0.0
+        for index, (addrs_a, gap_list, gapdiv_list, writes_a) in enumerate(_offset_chunks(offset)):
+            addrs = addrs_a.tolist()
+            if plans is not None:
+                plan, targets_a = plans[index]
+                targets = targets_a.tolist()
+            else:
+                targets = []
+                if prefetch_enabled:
+                    plan = []
+                    for address, write in zip(addrs, writes_a.tolist()):
+                        if write:
+                            plan.append(None)
+                            continue
+                        line = address >> 6
+                        if line << 6 in outstanding:
+                            outstanding.discard(line << 6)
+                            plan.append(-1)
+                            continue
+                        streak = streak + 1 if line == last_line + 1 else 0
+                        last_line = line
+                        issued = 0
+                        if streak >= pf_threshold:
+                            for ahead in range(1, pf_degree + 1):
+                                target = (line + ahead) << 6
+                                if target not in outstanding:
+                                    if len(outstanding) >= pf_max:
+                                        outstanding.clear()
+                                    outstanding.add(target)
+                                    targets.append(target)
+                                    issued += 1
+                        plan.append(issued)
+                else:
+                    plan = [None if write else 0 for write in writes_a.tolist()]
+                targets_a = np.array(targets, dtype=np.int64)
+                if built is not None:
+                    built.append((plan, targets_a))
+            columns = (gap_list, gapdiv_list, plan, addrs, targets) + decode_chunk(addrs_a, targets_a)
+            if tracer is not None:
+                tracer.record(
+                    "engine-chunk", chunk_start, tracer.now() - chunk_start,
+                    attrs={"core": c, "accesses": len(gap_list)},
+                )
+            yield columns
+            chunk_start = tracer.now() if tracer is not None else 0.0
+        if built is not None:
+            kept_plans[key] = built
+
+    def advance(c):
+        # Core c's replay, its state in this frame.  Each send((limit,
+        # tie_ok)) steps the core at least once, and on while its next issue
+        # cycle is below ``limit``, the earliest other core's, or equal to it
+        # when ``tie_ok``: then c precedes every core issuing at ``limit`` in
+        # ``active``, and System.run()'s first-index-wins argmin would pick c
+        # each time.  Other cores' issue cycles depend on their own state
+        # only, so they hold while c runs.  Yields c's next issue cycle, or
+        # None when its trace is done, after publishing what tl_sample reads.
         nonlocal tl_steps
-        (gaps, gapdivs, writes, addrs, fbs, rows,
-         maddrs, msets, mtags, mfbs, mrows, mleafs) = core_cols[c]
-        i = core_idx[c]
+        chunks = refill(c)
+        columns = next(chunks, None)
+        if columns is None:
+            yield None
+            return
+        (gaps, gapdivs, plan, addrs, targets, fbs, rows,
+         maddrs, msets, mtags, mfbs, mrows, mleafs, tfbs, trows) = columns
+        i = 0
+        t = 0
         n = len(gaps)
-        issue = core_next[c]
-        j = next_head[c]
-        instr = core_instr[c]
-        head = out_head[c]
+        issue = gapdivs[0]
+        j = 0
+        instr = 0
+        head = 0
         comp = out_comp[c]
         inst = out_inst[c]
-        reads = core_reads[c]
-        lat = core_lat[c]
-        pf = pf_sets[c]
-        last_line = pf_last[c]
-        streak = pf_streak[c]
+        reads = 0
+        lat = 0.0
+        limit, tie_ok = yield issue
         while True:
             instr += gaps[i]
-            if writes[i]:
+            k = plan[i]
+            if k is None:
                 if with_meta:
                     secure_write(
                         addrs[i], fbs[i], rows[i], issue / ratio,
@@ -839,30 +910,16 @@ def _simulate_batch(trace, spec, experiment):
                     j = 0
                 head = j
                 issue_dram = (issue + onchip) / ratio
-                covered = False
-                if prefetch_enabled:
-                    line = addrs[i] >> 6
-                    line_address = line << 6
-                    if line_address in pf:
-                        pf.discard(line_address)
-                        completion_dram = issue_dram
-                        extra = 0.0
-                        covered = True
-                    else:
-                        if line == last_line + 1:
-                            streak += 1
-                        else:
-                            streak = 0
-                        last_line = line
-                        if streak >= pf_threshold:
-                            for ahead in range(1, pf_degree + 1):
-                                target = (line + ahead) << 6
-                                if target not in pf:
-                                    if len(pf) >= pf_max:
-                                        pf.clear()
-                                    pf.add(target)
-                                    secure_read_dyn(target, issue_dram)
-                if not covered:
+                if k < 0:
+                    # An earlier prefetch brought the line on chip.
+                    completion_dram = issue_dram
+                    extra = 0.0
+                else:
+                    # Prefetches consume bandwidth, but nobody waits on them.
+                    while k:
+                        secure_read_dyn(targets[t], tfbs[t], trows[t], issue_dram)
+                        t += 1
+                        k -= 1
                     if with_meta:
                         completion_dram, extra = secure_read(
                             addrs[i], fbs[i], rows[i], issue_dram,
@@ -887,17 +944,18 @@ def _simulate_batch(trace, spec, experiment):
                     out_head[c] = head
                     tl_sample()
             if i == n:
-                if not refill(c):
-                    issue = None
+                columns = next(chunks, None)
+                if columns is None:
                     break
-                (gaps, gapdivs, writes, addrs, fbs, rows,
-                 maddrs, msets, mtags, mfbs, mrows, mleafs) = core_cols[c]
+                (gaps, gapdivs, plan, addrs, targets, fbs, rows,
+                 maddrs, msets, mtags, mfbs, mrows, mleafs, tfbs, trows) = columns
                 i = 0
+                t = 0
                 n = len(gaps)
             # Core.next_issue_cycle(): a read also waits for the ROB and
             # MSHR entries it needs, oldest first.
             issue = cpu + gapdivs[i]
-            if not writes[i]:
+            if plan[i] is not None:
                 j = head
                 m = len(comp)
                 index = instr + gaps[i]
@@ -912,24 +970,19 @@ def _simulate_batch(trace, spec, experiment):
                         issue = v
                     j += 1
             if issue > limit or (issue == limit and not tie_ok):
-                break
-        core_idx[c] = i
-        core_next[c] = issue
-        next_head[c] = j
+                core_cpu[c] = cpu
+                core_instr[c] = instr
+                out_head[c] = head
+                limit, tie_ok = yield issue
         core_cpu[c] = cpu
         core_instr[c] = instr
         out_head[c] = head
-        core_reads[c] = reads
-        core_lat[c] = lat
-        pf_last[c] = last_line
-        pf_streak[c] = streak
-        return issue
+        tallies[c] = (reads, lat)
+        yield None
 
-    active = []
-    for c in range(num_cores):
-        if refill(c):
-            active.append(c)
-            core_next[c] = core_cpu[c] + core_cols[c][1][0]
+    cores = [advance(c) for c in range(num_cores)]
+    core_next = [next(core) for core in cores]
+    active = [c for c in range(num_cores) if core_next[c] is not None]
     no_limit = float("inf")
     while active:
         # First-index-wins argmin over the pending issue cycles, as in
@@ -948,8 +1001,12 @@ def _simulate_batch(trace, spec, experiment):
             elif v < limit:
                 limit = v
                 other = k
-        if advance(active[pos], limit, other > pos) is None:
+        c = active[pos]
+        issue = cores[c].send((limit, other > pos))
+        if issue is None:
             del active[pos]
+        else:
+            core_next[c] = issue
 
     # ------------------------------------------------------------------
     # End of simulation: count the metadata flush and the final drain
@@ -975,8 +1032,8 @@ def _simulate_batch(trace, spec, experiment):
         finals.append(final_cycle)
         ipcs.append(core_instr[c] / final_cycle if final_cycle > 0 else 0.0)
     total_instructions = sum(core_instr)
-    total_reads = sum(core_reads)
-    total_latency = sum(core_lat)
+    total_reads = sum(reads for reads, _ in tallies)
+    total_latency = sum(lat for _, lat in tallies)
     average_read_latency = total_latency / total_reads if total_reads else 0.0
 
     stats = {

@@ -482,8 +482,14 @@ class ParallelRunner:
         if self.progress is not None:
             self.progress(event)
 
-    def run(self, jobs: Sequence[SimulationJob]) -> List[SimulationResult]:
-        """Run every job, returning results in input order."""
+    def run(
+        self, jobs: Sequence[SimulationJob], keys: Optional[Sequence[str]] = None
+    ) -> List[SimulationResult]:
+        """Run every job, returning results in input order.
+
+        ``keys``, when the caller already holds them, are the jobs' cache
+        keys in the same order; the runner then keys no job itself.
+        """
         job_list = list(jobs)
         total = len(job_list)
         results: List[Optional[SimulationResult]] = [None] * total
@@ -492,7 +498,10 @@ class ParallelRunner:
 
         with obs.span("matrix", jobs=total):
             for index, job in enumerate(job_list):
-                key = job.cache_key() if self.cache is not None else None
+                if self.cache is None:
+                    key = None
+                else:
+                    key = keys[index] if keys is not None else job.cache_key()
                 cached = self.cache.get(key) if key is not None else None
                 if cached is not None:
                     results[index] = cached

@@ -25,7 +25,7 @@ from repro.figures.report import write_figure_csv, write_figure_json
 from repro.cli import main
 from repro.sim import experiment as experiment_module
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import ResultCache
+from repro.sim.runner import ResultCache, SimulationJob
 
 #: Every artifact of the paper, in registry (paper) order.
 EXPECTED_KEYS = [
@@ -130,6 +130,22 @@ class TestPipeline:
         assert [figure_payload(a) for a in warm.artifacts] == [
             figure_payload(a) for a in report.artifacts
         ]
+
+    def test_each_unique_job_is_keyed_once(self, tmp_path, monkeypatch):
+        """Equal declared jobs collapse before keying, and the runner reuses
+        the pipeline's keys: one cache_key call per unique job."""
+        calls = []
+        cache_key = SimulationJob.cache_key
+
+        def counting_cache_key(job):
+            calls.append(job)
+            return cache_key(job)
+
+        monkeypatch.setattr(SimulationJob, "cache_key", counting_cache_key)
+        report = reproduce(
+            experiment=TINY, workload_filter=TINY_WORKLOADS, cache=ResultCache(tmp_path / "cache")
+        )
+        assert len(calls) == report.unique_jobs == ALL_UNIQUE_JOBS
 
     def test_each_distinct_trace_is_built_once(self, tmp_path, monkeypatch):
         """A full pass runs its jobs workload-major, so the small trace LRU

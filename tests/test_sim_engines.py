@@ -7,17 +7,20 @@ configuration, every mechanism under every encryption mode, and randomized
 traces and DDR4/DDR5 mapping geometries.
 """
 
+import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.metadata_cache import MetadataCache
+from repro.cache.prefetcher import StreamPrefetcher
 from repro.cli import main
 from repro.controller.memory_controller import MemoryController
+from repro.cpu.system import SystemConfig
 from repro.cpu.trace import MemoryTrace, TraceRecord
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
@@ -39,6 +42,7 @@ from repro.sim.engines import (
     BatchEngineUnsupported,
     EngineRegistry,
     ReferenceEngine,
+    _PREFETCH_PLANS,
     _batch_unsupported,
     engine_names,
     resolve_engine,
@@ -436,6 +440,139 @@ class TestTraceColumns:
         shifted = trace.offset(4096).chunk_arrays
         assert shifted is not kept
         assert np.array_equal(shifted[0][2], kept[0][2] + 4096)
+
+
+def stream_trace(records: int = 600) -> MemoryTrace:
+    """An lbm-like stream: reads walk consecutive lines from line 0, and
+    every third record writes back a line of another region."""
+    stream = []
+    line = 0
+    for index in range(records):
+        if index % 3 == 2:
+            stream.append(TraceRecord(3, True, (1 << 28) + index * 64))
+        else:
+            stream.append(TraceRecord(3, False, line * 64))
+            line += 1
+    return MemoryTrace("stream", stream)
+
+
+def engine_prefetch_plan(records, chunk_size):
+    """The batch engine's prefetch plan for ``records`` on one core, in
+    chunks of ``chunk_size``: each read's covered flag and issued targets."""
+    trace = MemoryTrace("plan", records)
+    trace.chunk_arrays = list(streaming.iter_memory_trace_chunks(trace, chunk_size=chunk_size))
+    experiment = ExperimentConfig(num_accesses=len(trace), num_cores=1)
+    run_simulation(trace, "tdx_baseline", experiment, engine="batch")
+    covered, issued = [], []
+    (offset, chunks), = _PREFETCH_PLANS[trace].items()
+    assert offset == 0 and len(chunks) == len(trace.chunk_arrays)
+    for plan, targets in chunks:
+        targets = targets.tolist()
+        for k in plan:
+            if k is not None:
+                covered.append(k < 0)
+                issued.append(targets[:max(k, 0)])
+                del targets[:max(k, 0)]
+        assert targets == []
+    return covered, issued
+
+
+def oracle_prefetch_plan(records):
+    """One fresh StreamPrefetcher asked ``covers`` and then ``observe_miss``
+    for each read, in order, as the reference system does."""
+    prefetcher = StreamPrefetcher()
+    covered, issued = [], []
+    for record in records:
+        if not record.is_write:
+            covered.append(prefetcher.covers(record.address))
+            issued.append([] if covered[-1] else prefetcher.observe_miss(record.address))
+    return covered, issued
+
+
+@st.composite
+def read_write_streams(draw):
+    """Records whose lines mostly step to the next line, with repeats, steps
+    back and jumps, starting near line 0; and a chunk size."""
+    line = draw(st.integers(0, 4))
+    records = []
+    steps = st.tuples(st.sampled_from([1, 1, 1, 0, -1, 2, None]), st.integers(0, 63), st.booleans())
+    for step, low, write in draw(st.lists(steps, max_size=120)):
+        line = low if step is None else max(0, line + step)
+        records.append(TraceRecord(0, write and low % 3 == 0, line * 64 + low))
+    return records, draw(st.integers(1, 40))
+
+
+def runs_of_three(runs: int):
+    """Runs of three consecutive lines, never revisited: each run's third
+    read issues four targets nobody reads, so the outstanding set passes
+    StreamPrefetcher.max_outstanding; then a read of the first run's first
+    target (cleared long ago) and of the last run's (still outstanding)."""
+    records = [
+        TraceRecord(1, False, (run * 16 + step) * 64) for run in range(runs) for step in range(3)
+    ]
+    records.append(TraceRecord(1, False, 3 * 64))
+    records.append(TraceRecord(1, False, ((runs - 1) * 16 + 3) * 64))
+    return records
+
+
+class TestPrefetchPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(read_write_streams())
+    @example(([TraceRecord(0, False, line * 64) for line in range(6)], 40))  # line 0 at offset 0
+    @example(([TraceRecord(0, False, (10 + k) * 64) for k in range(8)], 2))  # across chunk bounds
+    def test_plan_equals_the_stream_prefetcher(self, stream):
+        records, chunk_size = stream
+        assert engine_prefetch_plan(records, chunk_size) == oracle_prefetch_plan(records)
+
+    @pytest.mark.parametrize("chunk_size", [97, 65536])
+    def test_plan_clears_a_full_outstanding_set(self, chunk_size):
+        records = runs_of_three(1100)
+        covered, issued = oracle_prefetch_plan(records)
+        assert 4 * 1100 > StreamPrefetcher().max_outstanding
+        assert covered[-2:] == [False, True]
+        assert engine_prefetch_plan(records, chunk_size) == (covered, issued)
+
+    def test_each_core_offsets_plan_is_built_once(self):
+        stored = []
+
+        class CountingPlans(dict):
+            def __setitem__(self, key, value):
+                stored.append(key)
+                super().__setitem__(key, value)
+
+        trace = stream_trace()
+        _PREFETCH_PLANS[trace] = CountingPlans()
+        for _ in range(2):
+            for configuration in ("tdx_baseline", "secddr_ctr", "integrity_tree_64"):
+                run_simulation(trace, configuration, FAST, engine="batch")
+        stride = SystemConfig().per_core_address_stride
+        assert stored == [0, stride]
+        shifted = trace.offset(4096)
+        run_simulation(shifted, "secddr_ctr", FAST, engine="batch")
+        kept, moved = _PREFETCH_PLANS[trace], _PREFETCH_PLANS[shifted]
+        assert set(moved) == {0, stride}
+        # Core 1's plan only moves with the trace; core 0's first read of
+        # line 0 starts a streak at offset 0 alone.
+        (plan, targets), = kept[stride]
+        (moved_plan, moved_targets), = moved[stride]
+        assert moved_plan == plan and len(targets)
+        assert np.array_equal(moved_targets, targets + 4096)
+        assert moved[0][0][0] != kept[0][0][0]
+
+    @pytest.mark.parametrize("configuration", ["tdx_baseline", "secddr_ctr", "integrity_tree_64"])
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_streamed_chunks_equal_the_in_memory_trace(self, tmp_path, cores, configuration):
+        # A streamed trace plans chunk by chunk and keeps nothing; its
+        # streaks and covered reads straddle every 100-record boundary.
+        trace = stream_trace()
+        streamed = load_trace(save_trace(trace, tmp_path / "stream.trace", chunk_size=100).path)
+        experiment = ExperimentConfig(num_accesses=len(trace), num_cores=cores)
+        in_memory = run_simulation(trace, configuration, experiment, engine="batch")
+        from_store = run_simulation(streamed, configuration, experiment, engine="batch")
+        assert json.dumps(asdict(from_store), sort_keys=True) == json.dumps(
+            asdict(in_memory), sort_keys=True
+        )
+        assert streamed not in _PREFETCH_PLANS
 
 
 #: Each SecDDR configuration and the encrypt-only configuration it extends.
