@@ -54,7 +54,6 @@ import contextlib
 import dataclasses
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -72,9 +71,9 @@ from repro.secure.configs import (
     configuration_names,
 )
 from repro.sim.engines import ENGINES, BatchEngineUnsupported, resolve_engine
-from repro.sim.experiment import ExperimentConfig, run_comparison
+from repro.sim.experiment import ExperimentConfig, run_comparison, run_comparisons
 from repro.sim.runner import JobEvent, ProgressHook, ResultCache
-from repro.sim.sweep import arity_sweep, counter_packing_sweep
+from repro.sim.sweep import Sweep, arity_group, packing_group
 from repro.workloads.registry import ALL_WORKLOADS, workload_names
 
 __all__ = ["build_parser", "command_summaries", "main"]
@@ -495,7 +494,7 @@ def _add_timeline_arguments(subparser: argparse.ArgumentParser) -> None:
 def _add_engine_argument(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--engine", default=None, metavar="NAME",
-        help="simulation engine: 'batch' (default; a run-ahead replay, about 7-8x "
+        help="simulation engine: 'batch' (default; a run-ahead replay, about 8-9x "
         "faster) or 'reference' (the per-access object model batch reproduces "
         "bit for bit); run 'repro list' for the engine registry",
     )
@@ -725,28 +724,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    experiment = ExperimentConfig(
-        num_accesses=args.accesses, num_cores=args.cores, seed=args.seed
-    )
-    cache = _build_cache(args)
-    # The arity and packing sweeps share most (workload, configuration)
-    # pairs (including the baseline); without a cache each would re-simulate
-    # them, so fall back to an ephemeral cache for the duration of the run.
-    # --no-cache is honored literally: no cache at all, duplicates re-run.
-    ephemeral: Optional[tempfile.TemporaryDirectory] = None
-    if cache is None and not args.no_cache:
-        ephemeral = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
-        cache = ResultCache(ephemeral.name)
-    try:
-        return _run_sweep_command(args, experiment, cache)
-    finally:
-        if ephemeral is not None:
-            ephemeral.cleanup()
-
-
-def _run_sweep_command(
-    args: argparse.Namespace, experiment: ExperimentConfig, cache: Optional[ResultCache]
-) -> int:
     workloads = _split(args.workloads) or None
     try:
         arities = [int(a) for a in _split(args.arities)]
@@ -766,19 +743,31 @@ def _run_sweep_command(
             "arity/packing itself, and every spec in a sweep group must keep "
             "its own name" % ", ".join(blocked)
         )
-    experiment = dataclasses.replace(experiment, **experiment_overrides)
+    experiment = dataclasses.replace(
+        ExperimentConfig(num_accesses=args.accesses, num_cores=args.cores, seed=args.seed),
+        **experiment_overrides,
+    )
+    cache = _build_cache(args)
     common = dict(
         workloads=workloads,
         experiment=experiment,
         baseline=args.baseline,
+        derive_overrides=sweep_overrides,
+    )
+    arity_plan = Sweep({value: arity_group(value) for value in arities}, **common)
+    packing_plan = Sweep({value: packing_group(value) for value in arities}, **common)
+    # Both sweeps in one pass: the jobs they share (the baseline, the
+    # canonical packing groups) run once, with or without a cache.
+    outcomes = run_comparisons(
+        arity_plan.comparisons + packing_plan.comparisons,
         jobs=args.jobs,
         cache=cache,
         progress=_build_progress(args),
-        derive_overrides=sweep_overrides,
         engine=args.engine,
-    )
-    arity = arity_sweep(arities=arities, **common)
-    packing = counter_packing_sweep(packings=arities, **common)
+    ).outcomes
+    split = len(arity_plan.comparisons)
+    arity = arity_plan.summary(outcomes[:split])
+    packing = packing_plan.summary(outcomes[split:])
 
     print("Figure 8 arity sweep (gmean normalized IPC, baseline = %s)" % args.baseline)
     print("%-8s %12s %12s %14s" % ("arity", "tree", "secddr", "encrypt_only"))

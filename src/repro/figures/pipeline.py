@@ -3,16 +3,17 @@
 :func:`reproduce` is what ``repro reproduce`` runs:
 
 1. resolve the selected :class:`~repro.figures.spec.FigureSpec` keys;
-2. key each distinct job of every spec's declared comparisons once and
-   **deduplicate across specs** by that result-cache key (Figure 7 shares
-   all of its jobs with Figure 6, the scalability measurements are a subset
-   of Figure 6, the Figure 8 packing comparisons reuse the arity
-   comparisons' configurations, ...);
-3. run the unique jobs once, workload-major, through one
+2. run every spec's declared comparisons in one
+   :func:`~repro.sim.experiment.run_comparisons` pass, which keys each
+   distinct job once and **deduplicates across specs** by that result-cache
+   key (Figure 7 shares all of its jobs with Figure 6, the scalability
+   measurements are a subset of Figure 6, the Figure 8 packing comparisons
+   reuse the arity comparisons' configurations, ...), then runs the unique
+   jobs once, workload-major, through one
    :class:`~repro.sim.runner.ParallelRunner` and the result cache, when
    there is one -- a second invocation against the same cache re-simulates
    nothing at all;
-4. normalize each declared comparison from those in-memory results and
+3. normalize each declared comparison from those in-memory results and
    build every artifact from them: the build phase runs and reads nothing.
 """
 
@@ -21,19 +22,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from repro import obs
 from repro.figures.registry import resolve_figures
 from repro.figures.spec import FigureArtifact, FigureContext, FigureSpec
-from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import (
-    ParallelRunner,
-    ProgressHook,
-    ResultCache,
-    SimulationJob,
-    resolve_cache,
-)
+from repro.sim.experiment import ExperimentConfig, run_comparisons
+from repro.sim.runner import ProgressHook, ResultCache, resolve_cache
 
 __all__ = ["FigureOutcome", "ReproductionReport", "reproduce"]
 
@@ -56,7 +51,7 @@ class ReproductionReport:
     jobs: int
     #: Deduplicated simulation jobs across every selected figure.
     unique_jobs: int
-    #: How many of those actually ran (the rest were warm-cache hits).
+    #: How many of those the cache did not hold (the rest were warm-cache hits).
     simulated_jobs: int
     elapsed_seconds: float
     cache_directory: Optional[str] = None
@@ -81,12 +76,6 @@ class ReproductionReport:
             for outcome in self.outcomes
             for trend in outcome.artifact.failed_trends
         ]
-
-
-def _trace_identity(job: SimulationJob):
-    """Sorting on this runs each distinct trace's jobs together (stably, so
-    declaration order breaks ties), and the runner builds each trace once."""
-    return job.workload_name, job.experiment.num_accesses, job.experiment.seed
 
 
 def reproduce(
@@ -115,36 +104,18 @@ def reproduce(
         workload_filter=list(workload_filter) if workload_filter else None,
     )
     with obs.span("reproduce", figures=len(specs)):
-        # Equal declared jobs are one job, keyed once; equal keys are one
-        # job too.  Each comparison keeps its own jobs' keys, in its jobs'
-        # order, and the runner reuses the unique jobs' keys.
-        keyed: Dict[SimulationJob, str] = {}
-        unique: Dict[str, SimulationJob] = {}
-        declared = []
-        for spec in specs:
-            comparisons = spec.comparisons(ctx) if spec.simulated else {}
-            keys: Dict[str, List[str]] = {}
-            for name, comparison in comparisons.items():
-                keys[name] = []
-                for job in comparison.jobs(engine):
-                    key = keyed.get(job)
-                    if key is None:
-                        key = keyed[job] = job.cache_key()
-                        unique.setdefault(key, job)
-                    keys[name].append(key)
-            declared.append((spec, comparisons, keys))
-        order = sorted(unique, key=lambda key: _trace_identity(unique[key]))
-        misses_before = cache.misses if cache is not None else 0
-        runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
-        results = dict(zip(order, runner.run([unique[key] for key in order], keys=order)))
-        simulated = len(order) if cache is None else cache.misses - misses_before
-
+        declared = [(spec, spec.comparisons(ctx) if spec.simulated else {}) for spec in specs]
+        run = run_comparisons(
+            [comparison for _, comparisons in declared for comparison in comparisons.values()],
+            jobs=jobs, cache=cache, progress=progress, engine=engine,
+        )
+        cells = iter(run.outcomes)
         outcomes: List[FigureOutcome] = []
-        for spec, comparisons, keys in declared:
+        for spec, comparisons in declared:
             build_started = time.perf_counter()
             with obs.span("figure", key=spec.key):
                 runs = {
-                    name: comparison.normalize([results[key] for key in keys[name]])
+                    name: comparison.normalize(next(cells))
                     for name, comparison in comparisons.items()
                 }
                 artifact = spec.build(ctx, runs)
@@ -158,8 +129,8 @@ def reproduce(
         outcomes=outcomes,
         experiment=ctx.experiment,
         jobs=jobs,
-        unique_jobs=len(order),
-        simulated_jobs=simulated,
+        unique_jobs=run.unique_jobs,
+        simulated_jobs=run.simulated_jobs,
         elapsed_seconds=time.perf_counter() - started,
         cache_directory=None if cache is None else str(cache.directory),
         workload_filter=ctx.workload_filter,

@@ -169,7 +169,7 @@ def render_report_markdown(report: ReproductionReport) -> str:
             ["workloads", workloads],
             ["worker processes", str(report.jobs)],
             ["unique simulation jobs (deduplicated across figures)", str(report.unique_jobs)],
-            ["jobs actually simulated (rest were cache hits)", str(report.simulated_jobs)],
+            ["jobs computed this pass (rest were cache hits)", str(report.simulated_jobs)],
             ["wall time", "%.1f s" % report.elapsed_seconds],
             ["result cache", report.cache_directory or "none"],
         ],

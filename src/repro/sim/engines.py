@@ -26,6 +26,7 @@ one description, :class:`repro.secure.base.MetadataPath`.
 from __future__ import annotations
 
 import weakref
+from dataclasses import fields
 from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
@@ -68,7 +69,10 @@ class Engine:
     receiving an already-resolved trace object, a
     :class:`~repro.secure.configs.SystemConfiguration` spec and an
     :class:`~repro.sim.experiment.ExperimentConfig`, and returning a
-    :class:`~repro.sim.results.SimulationResult`.
+    :class:`~repro.sim.results.SimulationResult`.  An engine may also
+    define ``replay_key(spec, experiment)`` (see
+    :meth:`BatchEngine.replay_key`); the runner then runs each distinct key
+    of one workload once per pass.
     """
 
     #: Registry key and CLI ``--engine`` value.
@@ -232,7 +236,9 @@ class BatchEngine(Engine):
     each other read issues first -- which is
     :class:`~repro.cache.prefetcher.StreamPrefetcher` run over the core's
     read addresses alone.  The chunk's prefetch targets are decoded in one
-    vectorized call.  An in-memory trace keeps its chunk columns
+    vectorized call; a target derives its metadata line's set and tag as it
+    is read, and that line's DRAM location and tree leaf only on a miss.
+    An in-memory trace keeps its chunk columns
     (``MemoryTrace.chunk_arrays``) and each core offset's plans across runs;
     a streamed trace plans chunk by chunk and keeps nothing.
 
@@ -241,10 +247,11 @@ class BatchEngine(Engine):
     next issue cycle stays below every other core's (or ties and the core
     comes first).  Each core is a generator whose frame holds its state, so
     switching cores saves and restores nothing; its next issue cycle is
-    computed once per step.  Each metadata-cache set is one
-    insertion-ordered dict ``{tag: dirty}``, least recently used first, and
-    one loop walks the counter line and then the off-chip tree levels up to
-    the first hit.  Write-queue entries sort on (arrival, sequence) within
+    computed once per step.  The metadata cache is a list of ``num_sets``
+    insertion-ordered dicts ``{tag: dirty}``, least recently used first; a
+    hit on the counter line is taken inline, and only a miss calls the walk
+    that fills the line and then looks up the off-chip tree levels up to the
+    first hit.  Write-queue entries sort on (arrival, sequence) within
     the row hits and the row misses of each FR-FCFS drain.  The rest
     (ROB/MSHR stalls, DDR bank/rank/bus constraints) lives in plain ints and
     lists -- no ``MemoryRequest`` or ``DecodedAddress`` objects.  The
@@ -257,6 +264,67 @@ class BatchEngine(Engine):
 
     def simulate(self, trace, spec, experiment):
         return _simulate_batch(trace, spec, experiment)
+
+    def replay_key(self, spec, experiment):
+        """Everything the replay of ``spec`` under ``experiment`` reads but names.
+
+        Two runs of one trace with equal keys give results that differ only
+        in their ``configuration`` name, so the runner replays one and
+        renames a copy for the other.  The key is None when the replay
+        cannot be shared: the batch engine cannot run the system, or a
+        timeline recorder is installed (each configuration records its own
+        series).  A tree compares by identity, so two configurations with a
+        tree never share.
+        """
+        if obs.current().timeline is not None:
+            return None
+        memory, system_config, reason = _batch_system(spec, experiment)
+        if reason is not None:
+            return None
+        path = memory.path
+        mapping = memory.controller.mapping
+        return (
+            path,
+            memory.controller.config,
+            (mapping.line_bytes, mapping.channels, mapping.ranks, mapping.bank_groups,
+             mapping.banks_per_group, mapping.rows, mapping.columns_per_row),
+            # A system without a metadata path never reads its cache size.
+            memory.metadata_cache.config if path.base is not None else None,
+            system_config,
+            tuple(
+                getattr(experiment, f.name) for f in fields(experiment)
+                if f.name != "metadata_cache_bytes"
+            ),
+        )
+
+
+def _batch_system(spec, experiment):
+    """The system a batch replay of ``spec`` under ``experiment`` reads.
+
+    Returns ``(memory, system config, reason)``: the same secure-memory
+    system the reference engine builds, whose description and controller /
+    metadata-cache geometry drive the replay; the core and system
+    configuration; and why the replay would not be exact, or None.
+    :meth:`BatchEngine.replay_key` and :func:`_simulate_batch` both build
+    from here, so the key sees every input the replay reads.
+    """
+    from repro.cpu.core import CoreConfig
+    from repro.cpu.system import SystemConfig
+    from repro.secure.configs import build_configuration
+
+    memory = build_configuration(spec, metadata_cache_bytes=experiment.metadata_cache_bytes)
+    system_config = SystemConfig(
+        num_cores=experiment.num_cores,
+        core=CoreConfig(
+            issue_width=experiment.issue_width,
+            rob_entries=experiment.rob_entries,
+            mshr_entries=experiment.mshr_entries,
+            cpu_freq_mhz=experiment.cpu_freq_mhz,
+            dram_freq_mhz=spec.timing.freq_mhz,
+        ),
+        enable_prefetcher=experiment.enable_prefetcher,
+    )
+    return memory, system_config, _batch_unsupported(memory)
 
 
 def _batch_unsupported(memory):
@@ -292,15 +360,9 @@ _PREFETCH_PLANS = weakref.WeakKeyDictionary()
 def _simulate_batch(trace, spec, experiment):
     """Run one simulation on the batch engine (see :class:`BatchEngine`)."""
     from repro.cache.prefetcher import StreamPrefetcher
-    from repro.cpu.core import CoreConfig
-    from repro.cpu.system import SystemConfig
-    from repro.secure.configs import build_configuration
     from repro.sim.results import SimulationResult
 
-    # The same system the reference engine builds; its description and its
-    # controller / metadata-cache geometry drive the replay below.
-    memory = build_configuration(spec, metadata_cache_bytes=experiment.metadata_cache_bytes)
-    reason = _batch_unsupported(memory)
+    memory, system_config, reason = _batch_system(spec, experiment)
     if reason is not None:
         raise BatchEngineUnsupported(
             "%s, which the batch engine cannot replay; run it with "
@@ -319,18 +381,7 @@ def _simulate_batch(trace, spec, experiment):
     num_sets = metadata_cache.config.num_sets
     assoc = metadata_cache.config.associativity
 
-    core_config = CoreConfig(
-        issue_width=experiment.issue_width,
-        rob_entries=experiment.rob_entries,
-        mshr_entries=experiment.mshr_entries,
-        cpu_freq_mhz=experiment.cpu_freq_mhz,
-        dram_freq_mhz=spec.timing.freq_mhz,
-    )
-    system_config = SystemConfig(
-        num_cores=experiment.num_cores,
-        core=core_config,
-        enable_prefetcher=experiment.enable_prefetcher,
-    )
+    core_config = system_config.core
     ratio = core_config.cpu_cycles_per_dram_cycle
     issue_width = core_config.issue_width
     rob_entries = core_config.rob_entries
@@ -452,8 +503,8 @@ def _simulate_batch(trace, spec, experiment):
     metadata_writebacks = 0
     metadata_accesses = 0
     metadata_hits = 0
-    # set_index -> {tag: dirty}, least recently used first
-    cache_sets = {}
+    # Per set index, {tag: dirty}, least recently used first
+    cache_sets = [{} for _ in range(num_sets)] if with_meta else []
 
     def chan(fb, row, is_read, earliest):
         # Unguarded stores never lower what they overwrite: the ACT or column
@@ -580,37 +631,18 @@ def _simulate_batch(trace, spec, experiment):
         seq += 1
         wq_count[address] = wq_count.get(address, 0) + 1
 
-    def serve_read(address, fb, row, arrival):
-        nonlocal cur_cycle, reads_served, forwarded_reads, total_read_latency
-        if arrival > cur_cycle:
-            cur_cycle = arrival
-        if address in wq_count:
-            forwarded_reads += 1
-            reads_served += 1
-            return cur_cycle
-        completion = chan(fb, row, True, cur_cycle)
-        reads_served += 1
-        total_read_latency += completion - arrival
-        return completion
-
-    def meta_access(address, set_index, tag, fb, row, leaf, cycle, dirty):
+    def meta_access(address, lines, set_index, tag, fb, row, leaf, cycle, dirty):
         # Flat replica of SecureMemorySystem._walk over Cache.access and
-        # LRUPolicy: the counter/MAC line, then one node per off-chip tree
-        # level until the first cached (verified) one, all fetched in
-        # parallel.  Returns (counter line hit, completion).
+        # LRUPolicy, from a miss of the counter/MAC line in ``lines``, its
+        # set: fill it, then look up one node per off-chip tree level until
+        # the first cached (verified) one, all fetched in parallel.  The
+        # callers take the counter line's hit themselves.  Returns the
+        # completion.
+        nonlocal cur_cycle, reads_served, forwarded_reads, total_read_latency
         nonlocal metadata_accesses, metadata_hits, metadata_reads, metadata_writebacks
         completion = cycle
         level = 0
         while True:
-            metadata_accesses += 1
-            lines = cache_sets.get(set_index)
-            if lines is None:
-                lines = cache_sets[set_index] = {}
-            v = lines.pop(tag, None)
-            if v is not None:  # a clean line stores False
-                lines[tag] = v or dirty
-                metadata_hits += 1
-                return level == 0, completion
             victim_dirty = False
             if len(lines) == assoc:
                 victim = next(iter(lines))
@@ -622,7 +654,16 @@ def _simulate_batch(trace, spec, experiment):
                 # SecureMemorySystem._metadata_access: demand counters are
                 # bumped before metadata expansion in both engines.
                 tl_series.event("integrity_miss", demand_reads + demand_writes)
-            v = serve_read(address, fb, row, cycle)
+            # The fetch, as the controller serves a read.
+            if cycle > cur_cycle:
+                cur_cycle = cycle
+            reads_served += 1
+            if address in wq_count:
+                forwarded_reads += 1
+                v = cur_cycle
+            else:
+                v = chan(fb, row, True, cur_cycle)
+                total_read_latency += v - cycle
             if v > completion:
                 completion = v
             if victim_dirty:
@@ -631,53 +672,82 @@ def _simulate_batch(trace, spec, experiment):
                 wfb, wrow = dec(writeback)
                 enq(writeback, wfb, wrow, cycle)
             if level == depth:
-                return False, completion
+                return completion
             leaf //= tree_arity
             address = node_bases[level] + leaf * 64
             level += 1
             line = address >> 6
             set_index = line % num_sets
             tag = line // num_sets
+            metadata_accesses += 1
+            lines = cache_sets[set_index]
+            v = lines.pop(tag, None)
+            if v is not None:  # a clean line stores False
+                lines[tag] = v or dirty
+                metadata_hits += 1
+                return completion
             fb, row = dec(address)
 
     def secure_read(address, fb, row, dram_float, m_address, m_set, m_tag, m_fb, m_row, m_leaf):
-        nonlocal demand_reads
+        # A demand read, or a prefetch target (m_address None): a target
+        # derives its metadata line's set and tag here, and that line's DRAM
+        # location and tree leaf only when it misses.
+        nonlocal demand_reads, metadata_accesses, metadata_hits
+        nonlocal cur_cycle, reads_served, forwarded_reads, total_read_latency
         demand_reads += 1
         cycle = int(dram_float)
         if with_meta:
-            hit, meta_completion = meta_access(
-                m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, False
-            )
-            extra = extra_hit if hit else extra_miss
+            if m_address is None:
+                meta_line = (address >> 6) // meta_per_line
+                m_address = meta_base + meta_line * 64
+                m_line = m_address >> 6
+                m_set = m_line % num_sets
+                m_tag = m_line // num_sets
+            metadata_accesses += 1
+            lines = cache_sets[m_set]
+            v = lines.pop(m_tag, None)
+            if v is not None:  # a clean line stores False
+                lines[m_tag] = v
+                metadata_hits += 1
+                meta_completion = cycle
+                extra = extra_hit
+            else:
+                if m_fb is None:
+                    m_fb, m_row = dec(m_address)
+                    m_leaf = meta_line if meta_line < leaf_limit else leaf_limit
+                meta_completion = meta_access(
+                    m_address, lines, m_set, m_tag, m_fb, m_row, m_leaf, cycle, False
+                )
+                extra = extra_miss
         else:
             meta_completion = cycle
             extra = extra_hit
-        data_completion = serve_read(address, fb, row, cycle)
-        if meta_completion > data_completion:
+        # The data read, as the controller serves it.
+        if cycle > cur_cycle:
+            cur_cycle = cycle
+        reads_served += 1
+        if address in wq_count:
+            forwarded_reads += 1
+            completion = cur_cycle
+        else:
+            completion = chan(fb, row, True, cur_cycle)
+            total_read_latency += completion - cycle
+        if meta_completion > completion:
             return meta_completion, extra
-        return data_completion, extra
-
-    def secure_read_dyn(address, fb, row, dram_float):
-        # A prefetch target: its DRAM location comes decoded with its chunk,
-        # its metadata coordinates are computed here.
-        if not with_meta:
-            return secure_read(address, fb, row, dram_float, 0, 0, 0, 0, 0, 0)
-        meta_line = (address >> 6) // meta_per_line
-        m_address = meta_base + meta_line * 64
-        m_line = m_address >> 6
-        m_fb, m_row = dec(m_address)
-        m_leaf = meta_line if meta_line < leaf_limit else leaf_limit
-        return secure_read(
-            address, fb, row, dram_float,
-            m_address, m_line % num_sets, m_line // num_sets, m_fb, m_row, m_leaf,
-        )
+        return completion, extra
 
     def secure_write(address, fb, row, dram_float, m_address, m_set, m_tag, m_fb, m_row, m_leaf):
-        nonlocal demand_writes
+        nonlocal demand_writes, metadata_accesses, metadata_hits
         demand_writes += 1
         cycle = int(dram_float)
         if with_meta:
-            meta_access(m_address, m_set, m_tag, m_fb, m_row, m_leaf, cycle, True)
+            metadata_accesses += 1
+            lines = cache_sets[m_set]
+            if lines.pop(m_tag, None) is not None:
+                lines[m_tag] = True
+                metadata_hits += 1
+            else:
+                meta_access(m_address, lines, m_set, m_tag, m_fb, m_row, m_leaf, cycle, True)
         enq(address, fb, row, cycle)
 
     # ------------------------------------------------------------------
@@ -917,7 +987,9 @@ def _simulate_batch(trace, spec, experiment):
                 else:
                     # Prefetches consume bandwidth, but nobody waits on them.
                     while k:
-                        secure_read_dyn(targets[t], tfbs[t], trows[t], issue_dram)
+                        secure_read(
+                            targets[t], tfbs[t], trows[t], issue_dram, None, 0, 0, None, 0, 0
+                        )
                         t += 1
                         k -= 1
                     if with_meta:
@@ -1013,7 +1085,7 @@ def _simulate_batch(trace, spec, experiment):
     # ------------------------------------------------------------------
     # The reference enqueues each dirty line (a line's value is its dirty bool) and
     # drains the queue; each write is served once, and only that count reaches the result.
-    writes_served += len(wq) + sum(sum(lines.values()) for lines in cache_sets.values())
+    writes_served += len(wq) + sum(sum(lines.values()) for lines in cache_sets)
 
     # ------------------------------------------------------------------
     # Assemble results exactly as SystemResult / collect_stats do

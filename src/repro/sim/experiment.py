@@ -5,7 +5,8 @@ on (the documented user-facing facade is :class:`repro.api.Session`).
 ``run_simulation`` simulates one workload under one secure-memory
 configuration; a :class:`Comparison` is a set of configurations over a set
 of workloads, normalized to the TDX-like baseline, which is exactly how the
-paper presents Figures 6, 8, 10 and 12, and ``run_comparison`` runs one.
+paper presents Figures 6, 8, 10 and 12; ``run_comparison`` runs one, and
+``run_comparisons`` runs several in one pass that runs each distinct job once.
 
 Configurations may be registry names or :class:`SystemConfiguration` values
 (including unregistered ``derive()``-d variants); workloads may be registry
@@ -39,9 +40,11 @@ from repro.workloads.registry import build_workload
 
 __all__ = [
     "Comparison",
+    "ComparisonPass",
     "ExperimentConfig",
     "run_simulation",
     "run_comparison",
+    "run_comparisons",
     "default_system_parameters",
 ]
 
@@ -69,8 +72,8 @@ def _build_workload_cached(
     # one instance can be shared by every configuration in a comparison (and
     # by repeated jobs in one process) without rebuilding it per job.
     # ``Comparison.jobs`` lists a matrix workload-major and
-    # ``repro.figures.pipeline.reproduce`` sorts a pass's unique jobs the
-    # same way, so a tiny LRU suffices; keeping it small bounds
+    # ``run_comparisons`` sorts a pass's unique jobs the same way, so a
+    # tiny LRU suffices; keeping it small bounds
     # how many (potentially huge) traces stay pinned for the process life.
     # ``profile_token`` keys the memo to the workload's generator profile so
     # an in-process profile edit rebuilds the trace instead of serving the
@@ -280,6 +283,66 @@ def run_comparison(
         jobs=jobs, cache=resolve_cache(cache, cache_dir), progress=progress, failures=failures
     )
     return comparison.normalize(runner.run(comparison.jobs(engine)))
+
+
+@dataclass(frozen=True)
+class ComparisonPass:
+    """What :func:`run_comparisons` produced."""
+
+    #: Per comparison, in the order given, its jobs' outcomes in
+    #: :meth:`Comparison.jobs` order, for :meth:`Comparison.normalize`.
+    outcomes: List[List[object]]
+    #: Distinct jobs across every comparison.
+    unique_jobs: int
+    #: How many of those the cache did not hold (all of them without a cache).
+    simulated_jobs: int
+
+
+def _trace_identity(job: SimulationJob):
+    """Sorting on this runs each distinct trace's jobs together (stably, so
+    declaration order breaks ties), and the runner builds each trace once."""
+    return job.workload_name, job.experiment.num_accesses, job.experiment.seed
+
+
+def run_comparisons(
+    comparisons: Iterable[Comparison],
+    jobs: int = 1,
+    cache: Optional[ResultCache] = None,
+    progress: Optional[ProgressHook] = None,
+    engine: Optional[EngineLike] = None,
+) -> ComparisonPass:
+    """Run several comparisons in one pass that runs each distinct job once.
+
+    Equal declared jobs are one job, keyed once, and equal cache keys are
+    one job too, so comparisons that share a baseline or a configuration
+    share its runs -- with or without a cache.  The unique jobs run
+    workload-major through one :class:`~repro.sim.runner.ParallelRunner`,
+    which reuses their keys, builds each trace once and runs each distinct
+    replay once.  ``repro reproduce`` and the Figure 8 sweeps run this way,
+    and normalize each comparison's outcomes when they use its table.
+    """
+    comparisons = list(comparisons)
+    keyed: Dict[SimulationJob, str] = {}
+    unique: Dict[str, SimulationJob] = {}
+    declared: List[List[str]] = []
+    for comparison in comparisons:
+        keys = []
+        for job in comparison.jobs(engine):
+            key = keyed.get(job)
+            if key is None:
+                key = keyed[job] = job.cache_key()
+                unique.setdefault(key, job)
+            keys.append(key)
+        declared.append(keys)
+    order = sorted(unique, key=lambda key: _trace_identity(unique[key]))
+    misses_before = cache.misses if cache is not None else 0
+    runner = ParallelRunner(jobs=jobs, cache=cache, progress=progress)
+    results = dict(zip(order, runner.run([unique[key] for key in order], keys=order)))
+    return ComparisonPass(
+        outcomes=[[results[key] for key in keys] for keys in declared],
+        unique_jobs=len(order),
+        simulated_jobs=len(order) if cache is None else cache.misses - misses_before,
+    )
 
 
 def default_system_parameters() -> Dict[str, str]:

@@ -36,7 +36,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -46,6 +46,7 @@ from repro.secure.configs import (
     CONFIGURATIONS,
     ConfigurationLike,
     SystemConfiguration,
+    resolve_configuration,
 )
 from repro.secure.configs import REGISTRY as CONFIGURATION_REGISTRY
 from repro.sim.engines import EngineLike, resolve_engine
@@ -187,6 +188,34 @@ class SimulationJob:
         # the engine stays out of the key: one engine's entries serve all.
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def replay_key(self, memo: Optional[Dict] = None):
+        """What this job's engine run reads, names aside, or None.
+
+        The workload as :meth:`cache_key` names it, plus the engine's
+        ``replay_key(spec, experiment)``.  Jobs with equal keys give results
+        equal in every field but ``configuration``, so
+        :meth:`ParallelRunner.run` runs one of them per pass.  None -- run
+        alone -- for an engine without ``replay_key`` (the reference never
+        shares), when the engine declines, and when the job's system cannot
+        be built: it then fails in its own slot.  ``memo``, a dict kept for
+        one pass, holds the engine's key per (configuration, experiment,
+        engine), so the jobs of one system build it once.
+        """
+        engine_replay_key = getattr(resolve_engine(self.engine), "replay_key", None)
+        if engine_replay_key is None:
+            return None
+        memo = {} if memo is None else memo
+        system = (self.configuration, self.experiment, self.engine)
+        try:
+            if system not in memo:
+                memo[system] = engine_replay_key(
+                    resolve_configuration(self.configuration), self.experiment
+                )
+            replay = memo[system]
+            return None if replay is None else (workload_cache_token(self.workload), replay)
+        except Exception:
+            return None
 
 
 @dataclass(frozen=True)
@@ -448,6 +477,11 @@ class ParallelRunner:
     attest only the configurations that have work and to hand that one
     system to every job, pool workers included.
 
+    Pending jobs with equal :meth:`SimulationJob.replay_key` execute once
+    per :meth:`run`: each of the others takes a copy of that outcome renamed
+    to its own configuration, and is still cached under its own key and
+    reported by its own terminal event.
+
     ``failures`` selects what happens when a job raises:
 
     * ``"raise"`` (the default, and the historical behavior) propagates the
@@ -519,9 +553,10 @@ class ParallelRunner:
                     self._emit(
                         JobEvent(job.configuration_name, job.workload_name, "start", index, total)
                     )
-                pending_jobs = [job for _, job, _ in pending]
+                runs, copies = _share_replays(pending)
+                run_jobs = [job for _, job, _ in runs]
                 if self.prepare is not None:
-                    pending_jobs = self.prepare(pending_jobs)
+                    run_jobs = self.prepare(run_jobs)
                 # Capture mode wraps the executor *inside* the worker, so a
                 # raising job comes back as a JobFailure value instead of
                 # poisoning the pool's result stream; raise mode keeps the
@@ -530,10 +565,10 @@ class ParallelRunner:
                     functools.partial(_guarded_execute, self.executor)
                     if self.failures == "capture" else self.executor
                 )
-                if self.jobs == 1 or len(pending) == 1:
-                    self._consume(pending, map(executor, pending_jobs), results, total)
+                if self.jobs == 1 or len(runs) == 1:
+                    self._consume(runs, copies, map(executor, run_jobs), results, total)
                 else:
-                    workers = min(self.jobs, len(pending))
+                    workers = min(self.jobs, len(runs))
                     # Workers hold a forked copy of the observation, so when
                     # it records anything each job's signals are shipped
                     # back with its result and merged parent-side (exact
@@ -544,27 +579,25 @@ class ParallelRunner:
                         # imap streams outcomes in job order as workers finish,
                         # so progress events and cache writes happen per job
                         # instead of all at once after the last job.
-                        self._consume(pending, pool.imap(executor, pending_jobs), results, total)
+                        self._consume(
+                            runs, copies, pool.imap(executor, run_jobs), results, total
+                        )
 
         if any(result is None for result in results):
             raise RuntimeError("runner left unfilled job slots")  # pragma: no cover
         return results
 
-    def _consume(self, pending, outcomes, results, total) -> None:
-        """Store streamed outcomes, write the cache, and emit 'done' events."""
+    def _consume(self, runs, copies, outcomes, results, total) -> None:
+        """Store streamed outcomes and their copies (see :func:`_share_replays`)."""
         observation = obs.current()
         registry = observation.registry
         tracer = observation.tracer
-        for (index, job, key), outcome in zip(pending, outcomes):
+        for position, ((index, job, key), outcome) in enumerate(zip(runs, outcomes)):
             if len(outcome) == 3:
                 result, elapsed, shipped = outcome
             else:
                 (result, elapsed), shipped = outcome, None
-            results[index] = result
             state = "failed" if isinstance(result, JobFailure) else "done"
-            registry.counter(
-                "sim_jobs_total", "Simulation jobs by outcome.", state=state
-            ).inc()
             registry.histogram(
                 "sim_job_seconds", "Per-job simulation wall time.", state=state
             ).observe(elapsed)
@@ -581,17 +614,50 @@ class ParallelRunner:
                 )
             if shipped is not None:
                 observation.merge(shipped, base=start, parent=span_id)
-            if isinstance(result, JobFailure):
-                # Never cached: a retry after the bug is fixed must re-run.
-                self._emit(
-                    JobEvent(
-                        job.configuration_name, job.workload_name, "failed",
-                        index, total, elapsed,
-                    )
-                )
+            self._settle(index, job, key, result, elapsed, results, total)
+            # A copy ran nothing of its own, so it reports no wall time.
+            for index, job, key in copies.get(position, ()):
+                copy = replace(result, configuration=job.configuration_name)
+                if isinstance(copy, SimulationResult):
+                    copy.memory_stats = dict(copy.memory_stats)  # not shared with the run's
+                self._settle(index, job, key, copy, 0.0, results, total)
+
+    def _settle(self, index, job, key, result, elapsed, results, total) -> None:
+        """Fill one job's slot, count it, cache it, and emit its terminal event."""
+        results[index] = result
+        state = "failed" if isinstance(result, JobFailure) else "done"
+        obs.current().registry.counter(
+            "sim_jobs_total", "Simulation jobs by outcome.", state=state
+        ).inc()
+        # A failure is never cached: a retry after the bug is fixed must re-run.
+        if state == "done" and self.cache is not None and key is not None:
+            self.cache.put(key, result)
+        self._emit(
+            JobEvent(job.configuration_name, job.workload_name, state, index, total, elapsed)
+        )
+
+
+def _share_replays(pending):
+    """Split pending ``(index, job, key)`` entries into runs and copies.
+
+    Returns ``(runs, copies)``: the entries to execute, in order, and per
+    position in ``runs`` the later entries with that run's replay key
+    (:meth:`SimulationJob.replay_key`), which take a copy of its outcome
+    renamed to their configuration -- a failed run fails its copies.  Jobs
+    without a key, or without ``replay_key`` at all (the fuzz campaign's),
+    always run.
+    """
+    runs = []
+    copies: Dict[int, List] = {}
+    first: Dict[object, int] = {}
+    memo: Dict = {}
+    for entry in pending:
+        replay_key = getattr(entry[1], "replay_key", None)
+        replay = replay_key(memo) if replay_key is not None else None
+        if replay is not None:
+            position = first.setdefault(replay, len(runs))
+            if position != len(runs):
+                copies.setdefault(position, []).append(entry)
                 continue
-            if self.cache is not None and key is not None:
-                self.cache.put(key, result)
-            self._emit(
-                JobEvent(job.configuration_name, job.workload_name, "done", index, total, elapsed)
-            )
+        runs.append(entry)
+    return runs, copies

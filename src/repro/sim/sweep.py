@@ -10,11 +10,11 @@ runner and the result cache exactly like a named configuration.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.secure.configs import CONFIGURATIONS, ConfigurationLike
 from repro.sim.engines import EngineLike
-from repro.sim.experiment import ExperimentConfig, run_comparison
+from repro.sim.experiment import Comparison, ExperimentConfig, run_comparisons
 from repro.sim.runner import ProgressHook, ResultCache, resolve_cache
 from repro.workloads.registry import memory_intensive_workloads
 
@@ -23,6 +23,7 @@ __all__ = [
     "PACKING_GROUPS",
     "arity_group",
     "packing_group",
+    "Sweep",
     "arity_sweep",
     "counter_packing_sweep",
 ]
@@ -106,6 +107,50 @@ def _derive_group(
     }
 
 
+class Sweep:
+    """One Figure 8 sweep: per swept value, a group of configurations by role.
+
+    Each value's group -- after ``derive_overrides`` -- is compared over the
+    same workloads (default: the memory-intensive subset, as in the paper's
+    summary bars).  :attr:`comparisons` lists one
+    :class:`~repro.sim.experiment.Comparison` per value, in order, for
+    :func:`~repro.sim.experiment.run_comparisons`; :meth:`summary` reads
+    their outcomes back.
+    """
+
+    def __init__(
+        self,
+        groups: Mapping[int, Dict[str, ConfigurationLike]],
+        workloads: Optional[Iterable[str]] = None,
+        experiment: Optional[ExperimentConfig] = None,
+        baseline: ConfigurationLike = "tdx_baseline",
+        derive_overrides: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        workload_list = list(workloads) if workloads is not None else memory_intensive_workloads()
+        #: Per value, each role's configuration name.
+        self.roles: Dict[int, Dict[str, str]] = {}
+        self.comparisons: List[Comparison] = []
+        for value, group in groups.items():
+            group = _derive_group(group, derive_overrides)
+            self.roles[value] = {
+                role: config if isinstance(config, str) else config.name
+                for role, config in group.items()
+            }
+            self.comparisons.append(
+                Comparison(list(group.values()), workload_list, baseline, experiment)
+            )
+
+    def summary(self, outcomes: Sequence[List[object]]) -> Dict[int, Dict[str, float]]:
+        """``{value: {role: gmean normalized IPC}}`` from the comparisons' outcomes."""
+        summary: Dict[int, Dict[str, float]] = {}
+        for (value, roles), comparison, cells in zip(
+            self.roles.items(), self.comparisons, outcomes
+        ):
+            table = comparison.normalize(cells)
+            summary[value] = {role: table.gmean(name) for role, name in roles.items()}
+        return summary
+
+
 def arity_sweep(
     workloads: Optional[Iterable[str]] = None,
     arities: Iterable[int] = (8, 64, 128),
@@ -124,29 +169,17 @@ def arity_sweep(
     each value is the geometric mean of normalized IPC over ``workloads``
     (default: the memory-intensive subset, as in the paper's summary bars).
 
-    The per-arity comparisons share one cache and process pool, so the
-    baseline (simulated once per workload) is reused across every arity.
+    The per-arity comparisons run in one pass, so the baseline is simulated
+    once per workload and reused across every arity.
     """
-    workload_list = list(workloads) if workloads is not None else memory_intensive_workloads()
+    sweep = Sweep(
+        {arity: arity_group(arity) for arity in arities},
+        workloads, experiment, baseline, derive_overrides,
+    )
     cache = resolve_cache(cache, cache_dir)
-    summary: Dict[int, Dict[str, float]] = {}
-    for arity in arities:
-        group = _derive_group(arity_group(arity), derive_overrides)
-        comparison = run_comparison(
-            configurations=list(group.values()),
-            workloads=workload_list,
-            baseline=baseline,
-            experiment=experiment,
-            jobs=jobs,
-            cache=cache,
-            progress=progress,
-            engine=engine,
-        )
-        summary[arity] = {
-            role: comparison.gmean(config if isinstance(config, str) else config.name)
-            for role, config in group.items()
-        }
-    return summary
+    return sweep.summary(run_comparisons(
+        sweep.comparisons, jobs=jobs, cache=cache, progress=progress, engine=engine
+    ).outcomes)
 
 
 def counter_packing_sweep(
@@ -167,23 +200,11 @@ def counter_packing_sweep(
     the same configurations), so running both sweeps against one cache only
     simulates each unique (workload, configuration) pair once.
     """
-    workload_list = list(workloads) if workloads is not None else memory_intensive_workloads()
+    sweep = Sweep(
+        {packing: packing_group(packing) for packing in packings},
+        workloads, experiment, baseline, derive_overrides,
+    )
     cache = resolve_cache(cache, cache_dir)
-    summary: Dict[int, Dict[str, float]] = {}
-    for packing in packings:
-        group = _derive_group(packing_group(packing), derive_overrides)
-        comparison = run_comparison(
-            configurations=list(group.values()),
-            workloads=workload_list,
-            baseline=baseline,
-            experiment=experiment,
-            jobs=jobs,
-            cache=cache,
-            progress=progress,
-            engine=engine,
-        )
-        summary[packing] = {
-            role: comparison.gmean(config if isinstance(config, str) else config.name)
-            for role, config in group.items()
-        }
-    return summary
+    return sweep.summary(run_comparisons(
+        sweep.comparisons, jobs=jobs, cache=cache, progress=progress, engine=engine
+    ).outcomes)

@@ -269,7 +269,7 @@ class TestCommands:
         assert main(["sweep", "--arities", "8x", "-w", "mcf"]) == 2
         assert "comma-separated integers" in capsys.readouterr().err
 
-    def test_sweep_no_cache_disables_the_ephemeral_cache(self, capsys):
+    def test_sweep_no_cache_reads_and_writes_no_cache(self, capsys):
         assert main([
             "sweep", "-w", "mcf", "--arities", "64", "-a", "200", "-n", "1",
             "--no-cache", "--verbose",
@@ -277,6 +277,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "cache hit" not in err
         assert "cache:" not in err
+
+    @pytest.mark.parametrize("cache_flags", [[], ["--no-cache"]])
+    def test_sweep_runs_each_unique_job_once(self, capsys, monkeypatch, cache_flags):
+        # Both sweeps run in one pass, so the jobs they share (the baseline,
+        # the canonical packing groups) run once, with or without a cache.
+        from repro.sim.engines import BatchEngine
+
+        runs = []
+        simulate = BatchEngine.simulate
+
+        def counting_simulate(self, trace, spec, experiment):
+            runs.append(spec.name)
+            return simulate(self, trace, spec, experiment)
+
+        monkeypatch.setattr(BatchEngine, "simulate", counting_simulate)
+        assert main([
+            "sweep", "-w", "mcf", "--arities", "8,64", "-a", "200", "-n", "1", *cache_flags,
+        ]) == 0
+        capsys.readouterr()
+        assert sorted(runs) == sorted(set(runs))
+        assert len(runs) == 7  # the baseline and two groups of three
 
     def test_sweep_verbose_streams_per_job_progress(self, capsys):
         assert main([

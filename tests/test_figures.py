@@ -45,6 +45,10 @@ UNIQUE_JOBS = {
 }
 #: All twelve together: the figures share many of their jobs.
 ALL_UNIQUE_JOBS = 87
+#: Batch-engine runs for those jobs: 23 of them replay a system another job
+#: replays (encrypt-only XTS is the TDX-like baseline, and a system without
+#: a metadata path ignores the ablation's cache sizes) and take its result.
+ALL_BATCH_RUNS = 64
 
 
 class TestRegistry:
@@ -146,6 +150,17 @@ class TestPipeline:
             experiment=TINY, workload_filter=TINY_WORKLOADS, cache=ResultCache(tmp_path / "cache")
         )
         assert len(calls) == report.unique_jobs == ALL_UNIQUE_JOBS
+
+    def test_each_distinct_replay_runs_once(self, tmp_path):
+        """The runner replays each distinct system once per trace; the other
+        jobs still count as computed, and each is cached under its own key."""
+        cache = ResultCache(tmp_path / "cache")
+        observation = obs.Observation(registry=obs.MetricsRegistry())
+        with obs.observing(observation):
+            report = reproduce(experiment=TINY, workload_filter=TINY_WORKLOADS, cache=cache)
+        summary = observation.registry.summary()
+        assert summary["engine_jobs_total{engine=batch}"] == ALL_BATCH_RUNS
+        assert report.simulated_jobs == len(cache) == ALL_UNIQUE_JOBS
 
     def test_each_distinct_trace_is_built_once(self, tmp_path, monkeypatch):
         """A full pass runs its jobs workload-major, so the small trace LRU

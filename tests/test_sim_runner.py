@@ -4,11 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.sim.experiment import Comparison, ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import (
     CACHE_SCHEMA_VERSION,
     JobEvent,
     JobFailedError,
+    JobFailure,
     ParallelRunner,
     ResultCache,
     SimulationJob,
@@ -264,10 +266,11 @@ class TestSweepCaching:
 
         cache = ResultCache(tmp_path)
         arity_sweep(workloads=["mcf"], arities=(8, 64), experiment=FAST, cache=cache)
-        # 2 arities x (3 group configs + baseline) = 8 jobs, but the baseline
-        # is only simulated once: 7 misses, 1 hit.
+        # 2 arities x (3 group configs + baseline) = 8 jobs, but the
+        # arities run in one pass that keys the baseline once: 7 misses,
+        # and nothing is read back.
         assert cache.misses == 7
-        assert cache.hits == 1
+        assert cache.hits == 0
 
 
 def _raising_builder(num_accesses=0, seed=0):
@@ -381,3 +384,186 @@ class TestFailureCapture:
     def test_invalid_failures_mode_is_rejected(self):
         with pytest.raises(ValueError, match="failures"):
             ParallelRunner(failures="ignore")
+
+
+# ---------------------------------------------------------------------------
+# Replay sharing: one engine run per distinct replay
+# ---------------------------------------------------------------------------
+#: The grid's three experiments (the engine-parity digest's), at 300 accesses.
+GRID_EXPERIMENTS = [
+    ExperimentConfig(num_accesses=300, num_cores=cores, enable_prefetcher=prefetch,
+                     metadata_cache_bytes=kib * 1024)
+    for cores, prefetch, kib in ((1, False, 32), (2, True, 128), (3, True, 512))
+]
+SHARED = ["tdx_baseline", "encrypt_only_xts", "secddr_xts"]
+
+
+def _replay_groups(jobs):
+    """The jobs grouped by replay key, groups of two or more only."""
+    groups = {}
+    for job in jobs:
+        key = job.replay_key()
+        assert key is not None, job
+        groups.setdefault(key, []).append(job)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def _cache_files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.json"))}
+
+
+class TestReplayKeys:
+    def test_equal_keys_give_results_equal_but_for_the_name(self):
+        from repro.secure.configs import configuration_names
+
+        jobs = [
+            SimulationJob(configuration, workload, experiment)
+            for experiment in GRID_EXPERIMENTS
+            for workload in ("gcc", "mcf", "lbm", "pr")
+            for configuration in configuration_names()
+        ]
+        groups = _replay_groups(jobs)
+        assert {frozenset(job.configuration_name for job in group) for group in groups} == {
+            frozenset({"tdx_baseline", "encrypt_only_xts"}),
+            frozenset({"tdx_baseline_ddr5", "encrypt_only_xts_ddr5"}),
+        }
+        assert len(groups) == 2 * 4 * len(GRID_EXPERIMENTS)
+        for group in groups:
+            results = [
+                dataclasses.replace(
+                    run_simulation(job.workload, job.configuration, job.experiment, engine=engine),
+                    configuration="",
+                )
+                for job in group
+                for engine in ("batch", "reference")
+            ]
+            assert all(result == results[0] for result in results[1:]), group
+
+    def test_the_reproduce_default_shares_exactly_the_twins(self):
+        from collections import Counter
+
+        from repro.figures.registry import resolve_figures
+        from repro.figures.spec import FigureContext
+
+        context = FigureContext(experiment=ExperimentConfig(num_accesses=1000, num_cores=2))
+        unique = {}
+        for spec in resolve_figures():
+            for comparison in (spec.comparisons(context) if spec.simulated else {}).values():
+                for job in comparison.jobs():
+                    unique.setdefault(job.cache_key(), job)
+        assert len(unique) == 407
+        groups = _replay_groups(unique.values())
+        assert sum(len(group) - 1 for group in groups) == 46
+        assert all(len({job.workload_name for job in group}) == 1 for group in groups)
+        shapes = Counter(
+            frozenset(
+                (job.configuration_name, job.experiment.metadata_cache_bytes // 1024)
+                for job in group
+            )
+            for group in groups
+        )
+        xts = {("tdx_baseline", 128), ("encrypt_only_xts", 128)}
+        assert shapes == {
+            frozenset(xts): 26,
+            frozenset({("tdx_baseline_ddr5", 128), ("encrypt_only_xts_ddr5", 128)}): 5,
+            # The metadata-cache ablation's workloads: 32 and 512 KiB too.
+            frozenset(xts | {("tdx_baseline", 32), ("tdx_baseline", 512)}): 3,
+            frozenset({("secddr_xts", 32), ("secddr_xts", 128), ("secddr_xts", 512)}): 3,
+        }
+
+    def test_every_replay_input_changes_the_key(self, clean_registries):
+        from repro.controller.memory_controller import MemoryController
+        from repro.dram.timing import DDR4_2400
+        from repro.secure.baseline import EncryptOnlySystem
+        from repro.secure.configs import REGISTRY, resolve_configuration
+
+        def memory_side(latency):
+            def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
+                config = dataclasses.replace(controller.config, memory_side_read_latency=latency)
+                return EncryptOnlySystem(
+                    MemoryController(config), metadata_cache, layout, crypto_latency,
+                    encryption_mode=spec.encryption, counters_per_line=spec.counters_per_line,
+                )
+            name = "memory_side_%d" % latency
+            REGISTRY.register_mechanism(name, factory, cache_token=name + "/v1")
+            return resolve_configuration("encrypt_only_ctr").derive(name=name, mechanism=name)
+
+        def key(configuration, experiment=FAST):
+            return SimulationJob(configuration, "gcc", experiment).replay_key()
+
+        counter = resolve_configuration("encrypt_only_ctr")
+        assert key(counter.derive(name="renamed")) == key(counter)
+        assert key(memory_side(0)) == key(counter)
+        for variant in (
+            counter.derive(write_burst_cycles=7),
+            counter.derive(timing=DDR4_2400),
+            memory_side(3),
+        ):
+            assert key(variant) != key(counter), variant.name
+        smaller = dataclasses.replace(FAST, metadata_cache_bytes=64 * 1024)
+        assert key(counter, smaller) != key(counter)
+        # A system without a metadata path never reads the cache size.
+        assert key("tdx_baseline", smaller) == key("tdx_baseline")
+        assert SimulationJob("secddr_xts", "mcf", FAST).replay_key() != key("secddr_xts")
+
+    def test_the_reference_and_a_timeline_never_share(self):
+        assert SimulationJob("tdx_baseline", "gcc", FAST, engine="reference").replay_key() is None
+        job = SimulationJob("tdx_baseline", "gcc", FAST)
+        assert job.replay_key() is not None
+        with obs.observing(obs.Observation(timeline=obs.TimelineRecorder(window=32))):
+            assert job.replay_key() is None
+
+
+class TestRunnerSharesReplays:
+    def _jobs(self, engine=None, workloads=("gcc", "mcf")):
+        return [
+            SimulationJob(configuration, workload, FAST, engine=engine)
+            for workload in workloads
+            for configuration in SHARED
+        ]
+
+    def test_each_replay_runs_once_and_each_job_ends_once(self, tmp_path):
+        registry = obs.MetricsRegistry()
+        events = []
+        jobs = self._jobs()
+        runner = ParallelRunner(cache=ResultCache(tmp_path), progress=events.append)
+        with obs.observing(obs.Observation(registry=registry)):
+            results = runner.run(jobs)
+        summary = registry.summary()
+        # tdx_baseline and encrypt_only_xts are one replay per workload.
+        assert summary["engine_jobs_total{engine=batch}"] == 4
+        assert summary["sim_jobs_total{state=done}"] == 6
+        terminal = [(e.configuration, e.workload) for e in events if e.status != "start"]
+        assert sorted(terminal) == sorted((j.configuration_name, j.workload_name) for j in jobs)
+        assert {e.status for e in events} == {"start", "done"}
+        for job, result in zip(jobs, results):
+            assert result == run_simulation(job.workload, job.configuration, FAST)
+        assert results[0].memory_stats is not results[1].memory_stats
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_cache_holds_what_each_job_alone_would_write(self, tmp_path, workers):
+        jobs = self._jobs()
+        ParallelRunner(jobs=workers, cache=ResultCache(tmp_path / "shared")).run(jobs)
+        alone = ResultCache(tmp_path / "alone")
+        for job in jobs:
+            alone.put(job.cache_key(), run_simulation(job.workload, job.configuration, FAST))
+        assert _cache_files(tmp_path / "shared") == _cache_files(tmp_path / "alone")
+
+    def test_a_failed_replay_fails_its_copies(self, tmp_path, failing_workload):
+        cache = ResultCache(tmp_path)
+        events = []
+        jobs = self._jobs(workloads=(failing_workload, "gcc"))
+        runner = ParallelRunner(cache=cache, progress=events.append, failures="capture")
+        results = runner.run(jobs)
+        for job, result in zip(jobs, results):
+            failed = job.workload_name == failing_workload
+            assert isinstance(result, JobFailure) == failed
+            assert result.configuration == job.configuration_name
+        assert sorted(e.configuration for e in events if e.status == "failed") == sorted(SHARED)
+        assert len(cache) == len(SHARED)  # only gcc's jobs were cached
+
+    def test_the_reference_runs_every_job(self):
+        registry = obs.MetricsRegistry()
+        with obs.observing(obs.Observation(registry=registry)):
+            ParallelRunner().run(self._jobs(engine="reference"))
+        assert registry.summary()["engine_jobs_total{engine=reference}"] == 6
