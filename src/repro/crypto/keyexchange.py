@@ -23,12 +23,13 @@ import hashlib
 import hmac
 import secrets
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 __all__ = [
     "DH_PRIME",
     "DH_GENERATOR",
+    "DH_EXPONENT_BITS",
     "EndorsementKeyPair",
     "Certificate",
     "CertificateAuthority",
@@ -50,26 +51,31 @@ DH_PRIME = int(
     16,
 )
 DH_GENERATOR = 2
+# Private exponents are drawn from [2, 2^256).  RFC 3526 section 8 rates this
+# group at about 90 bits of strength and sizes its exponents at 180-240 bits,
+# twice that: Pollard's lambda finds an n-bit exponent in about 2^(n/2) group
+# operations, so a 256-bit one costs about 2^128, and the group's own ~90-bit
+# bound stays the weaker link (see docs/architecture.md, "Substitutions").
+DH_EXPONENT_BITS = 256
 
 # Fixed-base comb (Lim & Lee, "More Flexible Exponentiation with
 # Precomputation", CRYPTO 1994) for powers of DH_GENERATOR: an exponent below
-# 2^1536 is cut into 8 rows of 192 bits, and the bits of one column across
-# the rows index a table of 256 products of g^(2^(192 i)).  A power then
-# costs 192 squarings and at most 192 multiplications instead of the 1536
-# squarings of a generic ``pow``.  Its table lookups and branches depend on
-# the secret exponent, so it is not constant-time (see docs/architecture.md,
+# 2^256 is cut into 8 rows of 32 bits, and the bits of one column across the
+# rows index a table of 256 products of g^(2^(32 i)).  A power then costs 32
+# squarings and at most 32 multiplications instead of the 256 squarings of a
+# generic ``pow``.  Its table lookups and branches depend on the secret
+# exponent, so it is not constant-time (see docs/architecture.md,
 # "Substitutions").
 _COMB_ROWS = 8
-_COMB_COLUMNS = 192
-_COMB_BITS = _COMB_ROWS * _COMB_COLUMNS
+_COMB_COLUMNS = DH_EXPONENT_BITS // _COMB_ROWS
 
 
 @functools.lru_cache(maxsize=None)
 def _comb_table() -> Tuple[int, ...]:
-    """``table[j]`` is the product of g^(2^(192 i)) over the set bits i of j.
+    """``table[j]`` is the product of g^(2^(32 i)) over the set bits i of j.
 
-    Built on first use (about one ``pow``'s work, 60 KB), so runs that never
-    exchange keys do not pay for it.
+    Built on first use (224 squarings and 255 multiplications, 60 KB), so
+    runs that never exchange keys do not pay for it.
     """
     row_bases = [DH_GENERATOR]
     for _ in range(_COMB_ROWS - 1):
@@ -85,13 +91,13 @@ def _comb_table() -> Tuple[int, ...]:
 
 def _generator_power(exponent: int) -> int:
     """``pow(DH_GENERATOR, exponent, DH_PRIME)`` by the fixed-base comb."""
-    if not 0 <= exponent < 1 << _COMB_BITS:
-        raise ValueError("exponent must lie in [0, 2^%d)" % _COMB_BITS)
+    if not 0 <= exponent < 1 << DH_EXPONENT_BITS:
+        raise ValueError("exponent must lie in [0, 2^%d)" % DH_EXPONENT_BITS)
     table = _comb_table()
-    # Row i holds bits [192 i, 192 i + 192).  In the zero-padded binary string
-    # bit b sits at index 1535 - b, so the slice [c::192] reads column
-    # 191 - c from row 7 (most significant) down to row 0: the table index.
-    bits = format(exponent, "0%db" % _COMB_BITS)
+    # Row i holds bits [32 i, 32 i + 32).  In the zero-padded binary string
+    # bit b sits at index 255 - b, so the slice [c::32] reads column 31 - c
+    # from row 7 (most significant) down to row 0: the table index.
+    bits = format(exponent, "0%db" % DH_EXPONENT_BITS)
     result = 1
     for column in range(_COMB_COLUMNS):
         result = result * result % DH_PRIME
@@ -130,7 +136,7 @@ class EndorsementKeyPair:
     @classmethod
     def generate(cls, rng: Optional[secrets.SystemRandom] = None) -> "EndorsementKeyPair":
         rng = rng or secrets.SystemRandom()
-        secret = rng.randrange(2, DH_PRIME - 2)
+        secret = rng.randrange(2, 1 << DH_EXPONENT_BITS)
         public = _generator_power(secret)
         return cls(secret=secret, public=public)
 
@@ -180,21 +186,15 @@ class CertificateAuthority:
 
     def issue(self, subject: str, keypair: EndorsementKeyPair) -> Certificate:
         """Issue a certificate for a DIMM rank's endorsement key."""
-        cert = Certificate(
+        unsigned = Certificate(
             subject=subject,
             endorsement_public=keypair.public,
             verification_key=keypair.verification_key(),
             issuer=self.name,
             signature=b"",
         )
-        signature = hmac.new(self._root_key, cert.payload(), hashlib.sha256).digest()
-        return Certificate(
-            subject=subject,
-            endorsement_public=keypair.public,
-            verification_key=keypair.verification_key(),
-            issuer=self.name,
-            signature=signature,
-        )
+        signature = hmac.new(self._root_key, unsigned.payload(), hashlib.sha256).digest()
+        return replace(unsigned, signature=signature)
 
     def verify(self, cert: Certificate) -> bool:
         """Check the CA signature and the revocation list."""
@@ -228,7 +228,7 @@ class KeyExchangeParticipant:
     def start(self, rng: Optional[secrets.SystemRandom] = None) -> KeyExchangeMessage:
         """Generate an ephemeral DH share, signed if an endorsement key exists."""
         rng = rng or secrets.SystemRandom()
-        self._dh_secret = rng.randrange(2, DH_PRIME - 2)
+        self._dh_secret = rng.randrange(2, 1 << DH_EXPONENT_BITS)
         public = _generator_power(self._dh_secret)
         signature = b""
         if self.endorsement is not None:
