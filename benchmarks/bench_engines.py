@@ -1,29 +1,24 @@
 """Benchmark: the vectorized batch engine vs the reference object model.
 
 Runs the same streamed-trace scenario as ``bench_trace_streaming.py``
-(workload ``mcf`` through ``secddr_ctr``, two cores) on both registered
-engines, asserts exact statistical parity, reports accesses/second per
-engine, and enforces the batch engine's speedup floor on this scenario
-(``SPEEDUP_FLOOR``) through the registered ``engines``
-:class:`repro.bench.BenchSpec`.  ``repro bench -b engines`` records the
-same spec into ``BENCH_<date>.json``.
-
-Scale with ``REPRO_BENCH_TRACE_ACCESSES`` (default 20000).
+(workload ``mcf`` through ``secddr_ctr``, two cores, 20,000 accesses) on
+both registered engines, asserts exact statistical parity, and enforces the
+batch engine's speedup floor on this scenario (``SPEEDUP_FLOOR``), timing
+each engine as the best of ``ROUNDS`` calls.  Host time in general is
+measured by ``perfbench/`` (see ``docs/benchmarking.md``).
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench import BenchContext, get_bench
 from repro.sim.experiment import ExperimentConfig, run_simulation
 from repro.traces import load_trace, save_trace
 from repro.workloads.registry import build_workload
 
-ACCESSES = int(os.environ.get("REPRO_BENCH_TRACE_ACCESSES") or 20000)
+ACCESSES = 20000
 CONFIGURATION = "secddr_ctr"
 WORKLOAD = "mcf"
 NUM_CORES = 2
@@ -32,17 +27,8 @@ ROUNDS = 3
 #: the streamed scenario.  It was 10x until the reference model's FR-FCFS
 #: drain became one sort, which made the reference 2.1-2.4x faster here
 #: (6.1k -> 13.1k acc/s on a shared 2-vCPU Xeon VM, speedup 13.3x -> 6.2x);
-#: 10 / 2.4 rounded down asks no less of batch, whose own throughput is
-#: gated by ``engines.batch_accesses_per_second``.
+#: 10 / 2.4 rounded down asks no less of batch.
 SPEEDUP_FLOOR = 4.0
-
-
-def _context() -> BenchContext:
-    return BenchContext(rounds=ROUNDS, timing_accesses=ACCESSES)
-
-
-def _experiment() -> ExperimentConfig:
-    return ExperimentConfig(num_accesses=ACCESSES, num_cores=NUM_CORES)
 
 
 def _build_streamed_trace(directory: Path):
@@ -58,7 +44,7 @@ def _assert_parity(reference, batch) -> None:
 
 @pytest.fixture(scope="module")
 def experiment() -> ExperimentConfig:
-    return _experiment()
+    return ExperimentConfig(num_accesses=ACCESSES, num_cores=NUM_CORES)
 
 
 @pytest.fixture(scope="module")
@@ -72,29 +58,19 @@ def test_engines_agree_exactly(streamed_trace, experiment):
     _assert_parity(reference, batch)
 
 
-def test_reference_engine(benchmark, streamed_trace, experiment):
-    result = benchmark.pedantic(
+def test_batch_speedup_floor(streamed_trace, experiment, best_of):
+    reference_seconds, reference = best_of(
         lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference"),
-        rounds=ROUNDS, iterations=1,
+        ROUNDS,
     )
-    print("reference: %.0f accesses/s (ipc %.4f)"
-          % (ACCESSES / benchmark.stats.stats.mean, result.total_ipc))
-
-
-def test_batch_engine(benchmark, streamed_trace, experiment):
-    result = benchmark.pedantic(
+    batch_seconds, batch = best_of(
         lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch"),
-        rounds=ROUNDS, iterations=1,
+        ROUNDS,
     )
-    print("batch: %.0f accesses/s (ipc %.4f)"
-          % (ACCESSES / benchmark.stats.stats.mean, result.total_ipc))
-
-
-def test_batch_speedup_floor():
-    entry = get_bench("engines").measure(_context())
-    speedup = entry.metrics["speedup"]
-    print("speedup %.1fx (floor %.0fx)" % (speedup, SPEEDUP_FLOOR))
-    assert entry.metrics["parity_exact"] == 1.0, "batch engine broke parity"
+    speedup = reference_seconds / batch_seconds
+    print("reference %.0f acc/s, batch %.0f acc/s, speedup %.1fx (floor %.0fx)"
+          % (ACCESSES / reference_seconds, ACCESSES / batch_seconds, speedup, SPEEDUP_FLOOR))
+    _assert_parity(reference, batch)
     assert speedup >= SPEEDUP_FLOOR, (
         "batch engine speedup %.1fx is below the %.0fx floor" % (speedup, SPEEDUP_FLOOR)
     )

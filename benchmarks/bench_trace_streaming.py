@@ -1,26 +1,18 @@
-"""Benchmark: streamed vs in-memory simulation of the same trace.
+"""Streamed vs in-memory simulation of the same trace: exact parity.
 
-Measures end-to-end accesses/second of ``run_simulation`` for one workload
-consumed two ways:
+One workload (``mcf`` through ``secddr_ctr``, two cores, 20,000 accesses)
+is consumed two ways:
 
-* **in-memory** -- the classic path: a materialized ``MemoryTrace`` whose
-  per-core replicas are eager record-list copies and whose records reach
-  the core as dataclass instances;
+* **in-memory** -- a materialized ``MemoryTrace``;
 * **streamed** -- a :class:`repro.traces.StreamingTrace` over the on-disk
-  store: lazy per-core offset views and the chunked cursor fast path
-  (one vectorized ``tolist`` per chunk, plain tuples per record).
+  store: lazy per-core offset views and the chunked cursor.
 
-Both paths must produce bit-identical results (asserted), and the streamed
-path must not be slower per access -- the chunked cursor is the simulate
-loop's fast path, so streaming huge captured traces costs less per access
-than the in-memory replay it replaces, on top of its bounded memory.
-
-Scale with ``REPRO_BENCH_TRACE_ACCESSES`` (default 20000).
+Both paths must produce bit-identical results on the reference engine,
+and the batch engine must match the reference on both.  How fast either
+path runs is ``perfbench/``'s to measure (see ``docs/benchmarking.md``).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -28,7 +20,7 @@ from repro.sim.experiment import ExperimentConfig, run_simulation
 from repro.traces import load_trace, save_trace
 from repro.workloads.registry import build_workload
 
-ACCESSES = int(os.environ.get("REPRO_BENCH_TRACE_ACCESSES") or 20000)
+ACCESSES = 20000
 CONFIGURATION = "secddr_ctr"
 
 
@@ -50,11 +42,6 @@ def streamed_trace(in_memory_trace, tmp_path_factory):
     return load_trace(store.path)
 
 
-def _throughput(benchmark, result_ipc: float) -> None:
-    per_second = ACCESSES / benchmark.stats.stats.mean
-    print("%.0f accesses/s (%d accesses, ipc %.4f)" % (per_second, ACCESSES, result_ipc))
-
-
 def test_stream_vs_memory_results_identical(in_memory_trace, streamed_trace, experiment):
     baseline = run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference")
     streamed = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
@@ -68,46 +55,3 @@ def test_batch_engine_parity_on_both_paths(in_memory_trace, streamed_trace, expe
         batch = run_simulation(trace, CONFIGURATION, experiment, engine="batch")
         assert batch.total_ipc == reference.total_ipc
         assert batch.memory_stats == reference.memory_stats
-
-
-def test_simulate_in_memory(benchmark, in_memory_trace, experiment):
-    result = benchmark.pedantic(
-        lambda: run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference"),
-        rounds=3, iterations=1,
-    )
-    _throughput(benchmark, result.total_ipc)
-
-
-def test_simulate_streamed(benchmark, streamed_trace, experiment):
-    result = benchmark.pedantic(
-        lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference"),
-        rounds=3, iterations=1,
-    )
-    _throughput(benchmark, result.total_ipc)
-
-
-def test_simulate_in_memory_batch_engine(benchmark, in_memory_trace, experiment):
-    result = benchmark.pedantic(
-        lambda: run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="batch"),
-        rounds=3, iterations=1,
-    )
-    _throughput(benchmark, result.total_ipc)
-
-
-def test_simulate_streamed_batch_engine(benchmark, streamed_trace, experiment):
-    result = benchmark.pedantic(
-        lambda: run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch"),
-        rounds=3, iterations=1,
-    )
-    _throughput(benchmark, result.total_ipc)
-
-
-def test_registered_trace_streaming_spec():
-    """The ``trace_streaming`` BenchSpec measures this scenario with parity."""
-    from repro.bench import BenchContext, get_bench
-
-    entry = get_bench("trace_streaming").measure(
-        BenchContext(rounds=1, timing_accesses=2000)
-    )
-    assert entry.metrics["parity_exact"] == 1.0
-    assert entry.metrics["streamed_accesses_per_second"] > 0

@@ -1,29 +1,19 @@
-"""Shared configuration for the benchmark harness.
+"""Shared fixtures for the benchmark floors.
 
-The scripts here time what no figure covers: the two engines
-(``bench_engines.py``), streamed traces (``bench_trace_streaming.py``),
-the observability overhead guard (``bench_obs_overhead.py``) and the fuzz
-campaign (``bench_fuzz_campaign.py``).  Figures are built and
-trend-checked by ``repro reproduce --strict``; ``repro bench -b KEY``
-records a bench into ``BENCH_<date>.json``.  Environment knobs:
-
-* ``REPRO_BENCH_JOBS``  -- worker processes for the fuzz campaign (default
-  1 = serial; results are identical either way).
-* ``REPRO_BENCH_CACHE`` -- result-cache directory (default
-  ``benchmarks/results/.simcache``; set to ``off`` to disable).  The fuzz
-  campaign nests its scenario results under ``fuzz/`` inside it, so a
-  second run executes nothing.
+The scripts here hold the two fixed floors CI runs -- the batch engine's
+speedup over the reference model (``bench_engines.py``) and the
+observability overhead guard (``bench_obs_overhead.py``) -- plus the
+streamed-trace parity checks (``bench_trace_streaming.py``).  Host time in
+general is measured by ``perfbench/`` (see ``docs/benchmarking.md``);
+figures are built and trend-checked by ``repro reproduce --strict``.
 """
 
 from __future__ import annotations
 
-import os
+import time
 from pathlib import Path
-from typing import Optional
 
 import pytest
-
-from repro.sim.runner import ResultCache
 
 #: Directory where every benchmark's printed output is also recorded, so
 #: it survives pytest's output capturing.
@@ -49,24 +39,18 @@ def record_benchmark_output(request, capsys):
     print(captured.out, end="")
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
+def _best_of(fn, rounds: int):
+    """Call ``fn`` ``rounds`` times; return the fastest wall time and the last result."""
+    best = float("inf")
+    result = None
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, result
 
 
-def bench_jobs() -> int:
-    """Worker processes used by the fuzz benchmark (REPRO_BENCH_JOBS)."""
-    return _env_int("REPRO_BENCH_JOBS", 1)
-
-
-def bench_cache() -> Optional[ResultCache]:
-    """The shared on-disk result cache, or None when disabled."""
-    override = os.environ.get("REPRO_BENCH_CACHE")
-    if override and override.lower() in ("off", "none", "0"):
-        return None
-    # Keys fingerprint each scenario and configuration -- but not the
-    # functional model's *code*.  After editing it, delete this directory (or
-    # bump FUZZ_CACHE_SCHEMA_VERSION in repro.fuzz.engine) or the benchmark
-    # will replay pre-edit results.
-    directory = Path(override) if override else RESULTS_DIR / ".simcache"
-    return ResultCache(directory)
+@pytest.fixture
+def best_of():
+    """The floors' timer: ``best_of(fn, rounds) -> (seconds, last result)``."""
+    return _best_of

@@ -20,7 +20,7 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy"],
     extras_require={
-        "dev": ["pytest", "pytest-benchmark", "hypothesis", "networkx", "scipy"],
+        "dev": ["pytest", "hypothesis", "networkx"],
     },
     entry_points={
         "console_scripts": [

@@ -454,32 +454,6 @@ class Session:
         )
         return campaign.run()
 
-    def bench(self, benches=None, smoke: bool = False, **context_options):
-        """Run registered benchmark specs (``repro bench``).
-
-        ``benches`` selects spec keys (default: every registered bench;
-        see :func:`repro.bench.bench_names`), ``smoke`` switches to the
-        reduced CI budget, and ``context_options`` forward to
-        :class:`repro.bench.BenchContext` (``timing_accesses``,
-        ``fuzz_budget``, ...).  The fuzz bench nests its scenario cache in
-        the session's cache (when it has one) and uses its worker pool, so
-        a second pass on a cached session executes nothing.  Returns a
-        :class:`repro.bench.BenchReport`.
-        """
-        from repro.bench import BenchContext, run_benches
-
-        context = None
-        if context_options:
-            factory = BenchContext.smoke if smoke else BenchContext
-            context = factory(jobs=self.jobs, **context_options)
-        return run_benches(
-            benches,
-            smoke=smoke,
-            cache=self.cache,
-            jobs=self.jobs,
-            context=context,
-        )
-
     # -- introspection -------------------------------------------------
     def configuration_registry(self):
         return CONFIGURATION_REGISTRY

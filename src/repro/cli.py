@@ -54,7 +54,6 @@ import contextlib
 import dataclasses
 import os
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -334,41 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign re-executes nothing",
     )
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the registered benchmark specs, merge BENCH_<date>.json, "
-        "and gate metric regressions against the committed baseline",
-    )
-    bench.add_argument(
-        "-b", "--benches", default="",
-        help="comma-separated bench keys (default: every registered bench; "
-        "run 'repro list' for the registry)",
-    )
-    bench.add_argument(
-        "-o", "--out", default=".", metavar="DIR",
-        help="directory whose BENCH_<date>.json the results merge into and "
-        "where BENCH_REPORT.md is written (default: current directory)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="tiny CI budget: reduced timing, fuzz and server scales",
-    )
-    bench.add_argument(
-        "--check", nargs="?", const="auto", default=None, metavar="BASELINE",
-        help="exit non-zero on any regression-policy violation vs BASELINE "
-        "(default 'auto': the newest committed benchmarks/BENCH_*.json; "
-        "noisy timing metrics only gate under a matching environment "
-        "fingerprint — mismatches are flagged in the report instead)",
-    )
-    _add_trace_argument(bench)
-    _add_timeline_arguments(bench)
-    _add_runner_arguments(
-        bench,
-        cache_default_help="$REPRO_CACHE_DIR if set, otherwise a persistent "
-        "cache under <out>/.benchcache; a second run against it simulates "
-        "nothing",
-    )
-
     serve = subparsers.add_parser(
         "serve", help="run the HTTP experiment service (job queue, SSE progress, "
         "artifact downloads)",
@@ -646,16 +610,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print("%-16s %-28s %-10s %s" % (
             key, spec.paper_ref, "yes" if spec.simulated else "no", spec.description,
         ))
-    print()
-    from repro.bench import bench_names, get_bench
-
-    benches = bench_names()
-    print("Bench registry (%d entries; run with 'repro bench --benches KEY,...')"
-          % len(benches))
-    print("%-16s %-8s %s" % ("key", "metrics", "title"))
-    for key in benches:
-        spec = get_bench(key)
-        print("%-16s %-8d %s" % (key, len(spec.metrics), spec.title))
     print()
     print("Engine registry (%d entries; select with --engine or engine=)" % len(ENGINES))
     print("%-12s %-11s %s" % ("name", "vectorized", "description"))
@@ -992,93 +946,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        compare_records,
-        default_record_path,
-        find_baseline,
-        load_record,
-        merge_bench_record,
-        render_bench_report,
-        resolve_benches,
-        run_benches,
-        violations,
-    )
-
-    keys = _split(args.benches) or None
-    resolve_benches(keys)  # unknown keys fail before any work is done
-    cache = _build_cache(args, default_dir=os.path.join(args.out, ".benchcache"))
-
-    report = run_benches(
-        keys,
-        smoke=args.smoke,
-        cache=cache,
-        jobs=args.jobs,
-    )
-    for entry in report.entries:
-        printed = ", ".join(
-            "%s=%s" % (name, ("%g" % value)) for name, value in entry.metrics.items()
-        )
-        print("%-16s %6.2fs  %s" % (entry.key, entry.elapsed_seconds, printed))
-    print()
-    print("simulated %d cache-keyed job(s), %d served from cache"
-          % (report.simulated_jobs, report.cached_jobs))
-
-    record_path = default_record_path(args.out)
-    registry = obs.current().registry
-    record = merge_bench_record(
-        record_path,
-        {entry.key: entry.to_payload() for entry in report.entries},
-        profile=report.profile,
-        environment=report.environment,
-        observability=None if registry is obs.NULL_REGISTRY else registry.summary(),
-    )
-    print("merged %d bench entr%s into %s"
-          % (len(report.entries), "y" if len(report.entries) == 1 else "ies", record_path))
-
-    if args.check not in (None, "auto"):
-        baseline_path = Path(args.check)
-    else:
-        baseline_path = find_baseline(exclude=record_path)
-
-    deltas = None
-    if baseline_path is not None and Path(baseline_path).exists():
-        deltas = compare_records(record, load_record(baseline_path))
-    report_path = Path(args.out) / "BENCH_REPORT.md"
-    report_path.write_text(render_bench_report(
-        record, deltas, baseline_path=baseline_path, record_path=record_path,
-    ))
-    print("wrote %s" % report_path)
-    recorder = obs.current().timeline
-    if recorder is not None and len(recorder):
-        # Bench runs with --timeline also drop the artifacts into --out so
-        # the dashboard sits next to BENCH_REPORT.md.
-        _write_timeline(recorder, os.path.join(args.out, "timeline.json"))
-        _write_timeline(recorder, os.path.join(args.out, "dashboard.html"))
-
-    if args.check is None:
-        return 0
-    if deltas is None:
-        print("no baseline record found; skipping the regression gate")
-        return 0
-    failed = violations(deltas)
-    flagged = [delta for delta in deltas if delta.status == "flagged"]
-    for delta in flagged:
-        print("flagged (env mismatch): %s.%s %s -> %s"
-              % (delta.bench, delta.metric, delta.baseline, delta.current),
-              file=sys.stderr)
-    for delta in failed:
-        print("REGRESSED: %s.%s %s -> %s (%s)"
-              % (delta.bench, delta.metric, delta.baseline, delta.current, delta.note),
-              file=sys.stderr)
-    if failed:
-        print("%d policy violation(s) vs %s" % (len(failed), baseline_path),
-              file=sys.stderr)
-        return 1
-    print("regression gate passed vs %s" % baseline_path)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP experiment service until SIGTERM/SIGINT, then exit 0."""
     import signal
@@ -1179,8 +1046,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_trace(args)
     if args.command == "fuzz":
         return _cmd_fuzz(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "obs":
         return _cmd_obs(args)
     raise AssertionError("unhandled command %r" % args.command)  # pragma: no cover

@@ -24,9 +24,6 @@ class BankStats:
     precharges: int = 0
     reads: int = 0
     writes: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_conflicts: int = 0
 
 
 class Bank:
@@ -112,12 +109,3 @@ class Bank:
         # Precharge must wait for write recovery after the last data beat.
         self.next_precharge = max(self.next_precharge, data_end + t.tWR)
         return data_end
-
-    def record_row_outcome(self, outcome: str) -> None:
-        """Update hit/miss/conflict statistics."""
-        if outcome == "hit":
-            self.stats.row_hits += 1
-        elif outcome == "miss":
-            self.stats.row_misses += 1
-        else:
-            self.stats.row_conflicts += 1

@@ -135,7 +135,6 @@ class Channel:
 
         cycle = self.maybe_refresh(earliest_cycle)
         outcome = bank.classify_access(decoded.row)
-        bank.record_row_outcome(outcome)
 
         if outcome == "conflict":
             pre_cycle = max(cycle, bank.next_precharge)

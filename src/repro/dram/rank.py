@@ -118,13 +118,3 @@ class Rank:
                 self._next_read_after_write, write_data_end + t.tWTR_L
             )
         self.transaction_count += 1
-
-    # ------------------------------------------------------------------
-    def row_buffer_stats(self) -> Dict[str, int]:
-        """Aggregate row-buffer hit/miss/conflict counts over all banks."""
-        totals = {"hits": 0, "misses": 0, "conflicts": 0}
-        for bank in self.banks.values():
-            totals["hits"] += bank.stats.row_hits
-            totals["misses"] += bank.stats.row_misses
-            totals["conflicts"] += bank.stats.row_conflicts
-        return totals

@@ -19,7 +19,6 @@ __all__ = [
     "UnknownWorkloadError",
     "UnknownMechanismError",
     "UnknownFigureError",
-    "UnknownBenchError",
     "UnknownEngineError",
     "UnknownOverrideError",
     "UnknownAttackConfigurationError",
@@ -96,12 +95,6 @@ class UnknownFigureError(RegistryLookupError):
     """No paper figure/table spec is registered under this key."""
 
     kind = "figure"
-
-
-class UnknownBenchError(RegistryLookupError):
-    """No benchmark spec is registered under this key."""
-
-    kind = "benchmark"
 
 
 class UnknownEngineError(RegistryLookupError):

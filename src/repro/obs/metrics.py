@@ -192,7 +192,7 @@ class MetricsRegistry:
 
     # -- summaries ------------------------------------------------------
     def summary(self):
-        """Flat JSON-friendly summary for bench records and REPORT.md."""
+        """Flat JSON-friendly summary for REPORT.md, ``GET /metrics/stream`` and ``Session``."""
         out = {}
         with self._lock:
             for name in sorted(self._families):

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 #: Job kinds the service executes, in documentation order.
-JOB_KINDS = ("compare", "sweep", "figures", "fuzz", "bench")
+JOB_KINDS = ("compare", "sweep", "figures", "fuzz")
 
 #: Sweep axes a ``sweep`` job accepts.
 SWEEP_AXES = ("arity", "packing")
@@ -313,26 +313,11 @@ def _validate_fuzz(request: Dict[str, object]) -> None:
         FuzzCampaign._resolve_configurations(_require_names(configurations, "configurations"))
 
 
-def _validate_bench(request: Dict[str, object]) -> None:
-    benches = request.get("benches")
-    if benches is not None:
-        from repro.bench import resolve_benches
-
-        resolve_benches(_require_names(benches, "benches"))
-    # Campaigns default to the smoke budget over HTTP: a full-budget pass
-    # blocks the single worker for minutes, and the caller can always opt in.
-    smoke = request.get("smoke", True)
-    if not isinstance(smoke, bool):
-        raise RequestError('"smoke" must be a boolean')
-    request["smoke"] = smoke
-
-
 _VALIDATORS = {
     "compare": _validate_compare,
     "sweep": _validate_sweep,
     "figures": _validate_figures,
     "fuzz": _validate_fuzz,
-    "bench": _validate_bench,
 }
 
 

@@ -92,7 +92,6 @@ class ExperimentService:
             "sweep": self._execute_sweep,
             "figures": self._execute_figures,
             "fuzz": self._execute_fuzz,
-            "bench": self._execute_bench,
         }
 
     # -- lifecycle ------------------------------------------------------
@@ -501,52 +500,4 @@ class ExperimentService:
             "violations": len(report.violations()),
             "detection_matrix": report.detection_matrix(),
             "artifacts": sorted(path.name for path in paths),
-        }
-
-    def _execute_bench(self, record: JobRecord) -> Dict[str, object]:
-        from repro.bench import (
-            default_record_path,
-            merge_bench_record,
-            render_bench_report,
-            run_benches,
-        )
-
-        request = record.request
-        benches = request.get("benches")
-        report = run_benches(
-            list(benches) if benches is not None else None,
-            smoke=bool(request.get("smoke", True)),
-            cache=self.cache,
-            jobs=self.jobs,
-        )
-        artifacts = self.store.artifacts_dir(record.id)
-        record_path = default_record_path(artifacts)
-        registry = obs.current().registry
-        merged = merge_bench_record(
-            record_path,
-            {entry.key: entry.to_payload() for entry in report.entries},
-            profile=report.profile,
-            environment=report.environment,
-            observability=None if registry is obs.NULL_REGISTRY else registry.summary(),
-        )
-        # The artifacts dir is private to this job, so no concurrent merge
-        # can need the lock sidecar again; drop it from the listing.
-        lock_path = Path(str(record_path) + ".lock")
-        if lock_path.exists():
-            lock_path.unlink()
-        report_path = artifacts / "BENCH_REPORT.md"
-        report_path.write_text(
-            render_bench_report(merged, None, record_path=record_path.name)
-        )
-        return {
-            "kind": "bench",
-            "benches": [entry.key for entry in report.entries],
-            "profile": report.profile,
-            "environment": report.environment,
-            "metrics": {entry.key: entry.metrics for entry in report.entries},
-            "simulated_jobs": report.simulated_jobs,
-            "cached_jobs": report.cached_jobs,
-            "artifacts": sorted(
-                path.name for path in (record_path, report_path)
-            ),
         }

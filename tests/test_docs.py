@@ -30,7 +30,7 @@ SRC_DIR = REPO_ROOT / "src"
 BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
 MARKDOWN_NAME = re.compile(r"[\w./-]+\.md\b")
 #: Markdown files the code writes as artifacts, not documents in the repo.
-GENERATED_MARKDOWN = {"REPORT.md", "BENCH_REPORT.md"}
+GENERATED_MARKDOWN = {"REPORT.md"}
 
 
 class TestReproducingGuide:
@@ -62,7 +62,7 @@ class TestArchitectureDoc:
         "repro.secure", "repro.sim", "repro.sim.engines", "repro.figures",
         "repro.workloads", "repro.core", "repro.crypto", "repro.attacks",
         "repro.analysis", "repro.fuzz", "repro.traces", "repro.server",
-        "repro.bench", "repro.obs",
+        "repro.obs",
     ])
     def test_every_layer_is_described(self, layer):
         assert layer in ARCHITECTURE.read_text()
@@ -96,10 +96,9 @@ class TestBenchmarkingDoc:
     def test_readme_links_the_benchmarking_guide(self):
         assert "docs/benchmarking.md" in README.read_text()
 
-    def test_documents_the_gate_and_the_record_file(self):
+    def test_names_the_harness_and_its_declaration(self):
         text = BENCHMARKING_DOC.read_text()
-        assert "repro bench" in text and "--check" in text
-        assert "BENCH_" in text and "BENCH_REPORT.md" in text
+        assert "perfbench/run.py" in text and "BENCHMARK.json" in text
 
 
 class TestObservabilityDoc:
@@ -190,12 +189,12 @@ class TestCommandDocumentation:
 
 class TestPackageDocstrings:
     @pytest.mark.parametrize("module", [
-        "repro", "repro.analysis", "repro.attacks", "repro.bench",
-        "repro.cache", "repro.controller", "repro.core", "repro.cpu",
-        "repro.crypto", "repro.dram", "repro.figures", "repro.fuzz",
-        "repro.obs", "repro.obs.dashboard", "repro.obs.timeline",
-        "repro.secure", "repro.server", "repro.sim",
-        "repro.sim.engines", "repro.traces", "repro.workloads",
+        "repro", "repro.analysis", "repro.attacks", "repro.cache",
+        "repro.controller", "repro.core", "repro.cpu", "repro.crypto",
+        "repro.dram", "repro.figures", "repro.fuzz", "repro.obs",
+        "repro.obs.dashboard", "repro.obs.timeline", "repro.secure",
+        "repro.server", "repro.sim", "repro.sim.engines", "repro.traces",
+        "repro.workloads",
     ])
     def test_every_subpackage_has_a_docstring(self, module):
         imported = __import__(module, fromlist=["__doc__"])

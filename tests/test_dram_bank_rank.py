@@ -129,12 +129,3 @@ class TestRankConstraints:
         rank.record_column(0, True, 10)
         rank.record_column(1, False, 40)
         assert rank.transaction_count == 2
-
-    def test_row_buffer_stats_aggregate(self):
-        rank = Rank(DDR4_3200)
-        bank = rank.bank(0, 0)
-        bank.record_row_outcome("hit")
-        bank.record_row_outcome("miss")
-        rank.bank(1, 1).record_row_outcome("conflict")
-        stats = rank.row_buffer_stats()
-        assert stats == {"hits": 1, "misses": 1, "conflicts": 1}

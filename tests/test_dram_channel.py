@@ -72,6 +72,16 @@ class TestChannelAccess:
         assert channel.stats.writes == 1
         assert channel.stats.read_bus_cycles == DDR4_3200.burst_cycles_read
 
+    def test_each_access_counts_one_row_outcome(self):
+        channel = Channel(DDR4_3200)
+        first = channel.access(_decoded(row=3), is_read=True, earliest_cycle=0)
+        hit = channel.access(_decoded(row=3, column=5), is_read=False, earliest_cycle=first.completion_cycle)
+        conflict = channel.access(_decoded(row=9), is_read=True, earliest_cycle=hit.completion_cycle)
+        assert [first.row_outcome, hit.row_outcome, conflict.row_outcome] == ["miss", "hit", "conflict"]
+        stats = channel.stats
+        assert stats.row_hits and stats.row_misses and stats.row_conflicts
+        assert stats.row_hits + stats.row_misses + stats.row_conflicts == stats.reads + stats.writes
+
     def test_utilization_fractions(self):
         channel = Channel(DDR4_3200)
         channel.access(_decoded(row=1), is_read=True, earliest_cycle=0)

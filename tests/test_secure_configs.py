@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.dram.timing import DDR4_2400, DDR4_3200
+from repro.core.config import SecDDRConfig
+from repro.dram.dimm import DimmTopology
+from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.secure.baseline import EncryptOnlySystem, TdxBaselineSystem
 from repro.secure.configs import (
     CONFIGURATIONS,
     SECDDR_WRITE_BURST_CYCLES,
+    SECDDR_WRITE_BURST_CYCLES_DDR5,
     build_configuration,
     configuration_names,
 )
@@ -63,6 +66,17 @@ class TestRegistry:
         assert spec.write_burst_cycles == SECDDR_WRITE_BURST_CYCLES
         assert spec.uses_extended_write_burst
         assert not CONFIGURATIONS["encrypt_only_xts"].uses_extended_write_burst
+
+    @pytest.mark.parametrize("timing, cycles", [
+        (DDR4_3200, SECDDR_WRITE_BURST_CYCLES),
+        (DDR5_4800, SECDDR_WRITE_BURST_CYCLES_DDR5),
+    ], ids=["ddr4", "ddr5"])
+    def test_write_burst_carries_the_functional_ewcrc(self, timing, cycles):
+        # Each x8 chip sends its eWCRC bytes as extra beats after the data
+        # burst (BL8 -> BL10, BL16 -> BL18), two beats per DRAM cycle.
+        ewcrc_beats = SecDDRConfig().ewcrc_bytes * 8 // DimmTopology().device_width
+        beats = 2 * timing.burst_cycles_write + ewcrc_beats
+        assert timing.with_write_burst_beats(beats).burst_cycles_write == cycles
 
     def test_realistic_invisimem_uses_derated_channel(self):
         assert CONFIGURATIONS["invisimem_realistic_xts"].timing is DDR4_2400

@@ -7,6 +7,7 @@ ports, no third-party HTTP stack.
 """
 
 import json
+import re
 import socket
 import threading
 import time
@@ -81,9 +82,11 @@ def client(service):
 
 
 class TestSchemas:
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(RequestError, match="kind"):
-            validate_request({"kind": "comapre"})
+    @pytest.mark.parametrize("kind", ["comapre", "bench"])
+    def test_unknown_kind_is_rejected(self, kind):
+        expected = '"kind" must be one of compare, sweep, figures, fuzz, got %r' % kind
+        with pytest.raises(RequestError, match=re.escape(expected)):
+            validate_request({"kind": kind})
 
     def test_unknown_configuration_gets_closest_match(self):
         with pytest.raises(UnknownConfigurationError, match="secddr_ctr"):
@@ -392,37 +395,3 @@ class TestSSEEdgeCases:
         assert client.health()["status"] == "ok"
         job = client.submit(dict(COMPARE_SPEC, workloads=["gcc"]))
         assert client.wait(job["id"])["state"] == "done"
-
-
-class TestBenchJobs:
-    def test_bench_validation_rejects_unknown_bench(self):
-        # Registry errors propagate as-is (the HTTP layer maps them to 400),
-        # matching how unknown configurations/workloads are reported.
-        from repro.errors import UnknownBenchError
-
-        with pytest.raises(UnknownBenchError, match="engines"):
-            validate_request({"kind": "bench", "benches": ["engnes"]})
-
-    def test_bench_validation_requires_boolean_smoke(self):
-        with pytest.raises(RequestError, match="smoke"):
-            validate_request({"kind": "bench", "benches": ["engines"], "smoke": "yes"})
-
-    def test_bench_job_runs_and_writes_artifacts(self, service):
-        service.start()
-        record = service.submit({"kind": "bench", "benches": ["engines"], "smoke": True})
-        finished = service.wait(record.id, timeout=120)
-        assert finished.state == "done"
-        payload = json.loads(service.store.result_path(record.id).read_bytes())
-        assert payload["kind"] == "bench"
-        assert payload["benches"] == ["engines"]
-        assert payload["profile"] == "smoke"
-        assert payload["metrics"]["engines"]["parity_exact"] == 1.0
-        names = payload["artifacts"]
-        assert "BENCH_REPORT.md" in names
-        assert any(n.startswith("BENCH_") and n.endswith(".json") for n in names)
-        artifacts_dir = service.store.artifacts_dir(record.id)
-        # Exactly the listed artifacts plus the service's per-job timeline
-        # pair — no lock sidecars or temp files.
-        assert sorted(p.name for p in artifacts_dir.iterdir()) == sorted(
-            names + ["dashboard.html", "timeline.json"]
-        )
