@@ -1,10 +1,12 @@
 """Tests for the DDR channel model."""
 
+import random
+
 import pytest
 
 from repro.dram.address_mapping import AddressMapping, DecodedAddress
 from repro.dram.channel import Channel
-from repro.dram.timing import DDR4_3200
+from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 
 
 def _decoded(rank=0, bank_group=0, bank=0, row=0, column=0):
@@ -81,6 +83,44 @@ class TestChannelAccess:
         stats = channel.stats
         assert stats.row_hits and stats.row_misses and stats.row_conflicts
         assert stats.row_hits + stats.row_misses + stats.row_conflicts == stats.reads + stats.writes
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("timing", [DDR4_2400, DDR4_3200, DDR5_4800], ids=lambda t: t.name)
+    def test_outcomes_match_an_open_row_oracle(self, timing, seed):
+        # Random accesses over both ranks and all 16 banks of each, three
+        # rows per bank, issued far enough apart to cross several refreshes.
+        rng = random.Random(seed)
+        channel = Channel(timing)
+        open_rows = {}
+        counts = {"hit": 0, "miss": 0, "conflict": 0}
+        cycle = 0
+        for _ in range(400):
+            decoded = _decoded(
+                rank=rng.randrange(2), bank_group=rng.randrange(4),
+                bank=rng.randrange(4), row=rng.randrange(3),
+            )
+            refreshes = channel.stats.refreshes
+            result = channel.access(decoded, is_read=rng.random() < 0.7, earliest_cycle=cycle)
+            if channel.stats.refreshes > refreshes:
+                open_rows.clear()  # an all-bank refresh closes every row
+            bank = (decoded.rank, decoded.bank_group, decoded.bank)
+            if bank not in open_rows:
+                expected = "miss"
+            elif open_rows[bank] == decoded.row:
+                expected = "hit"
+            else:
+                expected = "conflict"
+            assert result.row_outcome == expected
+            open_rows[bank] = decoded.row
+            counts[expected] += 1
+            cycle = result.completion_cycle + rng.randrange(200)
+        stats = channel.stats
+        assert stats.refreshes >= 2
+        assert (stats.row_hits, stats.row_misses, stats.row_conflicts) == (
+            counts["hit"], counts["miss"], counts["conflict"]
+        )
+        assert min(counts.values()) > 0
+        assert stats.row_hits + stats.row_misses + stats.row_conflicts == stats.reads + stats.writes == 400
 
     def test_utilization_fractions(self):
         channel = Channel(DDR4_3200)

@@ -629,6 +629,33 @@ class TestObservabilityIsObservational:
             instrumented.to_payload(), sort_keys=True
         )
 
+    @pytest.mark.parametrize("signals", ["metrics+tracing", "timeline"])
+    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    def test_cold_runner_pass_identical_under_each_observation(self, tmp_path, engine, signals):
+        # One fresh-cache runner pass per observation, so both simulate.
+        job = SimulationJob(
+            configuration="secddr_ctr", workload="mcf",
+            experiment=ExperimentConfig(num_accesses=600, num_cores=2), engine=engine,
+        )
+
+        def cold_pass(name):
+            return ParallelRunner(jobs=1, cache=ResultCache(tmp_path / name)).run([job])[0]
+
+        off = cold_pass("off")
+        if signals == "timeline":
+            recorder = obs.TimelineRecorder(window=64)
+            observation = obs.Observation(timeline=recorder)
+        else:
+            registry = obs.MetricsRegistry()
+            observation = obs.Observation(registry=registry, tracer=obs.Tracer())
+        with obs.observing(observation):
+            on = cold_pass("on")
+        if signals == "timeline":
+            assert recorder.sample_count > 0
+        else:
+            assert registry.summary()["sim_jobs_total{state=done}"] == 1
+        assert on == off
+
     def test_cache_keys_unchanged_by_instrumentation(self):
         job = _jobs()[0]
         key_off = job.cache_key()

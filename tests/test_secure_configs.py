@@ -19,6 +19,14 @@ from repro.secure.invisimem import InvisiMemSystem
 from repro.secure.secddr_model import SecDDRSystem
 
 
+def _ewcrc_write_burst_cycles(timing):
+    # Each x8 chip sends its eWCRC bytes as extra beats after the data
+    # burst (BL8 -> BL10, BL16 -> BL18), two beats per DRAM cycle.
+    ewcrc_beats = SecDDRConfig().ewcrc_bytes * 8 // DimmTopology().device_width
+    beats = 2 * timing.burst_cycles_write + ewcrc_beats
+    return timing.with_write_burst_beats(beats).burst_cycles_write
+
+
 class TestRegistry:
     def test_every_figure6_configuration_exists(self):
         for name in (
@@ -72,11 +80,22 @@ class TestRegistry:
         (DDR5_4800, SECDDR_WRITE_BURST_CYCLES_DDR5),
     ], ids=["ddr4", "ddr5"])
     def test_write_burst_carries_the_functional_ewcrc(self, timing, cycles):
-        # Each x8 chip sends its eWCRC bytes as extra beats after the data
-        # burst (BL8 -> BL10, BL16 -> BL18), two beats per DRAM cycle.
-        ewcrc_beats = SecDDRConfig().ewcrc_bytes * 8 // DimmTopology().device_width
-        beats = 2 * timing.burst_cycles_write + ewcrc_beats
-        assert timing.with_write_burst_beats(beats).burst_cycles_write == cycles
+        assert _ewcrc_write_burst_cycles(timing) == cycles
+
+    @pytest.mark.parametrize("name", configuration_names())
+    def test_only_secddr_takes_the_ewcrc_write_burst(self, name):
+        # Every SecDDR configuration's channel carries the eWCRC beats of its
+        # own DRAM generation; every other one keeps the plain burst.
+        spec = CONFIGURATIONS[name]
+        channel = build_configuration(name).controller.channel
+        if spec.mechanism == "secddr":
+            assert spec.write_burst_cycles == _ewcrc_write_burst_cycles(spec.timing)
+            assert spec.uses_extended_write_burst
+        else:
+            assert spec.write_burst_cycles is None
+            assert not spec.uses_extended_write_burst
+        expected = spec.write_burst_cycles or spec.timing.burst_cycles_write
+        assert channel.write_burst_cycles == expected
 
     def test_realistic_invisimem_uses_derated_channel(self):
         assert CONFIGURATIONS["invisimem_realistic_xts"].timing is DDR4_2400

@@ -88,6 +88,16 @@ class TestSchemas:
         with pytest.raises(RequestError, match=re.escape(expected)):
             validate_request({"kind": kind})
 
+    @pytest.mark.parametrize("request_, normalized", [
+        ({"kind": "compare", "configurations": ["secddr_ctr"], "workloads": ["mcf"]},
+         {"kind": "compare", "configurations": ["secddr_ctr"], "workloads": ["mcf"], "priority": 0}),
+        ({"kind": "sweep"}, {"kind": "sweep", "priority": 0, "sweep": "arity", "values": [8, 64, 128]}),
+        ({"kind": "figures", "figures": ["fig7"]}, {"kind": "figures", "figures": ["fig7"], "priority": 0}),
+        ({"kind": "fuzz"}, {"kind": "fuzz", "priority": 0, "budget": 50}),
+    ], ids=["compare", "sweep", "figures", "fuzz"])
+    def test_each_kind_fills_in_its_defaults(self, request_, normalized):
+        assert validate_request(request_) == normalized
+
     def test_unknown_configuration_gets_closest_match(self):
         with pytest.raises(UnknownConfigurationError, match="secddr_ctr"):
             validate_request(dict(COMPARE_SPEC, configurations=["secddr_ctrr"]))
@@ -300,6 +310,13 @@ class TestHTTP:
         assert excinfo.value.status == 400
         assert "secddr_ctr" in str(excinfo.value)
         assert client.jobs() == []  # nothing was stored
+
+    def test_removed_bench_kind_is_a_400_naming_the_four_kinds(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"kind": "bench", "smoke": True})
+        assert excinfo.value.status == 400
+        assert "compare, sweep, figures, fuzz, got 'bench'" in str(excinfo.value)
+        assert client.jobs() == []
 
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(ServiceError) as excinfo:

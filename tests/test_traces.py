@@ -455,6 +455,22 @@ class TestStreamingSimulation:
             assert streamed.total_ipc == in_memory.total_ipc
             assert streamed.memory_stats == in_memory.memory_stats
 
+    @pytest.mark.parametrize(
+        "configuration",
+        ["tdx_baseline", "encrypt_only_xts", "secddr_ctr", "integrity_tree_64",
+         "integrity_tree_8_hash", "invisimem_realistic_xts"],
+    )
+    def test_reference_engine_streams_like_it_reads_records(self, tmp_path, configuration):
+        # The object model's two trace cursors, a record list and a chunked
+        # store that refills mid-run, feed the cores the same accesses.
+        trace = small_trace(800, name="lbm")
+        view = load_trace(save_trace(trace, tmp_path / "t", chunk_size=97).path)
+        for cores in (1, 3):
+            experiment = ExperimentConfig(num_accesses=len(trace), num_cores=cores)
+            in_memory = run_simulation(trace, configuration, experiment, engine="reference")
+            streamed = run_simulation(view, configuration, experiment, engine="reference")
+            assert streamed == in_memory
+
     def test_simulation_streams_in_bounded_chunk_window(self, tmp_path):
         # 40 chunks on disk, at most 4 resident: the simulation never holds
         # more than the configured window no matter how long the trace is.
