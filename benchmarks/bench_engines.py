@@ -2,9 +2,9 @@
 
 Runs the same streamed-trace scenario as ``bench_trace_streaming.py``
 (workload ``mcf`` through ``secddr_ctr``, two cores, 20,000 accesses) on
-both registered engines, asserts exact statistical parity, and enforces the
-batch engine's speedup floor on this scenario (``SPEEDUP_FLOOR``), timing
-each engine as the best of ``ROUNDS`` calls.  Host time in general is
+both registered engines, timing each as the best of ``ROUNDS`` calls; it
+asserts exact statistical parity of the runs it timed, then enforces the
+batch engine's speedup floor on this scenario (``SPEEDUP_FLOOR``).  Host time in general is
 measured by ``perfbench/`` (see ``docs/benchmarking.md``).
 """
 
@@ -50,12 +50,6 @@ def experiment() -> ExperimentConfig:
 @pytest.fixture(scope="module")
 def streamed_trace(tmp_path_factory):
     return _build_streamed_trace(tmp_path_factory.mktemp("engine-trace"))
-
-
-def test_engines_agree_exactly(streamed_trace, experiment):
-    reference = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
-    batch = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="batch")
-    _assert_parity(reference, batch)
 
 
 def test_batch_speedup_floor(streamed_trace, experiment, best_of):

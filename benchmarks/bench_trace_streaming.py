@@ -8,7 +8,8 @@ is consumed two ways:
   store: lazy per-core offset views and the chunked cursor.
 
 Both paths must produce bit-identical results on the reference engine,
-and the batch engine must match the reference on both.  How fast either
+and the batch engine must match the reference on both.  The in-memory
+reference run is computed once and shared by both checks.  How fast either
 path runs is ``perfbench/``'s to measure (see ``docs/benchmarking.md``).
 """
 
@@ -42,15 +43,18 @@ def streamed_trace(in_memory_trace, tmp_path_factory):
     return load_trace(store.path)
 
 
-def test_stream_vs_memory_results_identical(in_memory_trace, streamed_trace, experiment):
-    baseline = run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference")
+@pytest.fixture(scope="module")
+def reference(in_memory_trace, experiment):
+    return run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference")
+
+
+def test_stream_vs_memory_results_identical(reference, streamed_trace, experiment):
     streamed = run_simulation(streamed_trace, CONFIGURATION, experiment, engine="reference")
-    assert streamed.total_ipc == baseline.total_ipc
-    assert streamed.memory_stats == baseline.memory_stats
+    assert streamed.total_ipc == reference.total_ipc
+    assert streamed.memory_stats == reference.memory_stats
 
 
-def test_batch_engine_parity_on_both_paths(in_memory_trace, streamed_trace, experiment):
-    reference = run_simulation(in_memory_trace, CONFIGURATION, experiment, engine="reference")
+def test_batch_engine_parity_on_both_paths(reference, in_memory_trace, streamed_trace, experiment):
     for trace in (in_memory_trace, streamed_trace):
         batch = run_simulation(trace, CONFIGURATION, experiment, engine="batch")
         assert batch.total_ipc == reference.total_ipc

@@ -20,8 +20,10 @@ cryptographic primitives in :mod:`repro.crypto`:
   (processor engine + bus + DIMM + storage) that the attack framework and
   the examples drive.
 
-The *performance* model of SecDDR lives in :mod:`repro.secure.secddr_model`;
-this package is about demonstrating the security arguments of Section III.
+The *performance* model of SecDDR is one row of
+:func:`repro.secure.configs.metadata_path` plus its controller's longer
+eWCRC write burst; this package is about demonstrating the security
+arguments of Section III.
 """
 
 from repro.core.config import SecDDRConfig

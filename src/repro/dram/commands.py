@@ -25,7 +25,6 @@ __all__ = [
     "MemoryRequest",
     "CommandType",
     "DramCommand",
-    "MetadataKind",
 ]
 
 _request_ids = itertools.count()
@@ -36,15 +35,6 @@ class RequestType(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-
-
-class MetadataKind(enum.Enum):
-    """What a memory request carries: demand data or security metadata."""
-
-    DATA = "data"
-    ENCRYPTION_COUNTER = "encryption_counter"
-    TREE_NODE = "tree_node"
-    MAC = "mac"
 
 
 @dataclass(eq=False)
@@ -62,9 +52,6 @@ class MemoryRequest:
         Read or write.
     arrival_cycle:
         Memory-controller cycle at which the request becomes visible.
-    metadata_kind:
-        Demand data or one of the security-metadata classes.  Used for
-        statistics and for the metadata cache.
     core_id:
         Which core issued the demand access (metadata inherits the core of
         its parent request).
@@ -80,7 +67,6 @@ class MemoryRequest:
     address: int
     request_type: RequestType
     arrival_cycle: int = 0
-    metadata_kind: MetadataKind = MetadataKind.DATA
     core_id: int = 0
     parent_id: Optional[int] = None
     request_id: int = field(default_factory=lambda: next(_request_ids))

@@ -21,8 +21,12 @@ from typing import Dict, List, Mapping, Tuple
 
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownOverrideError
-from repro.secure.configs import ConfigurationLike, SystemConfiguration, resolve_configuration
-from repro.secure.encryption import EncryptionMode
+from repro.secure.configs import (
+    ConfigurationLike,
+    EncryptionMode,
+    SystemConfiguration,
+    resolve_configuration,
+)
 
 __all__ = [
     "OverrideError",

@@ -11,7 +11,8 @@ The CPU model only sees the final ``(completion_cycle, extra_cpu_cycles)``
 pair, which is exactly the interface difference between the evaluated
 systems.
 
-What a mechanism costs is stated once, as a frozen :class:`MetadataPath`:
+What a mechanism costs is stated once, as a frozen :class:`MetadataPath`
+(:func:`repro.secure.configs.metadata_path` gives each built-in mechanism's):
 the reference model executes it access by access, and the batch engine
 (:mod:`repro.sim.engines`) reads the same description, so the two engines
 cannot disagree about a mechanism.
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import MemoryController
-from repro.dram.commands import MemoryRequest, MetadataKind, RequestType
+from repro.dram.commands import MemoryRequest, RequestType
 
 if TYPE_CHECKING:  # pragma: no cover - integrity_tree imports this module
     from repro.secure.integrity_tree import IntegrityTree
@@ -49,22 +50,6 @@ class MetadataLayout:
     tree_region_base: int = 1 << 41
     mac_region_base: int = 1 << 42
 
-    def counter_line_address(self, data_address: int, counters_per_line: int) -> int:
-        """Address of the encryption-counter line covering ``data_address``."""
-        data_line = data_address // self.line_bytes
-        counter_line = data_line // counters_per_line
-        return self.counter_region_base + counter_line * self.line_bytes
-
-    def mac_line_address(self, data_address: int, macs_per_line: int = 8) -> int:
-        """Address of the in-memory MAC line covering ``data_address``.
-
-        Only used by designs that do *not* keep MACs in the ECC chips (the
-        8-ary hash-tree configuration of Figure 8).
-        """
-        data_line = data_address // self.line_bytes
-        mac_line = data_line // macs_per_line
-        return self.mac_region_base + mac_line * self.line_bytes
-
 
 @dataclass(frozen=True)
 class MetadataPath:
@@ -84,7 +69,6 @@ class MetadataPath:
     base: Optional[int] = None
     #: Data lines covered by one metadata line.
     lines_per_entry: int = 1
-    kind: MetadataKind = MetadataKind.ENCRYPTION_COUNTER
     tree: Optional["IntegrityTree"] = None
 
 
@@ -122,30 +106,27 @@ class SecureMemoryStats:
 
 
 class SecureMemorySystem:
-    """Base class: no integrity metadata, no encryption latency.
+    """One secure memory: a controller, a metadata cache and a metadata path.
 
-    Subclasses describe their metadata traffic and critical-path latencies
-    by setting :attr:`path` in ``__init__``; the generic :meth:`_expand_read`
-    and :meth:`_expand_write` execute it through :meth:`_metadata_access`, so
-    all configurations share the same metadata-cache and writeback
-    behaviour.  A subclass that overrides any method besides ``__init__``
-    runs on the reference engine only.
+    Every mechanism is this class with its own :class:`MetadataPath` (the
+    default, no metadata and no latency, is an unprotected memory).  The
+    generic :meth:`_expand_read` and :meth:`_expand_write` execute the path
+    through :meth:`_metadata_access`, so all configurations share the same
+    metadata-cache and writeback behaviour.  A subclass that overrides any
+    method besides ``__init__`` runs on the reference engine only.
     """
-
-    name = "unprotected"
 
     def __init__(
         self,
         controller: MemoryController,
         metadata_cache: Optional[MetadataCache] = None,
         layout: Optional[MetadataLayout] = None,
-        crypto_latency_cpu_cycles: int = 40,
+        path: Optional[MetadataPath] = None,
     ) -> None:
         self.controller = controller
         self.metadata_cache = metadata_cache or MetadataCache()
         self.layout = layout or MetadataLayout()
-        self.crypto_latency_cpu_cycles = crypto_latency_cpu_cycles
-        self.path = MetadataPath()
+        self.path = path or MetadataPath()
         self.stats = SecureMemoryStats()
         self._total_instructions_hint = 0
         #: Live :class:`repro.obs.timeline.TimelineSeries` while a timeline
@@ -172,7 +153,6 @@ class SecureMemorySystem:
                 address=address,
                 request_type=RequestType.WRITE,
                 arrival_cycle=cycle,
-                metadata_kind=MetadataKind.DATA,
             )
         )
 
@@ -185,7 +165,6 @@ class SecureMemorySystem:
                 address=address,
                 request_type=RequestType.READ,
                 arrival_cycle=cycle,
-                metadata_kind=MetadataKind.DATA,
             )
         )
         return AccessBreakdown(
@@ -227,17 +206,13 @@ class SecureMemorySystem:
         path = self.path
         line_bytes = self.layout.line_bytes
         leaf = address // line_bytes // path.lines_per_entry
-        hit, completion = self._metadata_access(
-            path.base + leaf * line_bytes, cycle, dirty, path.kind
-        )
+        hit, completion = self._metadata_access(path.base + leaf * line_bytes, cycle, dirty)
         completion = max(cycle, completion)
         touched, missed = 1, 0 if hit else 1
         if not hit and path.tree is not None:
             leaf = min(leaf, path.tree.geometry.leaf_lines - 1)
             for node_address in path.tree.path_for_leaf(leaf):
-                node_hit, node_completion = self._metadata_access(
-                    node_address, cycle, dirty, MetadataKind.TREE_NODE
-                )
+                node_hit, node_completion = self._metadata_access(node_address, cycle, dirty)
                 completion = max(completion, node_completion)
                 touched += 1
                 if node_hit:
@@ -245,13 +220,7 @@ class SecureMemorySystem:
                 missed += 1
         return hit, completion, touched, missed
 
-    def _metadata_access(
-        self,
-        metadata_address: int,
-        cycle: int,
-        dirty: bool,
-        kind: MetadataKind,
-    ) -> Tuple[bool, float]:
+    def _metadata_access(self, metadata_address: int, cycle: int, dirty: bool) -> Tuple[bool, float]:
         """Access one metadata line through the metadata cache.
 
         On a metadata-cache miss the line is fetched from DRAM (the returned
@@ -279,7 +248,6 @@ class SecureMemorySystem:
                     address=metadata_address,
                     request_type=RequestType.READ,
                     arrival_cycle=cycle,
-                    metadata_kind=kind,
                 )
             )
         if result.writeback_address is not None:
@@ -289,7 +257,6 @@ class SecureMemorySystem:
                     address=result.writeback_address,
                     request_type=RequestType.WRITE,
                     arrival_cycle=cycle,
-                    metadata_kind=kind,
                 )
             )
         return result.hit, completion
@@ -334,7 +301,6 @@ class SecureMemorySystem:
                     address=address,
                     request_type=RequestType.WRITE,
                     arrival_cycle=self.controller.current_cycle,
-                    metadata_kind=MetadataKind.TREE_NODE,
                 )
             )
         self.controller.flush()

@@ -21,6 +21,9 @@ Name                       Meaning
 ``build_configuration(name_or_spec)`` assembles a fresh memory controller
 (with the right channel frequency and write-burst length), metadata cache and
 secure-memory system, ready to be handed to :class:`repro.cpu.system.System`.
+Every built-in mechanism is a stock :class:`~repro.secure.base.SecureMemorySystem`;
+what sets them apart is their :class:`~repro.secure.base.MetadataPath`, which
+:func:`metadata_path` gives for each mechanism and encryption mode.
 
 Configurations are first-class *values*, not just names: any
 :class:`SystemConfiguration` — a registry entry, a ``derive()``-d variant, or
@@ -32,6 +35,7 @@ one constructed from scratch — can be passed wherever a name is accepted
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Union
 
@@ -39,14 +43,11 @@ from repro.cache.metadata_cache import MetadataCache
 from repro.controller.memory_controller import ControllerConfig, MemoryController
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800, DDRTimingParameters
 from repro.errors import UnknownConfigurationError, UnknownMechanismError
-from repro.secure.base import MetadataLayout, SecureMemorySystem
-from repro.secure.baseline import EncryptOnlySystem, TdxBaselineSystem
-from repro.secure.encryption import EncryptionMode
-from repro.secure.integrity_tree import CounterIntegrityTreeSystem, HashMerkleTreeSystem
-from repro.secure.invisimem import InvisiMemSystem
-from repro.secure.secddr_model import SecDDRSystem
+from repro.secure.base import MetadataLayout, MetadataPath, SecureMemorySystem
+from repro.secure.integrity_tree import IntegrityTree, TreeGeometry, hash_merkle_tree_geometry
 
 __all__ = [
+    "EncryptionMode",
     "SystemConfiguration",
     "ConfigurationLike",
     "ConfigurationRegistry",
@@ -58,6 +59,7 @@ __all__ = [
     "register_configuration",
     "register_mechanism",
     "build_configuration",
+    "metadata_path",
     "PROTECTED_MEMORY_BYTES",
     "CRYPTO_LATENCY_CPU_CYCLES",
 ]
@@ -70,6 +72,23 @@ CRYPTO_LATENCY_CPU_CYCLES = 40
 SECDDR_WRITE_BURST_CYCLES = 5
 #: DDR5 write-burst occupancy with eWCRC (BL18 -> 9 DRAM cycles).
 SECDDR_WRITE_BURST_CYCLES_DDR5 = 9
+#: Eight 8-byte MACs share one in-memory MAC line (hash-tree designs).
+MACS_PER_LINE = 8
+
+
+class EncryptionMode(enum.Enum):
+    """Which encryption family a configuration uses (Section IV-B).
+
+    Counter mode (SGX-style) keeps a per-line counter in memory: with the
+    counter cached, the pad is computed while the data is fetched; a counter
+    miss puts the AES latency on the read.  AES-XTS (TME/SEV-style) keeps no
+    metadata but always pays the decryption, since its keystream depends on
+    the ciphertext.
+    """
+
+    COUNTER = "ctr"
+    XTS = "xts"
+    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -334,79 +353,6 @@ ConfigurationLike = Union[str, SystemConfiguration]
 MechanismFactory = Callable[..., SecureMemorySystem]
 
 
-def _build_tree(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-    return CounterIntegrityTreeSystem(
-        controller,
-        metadata_cache,
-        layout,
-        crypto_latency,
-        arity=spec.tree_arity or 64,
-        counters_per_line=spec.counters_per_line,
-        protected_bytes=protected_bytes,
-    )
-
-
-def _build_hash_tree(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-    return HashMerkleTreeSystem(
-        controller,
-        metadata_cache,
-        layout,
-        crypto_latency,
-        arity=spec.tree_arity or 8,
-        protected_bytes=protected_bytes,
-    )
-
-
-def _build_secddr(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-    return SecDDRSystem(
-        controller,
-        metadata_cache,
-        layout,
-        crypto_latency,
-        encryption_mode=spec.encryption,
-        counters_per_line=spec.counters_per_line,
-    )
-
-
-def _build_invisimem(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-    return InvisiMemSystem(
-        controller,
-        metadata_cache,
-        layout,
-        crypto_latency,
-        encryption_mode=spec.encryption,
-        counters_per_line=spec.counters_per_line,
-        # Value equality, not identity: spec values travel pickled inside
-        # SimulationJobs, and an unpickled timing is equal but not identical.
-        realistic=spec.timing == DDR4_2400,
-    )
-
-
-def _build_none(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-    # "none" is the encrypt-only upper bound; the TDX-like normalization
-    # baseline has its own mechanism string ("tdx_baseline") so renaming a
-    # spec via derive(name=...) can never flip which system class it builds.
-    return EncryptOnlySystem(
-        controller,
-        metadata_cache,
-        layout,
-        crypto_latency,
-        encryption_mode=spec.encryption,
-        counters_per_line=spec.counters_per_line,
-    )
-
-
-def _build_tdx(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-    return TdxBaselineSystem(
-        controller,
-        metadata_cache,
-        layout,
-        crypto_latency,
-        encryption_mode=spec.encryption,
-        counters_per_line=spec.counters_per_line,
-    )
-
-
 class ConfigurationRegistry(Mapping):
     """Named configurations plus the mechanism factories that build them.
 
@@ -475,12 +421,15 @@ class ConfigurationRegistry(Mapping):
         """Register ``factory`` to build specs whose ``mechanism == name``.
 
         The factory is called as ``factory(spec, controller, metadata_cache,
-        layout, crypto_latency_cpu_cycles, protected_bytes)`` and must return
-        a :class:`~repro.secure.base.SecureMemorySystem`.  ``cache_token`` is
-        mandatory: it stands in for the factory's code in result-cache keys
-        (a spec only *names* its mechanism), so bump it whenever the
-        factory's timing behaviour changes — otherwise the cache would
-        silently serve results simulated by the old factory.
+        layout, crypto_latency_cpu_cycles, protected_bytes)``, the last two
+        being :data:`CRYPTO_LATENCY_CPU_CYCLES` and
+        :data:`PROTECTED_MEMORY_BYTES`, and must return a
+        :class:`~repro.secure.base.SecureMemorySystem`; a stock one with its
+        own :class:`~repro.secure.base.MetadataPath` runs on every engine.
+        ``cache_token`` is mandatory: it stands in for the factory's code in
+        result-cache keys (a spec only *names* its mechanism), so bump it
+        whenever the factory's timing behaviour changes — otherwise the
+        cache would silently serve results simulated by the old factory.
         """
         if not cache_token:
             raise ValueError("custom mechanism %r needs a non-empty cache_token" % name)
@@ -521,14 +470,83 @@ class ConfigurationRegistry(Mapping):
         return self[configuration]
 
 
+#: The built-in ``SystemConfiguration.mechanism`` values.  ``none`` is the
+#: encrypt-only upper bound; the TDX-like baseline has its own string, so
+#: renaming a spec with ``derive(name=...)`` never changes what it builds.
+BUILTIN_MECHANISMS = ("tree", "hash_tree", "secddr", "invisimem", "none", "tdx_baseline")
+
+
+def metadata_path(spec: SystemConfiguration) -> MetadataPath:
+    """What one demand access costs under ``spec``'s built-in mechanism.
+
+    Reads the spec's ``mechanism``, ``encryption``, ``counters_per_line``
+    and ``tree_arity``; ``docs/architecture.md`` tabulates the result for
+    every mechanism and encryption mode.
+
+    * Counter mode reads the counter line covering ``counters_per_line``
+      data lines and pays :data:`CRYPTO_LATENCY_CPU_CYCLES` only after a
+      counter miss; AES-XTS reads no metadata and pays them on every read.
+    * ``none`` and ``tdx_baseline`` take the spec's mode as it is (the
+      baseline's MACs ride the ECC chips and verify off the critical path).
+      ``secddr`` and ``invisimem`` decrypt as AES-XTS under ``NONE``.
+      SecDDR's E-MAC pads are precomputed, so it adds nothing here; its
+      cost is the controller's longer eWCRC write burst.
+    * ``invisimem`` adds two MAC computations, one on each end of the
+      channel, to every read.
+    * ``tree`` always uses counter mode and, after a counter miss, walks a
+      ``tree_arity``-ary (default 64) counter tree over the counter lines.
+    * ``hash_tree`` always uses AES-XTS, reads the in-memory MAC line
+      covering :data:`MACS_PER_LINE` data lines and, after a miss there,
+      walks a ``tree_arity``-ary (default 8) hash tree over the MAC lines.
+    """
+    mechanism = spec.mechanism
+    if mechanism not in BUILTIN_MECHANISMS:
+        raise UnknownMechanismError(mechanism, BUILTIN_MECHANISMS)
+    layout = MetadataLayout()
+    mode = spec.encryption
+    if mechanism == "tree":
+        mode = EncryptionMode.COUNTER
+    elif mechanism == "hash_tree" or (
+        mechanism in ("secddr", "invisimem") and mode is EncryptionMode.NONE
+    ):
+        mode = EncryptionMode.XTS
+    crypto = float(CRYPTO_LATENCY_CPU_CYCLES)
+    mac = 2 * crypto if mechanism == "invisimem" else 0.0
+    if mode is EncryptionMode.COUNTER:
+        path = MetadataPath(
+            extra_hit=mac,
+            extra_miss=crypto + mac,
+            base=layout.counter_region_base,
+            lines_per_entry=spec.counters_per_line,
+        )
+    else:
+        extra = (crypto if mode is EncryptionMode.XTS else 0.0) + mac
+        path = MetadataPath(extra_hit=extra, extra_miss=extra)
+    if mechanism == "tree":
+        data_lines = PROTECTED_MEMORY_BYTES // layout.line_bytes
+        counter_lines = (data_lines + spec.counters_per_line - 1) // spec.counters_per_line
+        geometry = TreeGeometry.build(spec.tree_arity or 64, counter_lines)
+        path = replace(path, tree=IntegrityTree(geometry, layout))
+    elif mechanism == "hash_tree":
+        geometry = hash_merkle_tree_geometry(
+            PROTECTED_MEMORY_BYTES, arity=spec.tree_arity or 8, macs_per_line=MACS_PER_LINE
+        )
+        path = replace(
+            path,
+            base=layout.mac_region_base,
+            lines_per_entry=MACS_PER_LINE,
+            tree=IntegrityTree(geometry, layout),
+        )
+    return path
+
+
+def _build_builtin(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
+    return SecureMemorySystem(controller, metadata_cache, layout, metadata_path(spec))
+
+
 #: Mechanism factories keyed by ``SystemConfiguration.mechanism``.
 _MECHANISM_BUILDERS: Dict[str, MechanismFactory] = {
-    "tree": _build_tree,
-    "hash_tree": _build_hash_tree,
-    "secddr": _build_secddr,
-    "invisimem": _build_invisimem,
-    "none": _build_none,
-    "tdx_baseline": _build_tdx,
+    name: _build_builtin for name in BUILTIN_MECHANISMS
 }
 
 #: Cache tokens of user-registered mechanisms (built-ins have none).
@@ -551,8 +569,6 @@ def configuration_names() -> List[str]:
 def build_configuration(
     configuration: ConfigurationLike,
     metadata_cache_bytes: int = 128 * 1024,
-    protected_bytes: int = PROTECTED_MEMORY_BYTES,
-    crypto_latency_cpu_cycles: int = CRYPTO_LATENCY_CPU_CYCLES,
 ) -> SecureMemorySystem:
     """Assemble a fresh secure-memory system for ``configuration``.
 
@@ -574,5 +590,5 @@ def build_configuration(
     layout = MetadataLayout()
     factory = REGISTRY.mechanism_factory(spec.mechanism)
     return factory(
-        spec, controller, metadata_cache, layout, crypto_latency_cpu_cycles, protected_bytes
+        spec, controller, metadata_cache, layout, CRYPTO_LATENCY_CPU_CYCLES, PROTECTED_MEMORY_BYTES
     )

@@ -1,4 +1,4 @@
-"""Integrity trees: k-ary counter trees and hash-based Merkle trees.
+"""Integrity-tree geometry and node addressing: k-ary counter trees and hash Merkle trees.
 
 Replay-attack protection with an integrity tree works by covering the
 encryption counters (or the MACs) with a tree of counters/hashes whose root
@@ -7,28 +7,19 @@ towards the root until a *cached* (already verified) node is found; updating
 a line dirties the same path.  Tree height -- and therefore traversal cost --
 grows with the protected memory size and shrinks with the arity, which is the
 trade-off Figure 8 sweeps (8-ary hash tree, 64-ary counter tree, 128-ary
-Morphable-style tree).
+Morphable-style tree).  A tree mechanism's
+:class:`~repro.secure.base.MetadataPath` carries its :class:`IntegrityTree`,
+which :func:`repro.secure.configs.metadata_path` builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.cache.metadata_cache import MetadataCache
-from repro.controller.memory_controller import MemoryController
-from repro.dram.commands import MetadataKind
-from repro.secure.base import MetadataLayout, SecureMemorySystem
-from repro.secure.encryption import CounterModeEncryption, XTSEncryption, encryption_path
-from repro.secure.mac_store import MacPlacement, MacStore
+from repro.secure.base import MetadataLayout
 
-__all__ = [
-    "TreeGeometry",
-    "IntegrityTree",
-    "hash_merkle_tree_geometry",
-    "CounterIntegrityTreeSystem",
-    "HashMerkleTreeSystem",
-]
+__all__ = ["TreeGeometry", "IntegrityTree", "hash_merkle_tree_geometry"]
 
 LINE_BYTES = 64
 
@@ -143,79 +134,3 @@ class IntegrityTree:
     def storage_overhead_bytes(self) -> int:
         """Bytes of memory the off-chip tree nodes occupy."""
         return self.geometry.total_offchip_nodes * LINE_BYTES
-
-
-# ---------------------------------------------------------------------------
-# Timing-model systems built on the tree
-# ---------------------------------------------------------------------------
-class CounterIntegrityTreeSystem(SecureMemorySystem):
-    """Counter-mode encryption + k-ary counter tree (the paper's tree baseline).
-
-    Reads fetch the line's encryption-counter line and, on a counter-cache
-    miss, walk the tree until a cached (verified) node is found; all fetches
-    are issued in parallel (the paper allows parallel tree-level
-    verification) so the read's memory completion is the max over them.
-    Writes dirty the counter line and the same tree path.
-    """
-
-    def __init__(
-        self,
-        controller: MemoryController,
-        metadata_cache: MetadataCache | None = None,
-        layout: MetadataLayout | None = None,
-        crypto_latency_cpu_cycles: int = 40,
-        arity: int = 64,
-        counters_per_line: int = 64,
-        protected_bytes: int = 16 * 2**30,
-    ) -> None:
-        super().__init__(controller, metadata_cache, layout, crypto_latency_cpu_cycles)
-        self.name = "integrity_tree_%d" % arity
-        self.encryption = CounterModeEncryption(
-            layout=self.layout,
-            counters_per_line=counters_per_line,
-            crypto_latency_cpu_cycles=crypto_latency_cpu_cycles,
-        )
-        data_lines = max(1, protected_bytes // LINE_BYTES)
-        counter_lines = (data_lines + counters_per_line - 1) // counters_per_line
-        self.tree = IntegrityTree(TreeGeometry.build(arity, counter_lines), self.layout)
-        self.counters_per_line = counters_per_line
-        self.path = replace(encryption_path(self.encryption), tree=self.tree)
-
-
-class HashMerkleTreeSystem(SecureMemorySystem):
-    """AES-XTS + hash Merkle tree over in-memory MAC lines (Figure 8's 8-ary).
-
-    MACs cannot live in the ECC chips here (eight MACs must be gathered into
-    one hashable block), so every read fetches a MAC line and, on a miss,
-    walks the much taller hash tree; every write dirties the same path.
-    """
-
-    def __init__(
-        self,
-        controller: MemoryController,
-        metadata_cache: MetadataCache | None = None,
-        layout: MetadataLayout | None = None,
-        crypto_latency_cpu_cycles: int = 40,
-        arity: int = 8,
-        macs_per_line: int = 8,
-        protected_bytes: int = 16 * 2**30,
-    ) -> None:
-        super().__init__(controller, metadata_cache, layout, crypto_latency_cpu_cycles)
-        self.name = "hash_merkle_tree_%d" % arity
-        self.encryption = XTSEncryption(crypto_latency_cpu_cycles=crypto_latency_cpu_cycles)
-        self.mac_store = MacStore(
-            layout=self.layout, placement=MacPlacement.IN_MEMORY, macs_per_line=macs_per_line
-        )
-        geometry = hash_merkle_tree_geometry(
-            protected_bytes, arity=arity, macs_per_line=macs_per_line
-        )
-        self.tree = IntegrityTree(geometry, self.layout)
-        self.macs_per_line = macs_per_line
-        # The XTS decrypt latency is paid whatever the MAC line's outcome.
-        self.path = replace(
-            encryption_path(self.encryption),
-            base=self.layout.mac_region_base,
-            lines_per_entry=macs_per_line,
-            kind=MetadataKind.MAC,
-            tree=self.tree,
-        )

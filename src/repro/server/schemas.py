@@ -30,11 +30,11 @@ from repro.figures.registry import resolve_figures
 from repro.overrides import TIMING_PRESETS, coerce_override, parse_overrides
 from repro.secure.configs import (
     CONFIGURATIONS,
+    EncryptionMode,
     SystemConfiguration,
     configuration_names,
     resolve_configuration,
 )
-from repro.secure.encryption import EncryptionMode
 from repro.sim.engines import ENGINES, resolve_engine
 from repro.sim.experiment import ExperimentConfig
 from repro.workloads.registry import ALL_WORKLOADS, workload_names

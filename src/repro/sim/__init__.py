@@ -1,7 +1,7 @@
 """Simulation driver: experiment runner, statistics, sweeps, result records.
 
-This is the layer :mod:`repro.figures` (the paper-artifact pipeline), the
-benchmark harness, and the examples call into: it wires a workload trace, a
+This is the layer :mod:`repro.figures` (the paper-artifact pipeline),
+:class:`repro.api.Session`, the CLI and the examples call into: it wires a workload trace, a
 secure-memory configuration, and the multi-core system model together, runs
 the simulation (serially or over a process pool, with on-disk result
 caching), and reports paper-style normalized results (IPC relative to the

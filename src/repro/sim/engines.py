@@ -55,9 +55,9 @@ DEFAULT_ENGINE = "batch"
 class BatchEngineUnsupported(ValueError):
     """The batch engine cannot model this configuration exactly.
 
-    Raised when a mechanism's system class overrides any
-    :class:`~repro.secure.base.SecureMemorySystem` method instead of only
-    setting ``self.path``, or its factory passes in its own controller or
+    Raised when a mechanism's factory returns a
+    :class:`~repro.secure.base.SecureMemorySystem` subclass that overrides
+    any method besides ``__init__``, or passes in its own controller or
     metadata-cache class; rerun with ``engine="reference"``.
     """
 
@@ -174,30 +174,11 @@ class ReferenceEngine(Engine):
     description = "Cycle-level object model; one Python object dance per access"
 
     def simulate(self, trace, spec, experiment):
-        from repro.cpu.core import CoreConfig
-        from repro.cpu.system import System, SystemConfig
-        from repro.secure.configs import build_configuration
+        from repro.cpu.system import System
         from repro.sim.results import SimulationResult
 
-        memory = build_configuration(
-            spec, metadata_cache_bytes=experiment.metadata_cache_bytes
-        )
-        core_config = CoreConfig(
-            issue_width=experiment.issue_width,
-            rob_entries=experiment.rob_entries,
-            mshr_entries=experiment.mshr_entries,
-            cpu_freq_mhz=experiment.cpu_freq_mhz,
-            dram_freq_mhz=spec.timing.freq_mhz,
-        )
-        system = System(
-            trace,
-            memory,
-            SystemConfig(
-                num_cores=experiment.num_cores,
-                core=core_config,
-                enable_prefetcher=experiment.enable_prefetcher,
-            ),
-        )
+        memory, system_config = _system(spec, experiment)
+        system = System(trace, memory, system_config)
         timeline = obs.current().timeline
         series = None
         window = 0
@@ -278,8 +259,8 @@ class BatchEngine(Engine):
         """
         if obs.current().timeline is not None:
             return None
-        memory, system_config, reason = _batch_system(spec, experiment)
-        if reason is not None:
+        memory, system_config = _system(spec, experiment)
+        if _batch_unsupported(memory) is not None:
             return None
         path = memory.path
         mapping = memory.controller.mapping
@@ -298,15 +279,15 @@ class BatchEngine(Engine):
         )
 
 
-def _batch_system(spec, experiment):
-    """The system a batch replay of ``spec`` under ``experiment`` reads.
+def _system(spec, experiment):
+    """The simulated system of ``spec`` under ``experiment``, for both engines.
 
-    Returns ``(memory, system config, reason)``: the same secure-memory
-    system the reference engine builds, whose description and controller /
-    metadata-cache geometry drive the replay; the core and system
-    configuration; and why the replay would not be exact, or None.
-    :meth:`BatchEngine.replay_key` and :func:`_simulate_batch` both build
-    from here, so the key sees every input the replay reads.
+    Returns ``(memory, system config)``: the secure-memory system, which the
+    reference engine runs and whose description and controller /
+    metadata-cache geometry drive a batch replay, and the core and system
+    configuration.  :meth:`BatchEngine.replay_key` and
+    :func:`_simulate_batch` both build from here too, so the key sees every
+    input the replay reads.
     """
     from repro.cpu.core import CoreConfig
     from repro.cpu.system import SystemConfig
@@ -324,7 +305,7 @@ def _batch_system(spec, experiment):
         ),
         enable_prefetcher=experiment.enable_prefetcher,
     )
-    return memory, system_config, _batch_unsupported(memory)
+    return memory, system_config
 
 
 def _batch_unsupported(memory):
@@ -362,7 +343,8 @@ def _simulate_batch(trace, spec, experiment):
     from repro.cache.prefetcher import StreamPrefetcher
     from repro.sim.results import SimulationResult
 
-    memory, system_config, reason = _batch_system(spec, experiment)
+    memory, system_config = _system(spec, experiment)
+    reason = _batch_unsupported(memory)
     if reason is not None:
         raise BatchEngineUnsupported(
             "%s, which the batch engine cannot replay; run it with "

@@ -1,7 +1,7 @@
 """Experiment runner: simulate (workload, configuration) pairs and compare.
 
-This module is the entry point the benchmark harness and the examples build
-on (the documented user-facing facade is :class:`repro.api.Session`).
+This module is the entry point the figure pipeline, the CLI and the examples
+build on (the documented user-facing facade is :class:`repro.api.Session`).
 ``run_simulation`` simulates one workload under one secure-memory
 configuration; a :class:`Comparison` is a set of configurations over a set
 of workloads, normalized to the TDX-like baseline, which is exactly how the

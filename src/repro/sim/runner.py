@@ -18,8 +18,8 @@ pool.  Three properties make the fan-out safe:
   state, so job execution order cannot change any result.
 * **Caching** -- results are cached on disk under a stable SHA-256 key of
   (configuration name, workload identity, experiment knobs).  A warm cache
-  lets every figure benchmark and CLI sweep skip simulations that any earlier
-  run already performed; changing any ``ExperimentConfig`` field changes the
+  lets every figure and CLI sweep skip simulations that any earlier run
+  already performed; changing any ``ExperimentConfig`` field changes the
   key and transparently invalidates the entry.
 
 Progress/timing hooks (:class:`JobEvent`) let callers observe dispatch,
@@ -59,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "GRID_DIGESTS",
     "SimulationJob",
     "JobEvent",
     "JobFailure",
@@ -87,6 +88,14 @@ def workload_profile_token(name: str) -> str:
 #: entries written under another schema version are treated as misses.
 #: v2: cache keys gained the mechanism cache token (custom mechanisms).
 CACHE_SCHEMA_VERSION = 2
+
+#: The bytes each schema version's simulator produces: the first 16 hex
+#: digits of a SHA-256 over ``json.dumps(asdict(result), sort_keys=True)``
+#: of every workload x every configuration at 300 accesses on one core, with
+#: no prefetcher and a 32 KiB metadata cache (workload-major, in registry
+#: order).  A change that moves a result adds a new version and its digest;
+#: it never edits an entry, or existing caches would serve stale results.
+GRID_DIGESTS = {2: "e035db51c1aef70c"}
 
 
 def resolve_cache(

@@ -1,7 +1,7 @@
 """Parameter sweeps: tree arity and counter packing (Figure 8).
 
 The canonical points (8, 64, 128) use the named registry configurations, so
-their cache keys line up with the figure benchmarks.  Any *other* value is
+their cache keys line up with the figure pipeline's runs.  Any *other* value is
 supported too: its configuration group is derived on the fly from the 64-ary
 bases with :meth:`SystemConfiguration.derive`, which flows through the
 runner and the result cache exactly like a named configuration.

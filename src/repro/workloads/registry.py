@@ -1,4 +1,4 @@
-"""Named workload registry the benchmark harness and the session API use.
+"""Named workload registry the figures, the CLI and the session API use.
 
 The registry lists the 29 workloads of the paper's figures (23 SPEC CPU 2017
 rate benchmarks + 6 GAPBS kernels) in figure order, and knows which are

@@ -12,12 +12,13 @@ from repro.errors import (
     UnknownMechanismError,
     UnknownWorkloadError,
 )
-from repro.secure.baseline import EncryptOnlySystem
+from repro.secure.base import MetadataPath, SecureMemorySystem
 from repro.secure.configs import (
     CONFIGURATIONS,
     REGISTRY,
     SystemConfiguration,
     build_configuration,
+    metadata_path,
 )
 from repro.sim.experiment import ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import ParallelRunner, ResultCache, SimulationJob
@@ -54,18 +55,16 @@ class TestDerive:
         derived = CONFIGURATIONS["secddr_ctr"].derive(name="mine", counters_per_line=8)
         assert derived.name == "mine"
 
-    def test_renaming_cannot_flip_the_built_system_class(self):
+    def test_renaming_cannot_change_the_built_system(self):
         # Mechanism dispatch must key off the spec, never the name: renaming
-        # the TDX baseline keeps TdxBaselineSystem, and naming an
-        # encrypt-only spec "tdx_something" must not promote it.
-        from repro.secure.baseline import TdxBaselineSystem
-
+        # the TDX baseline keeps its path, and naming a counter-mode
+        # encrypt-only spec "tdx_something" must not give it the baseline's.
         renamed_tdx = CONFIGURATIONS["tdx_baseline"].derive(name="baseline_v2")
-        assert isinstance(build_configuration(renamed_tdx), TdxBaselineSystem)
-        impostor = CONFIGURATIONS["encrypt_only_xts"].derive(name="tdx_variant")
+        assert build_configuration(renamed_tdx).path == build_configuration("tdx_baseline").path
+        impostor = CONFIGURATIONS["encrypt_only_ctr"].derive(name="tdx_variant")
         built = build_configuration(impostor)
-        assert not isinstance(built, TdxBaselineSystem)
-        assert isinstance(built, EncryptOnlySystem)
+        assert built.path != build_configuration("tdx_baseline").path
+        assert built.path == build_configuration("encrypt_only_ctr").path
 
     def test_derive_unknown_field_rejected(self):
         with pytest.raises(TypeError, match="unknown SystemConfiguration field"):
@@ -74,7 +73,7 @@ class TestDerive:
     def test_derived_config_builds_without_registration(self):
         derived = CONFIGURATIONS["encrypt_only_ctr"].derive(counters_per_line=16)
         system = build_configuration(derived)
-        assert isinstance(system, EncryptOnlySystem)
+        assert system.path.lines_per_entry == 16
 
     def test_unknown_configuration_suggests_closest(self):
         with pytest.raises(UnknownConfigurationError) as excinfo:
@@ -90,8 +89,8 @@ class TestDerive:
         spec = CONFIGURATIONS["invisimem_realistic_xts"]
         original = build_configuration(spec)
         roundtripped = build_configuration(pickle.loads(pickle.dumps(spec)))
-        assert type(roundtripped) is type(original)
-        assert roundtripped.realistic == original.realistic
+        assert roundtripped.path == original.path
+        assert roundtripped.controller.config == original.controller.config
 
 
 class TestDerivedCacheKeys:
@@ -189,11 +188,9 @@ class TestConfigurationRegistry:
 
         def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
             built_specs.append(spec.name)
-            return EncryptOnlySystem(
-                controller, metadata_cache, layout, crypto_latency,
-                encryption_mode=spec.encryption,
-                counters_per_line=spec.counters_per_line,
-            )
+            path = MetadataPath(extra_miss=float(crypto_latency), base=layout.counter_region_base,
+                                lines_per_entry=spec.counters_per_line)
+            return SecureMemorySystem(controller, metadata_cache, layout, path)
 
         REGISTRY.register_mechanism("null_protection", factory,
                                     cache_token="null_protection/v1")
@@ -211,11 +208,8 @@ class TestConfigurationRegistry:
 
     def test_mechanism_cache_token_is_part_of_the_cache_key(self, clean_registries):
         def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
-            return EncryptOnlySystem(
-                controller, metadata_cache, layout, crypto_latency,
-                encryption_mode=spec.encryption,
-                counters_per_line=spec.counters_per_line,
-            )
+            path = metadata_path(dataclasses.replace(spec, mechanism="none"))
+            return SecureMemorySystem(controller, metadata_cache, layout, path)
 
         REGISTRY.register_mechanism("custom_mech", factory, cache_token="custom/v1")
         spec = CONFIGURATIONS["encrypt_only_ctr"].derive(

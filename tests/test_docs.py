@@ -6,6 +6,7 @@ README and the ``docs/`` pages from drifting away from them.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -31,6 +32,9 @@ BENCHMARKS_DIR = REPO_ROOT / "benchmarks"
 MARKDOWN_NAME = re.compile(r"[\w./-]+\.md\b")
 #: Markdown files the code writes as artifacts, not documents in the repo.
 GENERATED_MARKDOWN = {"REPORT.md"}
+#: A Sphinx role naming a ``repro`` object (``:func:`~repro.sim.run_simulation```),
+#: but not a name that only starts with "repro" (``:func:`reproduce```).
+REPRO_ROLE = re.compile(r":(?:mod|class|func|meth|data|attr|exc):`~?(repro(?:\.\w+)*)`")
 
 
 class TestReproducingGuide:
@@ -222,3 +226,44 @@ class TestDocstringReferences:
         assert named, "no markdown file is named in any docstring"
         missing = sorted((name, where) for name, where in named if not (REPO_ROOT / name).is_file())
         assert not missing, "docstrings name missing files: %s" % missing
+
+    def test_every_repro_object_named_in_a_docstring_exists(self):
+        named = {
+            (name, path.relative_to(REPO_ROOT).as_posix())
+            for path in SRC_DIR.rglob("*.py")
+            for doc in _docstrings(path)
+            for name in REPRO_ROLE.findall(doc)
+        }
+        assert named, "no repro object is named in any docstring"
+        missing = sorted((name, where) for name, where in named if not _resolves(name))
+        assert not missing, "docstrings name missing objects: %s" % missing
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names a module, or an attribute path from one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+class TestReadmeExamples:
+    def test_the_session_example_runs_as_is(self, tmp_path, monkeypatch, capsys, clean_registries):
+        text = README.read_text()
+        section = text[text.index("## Custom configurations and workloads"):]
+        code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split()[-1] == "audited_ctr"
+        assert [line.split()[0] for line in lines[1:3]] == ["mcf", "striding_writes"]
+        assert lines[-1] == "cache (hits, misses): (0, 8)"
+        assert len(list((tmp_path / ".simcache").glob("*.json"))) == 8

@@ -18,7 +18,7 @@ from repro.overrides import (
     derived_configurations,
     parse_overrides,
 )
-from repro.secure.encryption import EncryptionMode
+from repro.secure.configs import EncryptionMode
 
 
 class TestUnknownKeys:

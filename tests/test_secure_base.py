@@ -1,39 +1,25 @@
 """Tests for the secure-memory base machinery and metadata layout."""
 
-import pytest
-
 from repro.controller.memory_controller import MemoryController
-from repro.dram.commands import MetadataKind
 from repro.secure.base import MetadataLayout, SecureMemorySystem
+from repro.secure.configs import PROTECTED_MEMORY_BYTES, build_configuration, configuration_names
 
 
 class TestMetadataLayout:
-    def test_counter_line_covers_64_lines(self):
-        layout = MetadataLayout()
-        base = layout.counter_line_address(0, 64)
-        # Lines 0..63 share a counter line; line 64 moves to the next one.
-        assert layout.counter_line_address(63 * 64, 64) == base
-        assert layout.counter_line_address(64 * 64, 64) == base + 64
-
-    def test_counter_packing_changes_coverage(self):
-        layout = MetadataLayout()
-        assert layout.counter_line_address(8 * 64, 8) != layout.counter_line_address(0, 8)
-        assert layout.counter_line_address(8 * 64, 128) == layout.counter_line_address(0, 128)
-
-    def test_mac_line_covers_8_lines(self):
-        layout = MetadataLayout()
-        base = layout.mac_line_address(0)
-        assert layout.mac_line_address(7 * 64) == base
-        assert layout.mac_line_address(8 * 64) == base + 64
-
     def test_regions_are_disjoint(self):
+        # Every line a configuration's metadata path can touch stays inside
+        # its own region: counters below the tree, the tree below the MACs.
         layout = MetadataLayout()
-        counter = layout.counter_line_address(0, 64)
-        mac = layout.mac_line_address(0)
-        assert counter >= layout.counter_region_base
-        assert mac >= layout.mac_region_base
-        assert counter < layout.tree_region_base
-        assert mac != counter
+        regions = [layout.counter_region_base, layout.tree_region_base, layout.mac_region_base, 1 << 64]
+        for name in configuration_names():
+            path = build_configuration(name).path
+            if path.base is None:
+                continue
+            lines = (PROTECTED_MEMORY_BYTES // 64 + path.lines_per_entry - 1) // path.lines_per_entry
+            assert path.base + lines * 64 <= regions[regions.index(path.base) + 1], name
+            if path.tree is not None:
+                assert path.tree.region_base == layout.tree_region_base, name
+                assert path.tree.region_base + path.tree.region_bytes <= layout.mac_region_base, name
 
 
 class TestSecureMemorySystemBase:
@@ -52,10 +38,10 @@ class TestSecureMemorySystemBase:
 
     def test_metadata_access_miss_then_hit(self):
         system = SecureMemorySystem(MemoryController())
-        hit, completion = system._metadata_access(0x10000000000, 0, False, MetadataKind.MAC)
+        hit, completion = system._metadata_access(0x10000000000, 0, False)
         assert not hit
         assert completion > 0
-        hit, completion2 = system._metadata_access(0x10000000000, 100, False, MetadataKind.MAC)
+        hit, completion2 = system._metadata_access(0x10000000000, 100, False)
         assert hit
         assert completion2 == 100
 
@@ -75,7 +61,7 @@ class TestSecureMemorySystemBase:
 
     def test_finish_flushes_dirty_metadata(self):
         system = SecureMemorySystem(MemoryController())
-        system._metadata_access(0x10000000000, 0, True, MetadataKind.ENCRYPTION_COUNTER)
+        system._metadata_access(0x10000000000, 0, True)
         system.finish()
         # The dirty counter line became a controller write and was drained.
         assert system.controller.stats.writes_served >= 1

@@ -5,18 +5,75 @@ import pytest
 from repro.core.config import SecDDRConfig
 from repro.dram.dimm import DimmTopology
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
-from repro.secure.baseline import EncryptOnlySystem, TdxBaselineSystem
+from repro.secure.base import SecureMemorySystem
 from repro.secure.configs import (
     CONFIGURATIONS,
     SECDDR_WRITE_BURST_CYCLES,
     SECDDR_WRITE_BURST_CYCLES_DDR5,
+    EncryptionMode,
+    SystemConfiguration,
     build_configuration,
     configuration_names,
 )
-from repro.secure.encryption import EncryptionMode
-from repro.secure.integrity_tree import CounterIntegrityTreeSystem, HashMerkleTreeSystem
-from repro.secure.invisimem import InvisiMemSystem
-from repro.secure.secddr_model import SecDDRSystem
+from repro.sim.engines import _batch_unsupported
+
+#: Metadata region bases (``MetadataLayout``): counter lines and MAC lines.
+CTR, MAC = 1 << 40, 1 << 42
+
+#: What one demand access costs, per built-in mechanism and encryption mode,
+#: for a spec with 32 counters per line and no ``tree_arity``: (extra CPU
+#: cycles after a metadata hit, after a miss, metadata region, data lines per
+#: metadata line, integrity tree as (arity, leaf lines)).
+MECHANISM_PATHS = {
+    ("none", "ctr"): (0, 40, CTR, 32, None),
+    ("none", "xts"): (40, 40, None, 1, None),
+    ("none", "none"): (0, 0, None, 1, None),
+    ("tdx_baseline", "ctr"): (0, 40, CTR, 32, None),
+    ("tdx_baseline", "xts"): (40, 40, None, 1, None),
+    ("tdx_baseline", "none"): (0, 0, None, 1, None),
+    ("secddr", "ctr"): (0, 40, CTR, 32, None),
+    ("secddr", "xts"): (40, 40, None, 1, None),
+    ("secddr", "none"): (40, 40, None, 1, None),  # decrypts as AES-XTS
+    ("invisimem", "ctr"): (80, 120, CTR, 32, None),
+    ("invisimem", "xts"): (120, 120, None, 1, None),
+    ("invisimem", "none"): (120, 120, None, 1, None),
+    ("tree", "ctr"): (0, 40, CTR, 32, (64, 2**28 // 32)),
+    ("tree", "xts"): (0, 40, CTR, 32, (64, 2**28 // 32)),
+    ("tree", "none"): (0, 40, CTR, 32, (64, 2**28 // 32)),
+    ("hash_tree", "ctr"): (40, 40, MAC, 8, (8, 2**25)),
+    ("hash_tree", "xts"): (40, 40, MAC, 8, (8, 2**25)),
+    ("hash_tree", "none"): (40, 40, MAC, 8, (8, 2**25)),
+}
+
+#: The same, for every registered configuration.
+REGISTERED_PATHS = {
+    "tdx_baseline": (40, 40, None, 1, None),
+    "integrity_tree_64": (0, 40, CTR, 64, (64, 2**22)),
+    "integrity_tree_128": (0, 40, CTR, 128, (128, 2**21)),
+    "integrity_tree_8_hash": (40, 40, MAC, 8, (8, 2**25)),
+    "secddr_ctr": (0, 40, CTR, 64, None),
+    "encrypt_only_ctr": (0, 40, CTR, 64, None),
+    "secddr_xts": (40, 40, None, 1, None),
+    "encrypt_only_xts": (40, 40, None, 1, None),
+    "invisimem_unrealistic_xts": (120, 120, None, 1, None),
+    "invisimem_realistic_xts": (120, 120, None, 1, None),
+    "invisimem_unrealistic_ctr": (80, 120, CTR, 64, None),
+    "invisimem_realistic_ctr": (80, 120, CTR, 64, None),
+    "integrity_tree_8": (0, 40, CTR, 8, (8, 2**25)),
+    "secddr_ctr_pack8": (0, 40, CTR, 8, None),
+    "encrypt_only_ctr_pack8": (0, 40, CTR, 8, None),
+    "secddr_ctr_pack128": (0, 40, CTR, 128, None),
+    "encrypt_only_ctr_pack128": (0, 40, CTR, 128, None),
+    "tdx_baseline_ddr5": (40, 40, None, 1, None),
+    "secddr_xts_ddr5": (40, 40, None, 1, None),
+    "encrypt_only_xts_ddr5": (40, 40, None, 1, None),
+}
+
+
+def _path_row(spec):
+    path = build_configuration(spec).path
+    tree = None if path.tree is None else (path.tree.geometry.arity, path.tree.geometry.leaf_lines)
+    return (path.extra_hit, path.extra_miss, path.base, path.lines_per_entry, tree)
 
 
 def _ewcrc_write_burst_cycles(timing):
@@ -107,28 +164,11 @@ class TestFactory:
         with pytest.raises(KeyError):
             build_configuration("sgx_classic")
 
-    def test_builds_expected_types(self):
-        assert isinstance(build_configuration("tdx_baseline"), TdxBaselineSystem)
-        assert isinstance(build_configuration("integrity_tree_64"), CounterIntegrityTreeSystem)
-        assert isinstance(build_configuration("integrity_tree_8_hash"), HashMerkleTreeSystem)
-        assert isinstance(build_configuration("secddr_xts"), SecDDRSystem)
-        assert isinstance(build_configuration("encrypt_only_ctr"), EncryptOnlySystem)
-        assert isinstance(build_configuration("invisimem_realistic_xts"), InvisiMemSystem)
-
-    def test_encryption_modes_propagate(self):
-        assert build_configuration("secddr_ctr").encryption_mode is EncryptionMode.COUNTER
-        assert build_configuration("secddr_xts").encryption_mode is EncryptionMode.XTS
-
-    def test_counter_packing_propagates(self):
-        system = build_configuration("secddr_ctr_pack8")
-        assert system.encryption.counters_per_line == 8
-        system = build_configuration("encrypt_only_ctr_pack128")
-        assert system.encryption.counters_per_line == 128
-
-    def test_tree_arity_propagates(self):
-        assert build_configuration("integrity_tree_64").tree.geometry.arity == 64
-        assert build_configuration("integrity_tree_128").tree.geometry.arity == 128
-        assert build_configuration("integrity_tree_8_hash").tree.geometry.arity == 8
+    def test_builds_a_stock_system(self):
+        for name in configuration_names():
+            system = build_configuration(name)
+            assert type(system) is SecureMemorySystem, name
+            assert _batch_unsupported(system) is None, name
 
     def test_secddr_controller_has_extended_burst(self):
         system = build_configuration("secddr_xts")
@@ -147,3 +187,17 @@ class TestFactory:
     def test_custom_metadata_cache_size(self):
         system = build_configuration("integrity_tree_64", metadata_cache_bytes=64 * 1024)
         assert system.metadata_cache._cache.config.size_bytes == 64 * 1024
+
+
+class TestMetadataPath:
+    @pytest.mark.parametrize("mechanism, encryption", sorted(MECHANISM_PATHS))
+    def test_each_mechanism_and_encryption_mode(self, mechanism, encryption):
+        spec = SystemConfiguration(
+            name="cell", description="", mechanism=mechanism,
+            encryption=EncryptionMode(encryption), counters_per_line=32,
+        )
+        assert _path_row(spec) == MECHANISM_PATHS[mechanism, encryption]
+
+    @pytest.mark.parametrize("name", configuration_names())
+    def test_each_registered_configuration(self, name):
+        assert _path_row(name) == REGISTERED_PATHS[name]

@@ -1,18 +1,12 @@
-"""Tests for integrity-tree geometry, traversal and the tree-based systems."""
+"""Tests for integrity-tree geometry, traversal and the tree mechanisms' timing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.controller.memory_controller import MemoryController
 from repro.secure.base import MetadataLayout
-from repro.secure.integrity_tree import (
-    CounterIntegrityTreeSystem,
-    HashMerkleTreeSystem,
-    IntegrityTree,
-    TreeGeometry,
-    hash_merkle_tree_geometry,
-)
+from repro.secure.configs import build_configuration
+from repro.secure.integrity_tree import IntegrityTree, TreeGeometry, hash_merkle_tree_geometry
 
 GB = 2**30
 
@@ -104,51 +98,58 @@ class TestIntegrityTreeAddressing:
         assert tree.storage_overhead_bytes() == (1024 + 16) * 64
 
 
-class TestCounterTreeSystem:
+class TestCounterTreeMechanism:
     def test_cold_read_walks_tree(self):
-        system = CounterIntegrityTreeSystem(MemoryController(), protected_bytes=GB)
+        system = build_configuration("integrity_tree_64")
         breakdown = system.access_breakdown(0x100000, 0)
         assert breakdown.metadata_lines_touched >= 2  # counter + >=1 tree node
         assert breakdown.metadata_misses >= 2
         assert breakdown.extra_cpu_cycles == 40.0
 
     def test_warm_read_hits_counter(self):
-        system = CounterIntegrityTreeSystem(MemoryController(), protected_bytes=GB)
+        system = build_configuration("integrity_tree_64")
         system.read(0x100000, 0)
         breakdown = system.access_breakdown(0x100040, 10000)
         assert breakdown.metadata_misses == 0
         assert breakdown.extra_cpu_cycles == 0.0
 
     def test_write_dirties_metadata(self):
-        system = CounterIntegrityTreeSystem(MemoryController(), protected_bytes=GB)
+        system = build_configuration("integrity_tree_64")
         system.write(0x100000, 0)
         dirty = system.metadata_cache.flush()
-        assert dirty  # counter line (and tree nodes) marked dirty
+        assert len(dirty) == 1 + len(system.path.tree.path_for_leaf(0x100000 // 64 // 64))
 
-    def test_tree_traffic_exceeds_secddr_like_traffic(self):
+    def test_tree_traffic_exceeds_secddr_traffic(self):
         # The defining property behind Figure 6: a cold random read under the
         # tree needs strictly more metadata fetches than under SecDDR (which
         # needs at most the counter line).
-        system = CounterIntegrityTreeSystem(MemoryController(), protected_bytes=16 * GB)
-        breakdown = system.access_breakdown(0x12345000, 0)
-        assert breakdown.metadata_misses >= 2
+        tree = build_configuration("integrity_tree_64").access_breakdown(0x12345000, 0)
+        secddr = build_configuration("secddr_ctr").access_breakdown(0x12345000, 0)
+        assert tree.metadata_misses >= 2
+        assert secddr.metadata_misses == 1
 
 
-class TestHashMerkleTreeSystem:
+class TestHashTreeMechanism:
     def test_cold_read_fetches_mac_and_nodes(self):
-        system = HashMerkleTreeSystem(MemoryController(), protected_bytes=GB)
+        system = build_configuration("integrity_tree_8_hash")
         breakdown = system.access_breakdown(0x200000, 0)
         assert breakdown.metadata_lines_touched >= 2
         assert breakdown.extra_cpu_cycles == 40.0  # XTS always pays decrypt
 
+    def test_a_mac_line_covers_8_data_lines(self):
+        system = build_configuration("integrity_tree_8_hash")
+        system.read(0, 0)
+        assert system.access_breakdown(7 * 64, 1000).metadata_misses == 0
+        assert system.access_breakdown(8 * 64, 2000).metadata_misses >= 1
+        assert system.metadata_cache.flush() == []  # reads dirty nothing
+
     def test_hash_tree_touches_more_levels_than_counter_tree(self):
-        hash_system = HashMerkleTreeSystem(MemoryController(), protected_bytes=16 * GB)
-        counter_system = CounterIntegrityTreeSystem(MemoryController(), protected_bytes=16 * GB)
-        hash_breakdown = hash_system.access_breakdown(0x300000, 0)
-        counter_breakdown = counter_system.access_breakdown(0x300000, 0)
+        hash_breakdown = build_configuration("integrity_tree_8_hash").access_breakdown(0x300000, 0)
+        counter_breakdown = build_configuration("integrity_tree_64").access_breakdown(0x300000, 0)
         assert hash_breakdown.metadata_lines_touched > counter_breakdown.metadata_lines_touched
 
     def test_write_dirties_mac_line(self):
-        system = HashMerkleTreeSystem(MemoryController(), protected_bytes=GB)
+        system = build_configuration("integrity_tree_8_hash")
         system.write(0x200000, 0)
-        assert system.metadata_cache.flush()
+        mac_line = system.layout.mac_region_base + (0x200000 // 64 // 8) * 64
+        assert mac_line in system.metadata_cache.flush()

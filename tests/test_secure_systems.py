@@ -1,90 +1,78 @@
-"""Tests for the baseline, SecDDR, and InvisiMem secure-memory timing models."""
+"""Timing behaviour of the built-in mechanisms, through the stock systems
+``build_configuration`` returns."""
 
-import pytest
-
-from repro.controller.memory_controller import ControllerConfig, MemoryController
-from repro.secure.baseline import EncryptOnlySystem, TdxBaselineSystem
-from repro.secure.encryption import EncryptionMode
-from repro.secure.invisimem import InvisiMemSystem
-from repro.secure.secddr_model import (
-    SECDDR_WRITE_BURST_BEATS_DDR4,
-    SECDDR_WRITE_BURST_BEATS_DDR5,
-    SecDDRSystem,
-)
+from repro.secure.configs import build_configuration
 
 
 class TestEncryptOnly:
     def test_xts_pays_fixed_decrypt_latency(self):
-        system = EncryptOnlySystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
+        system = build_configuration("encrypt_only_xts")
         _, extra = system.read(0x1000, 0)
         assert extra == 40.0
         assert system.stats.metadata_accesses == 0
 
     def test_ctr_miss_pays_latency_and_fetch(self):
-        system = EncryptOnlySystem(MemoryController(), encryption_mode=EncryptionMode.COUNTER)
+        system = build_configuration("encrypt_only_ctr")
         breakdown = system.access_breakdown(0x1000, 0)
         assert breakdown.extra_cpu_cycles == 40.0
         assert breakdown.metadata_lines_touched == 1
 
     def test_ctr_hit_hides_latency(self):
-        system = EncryptOnlySystem(MemoryController(), encryption_mode=EncryptionMode.COUNTER)
+        system = build_configuration("encrypt_only_ctr")
         system.read(0x1000, 0)
         breakdown = system.access_breakdown(0x1040, 5000)
         assert breakdown.extra_cpu_cycles == 0.0
         assert breakdown.metadata_misses == 0
 
     def test_ctr_write_dirties_counter(self):
-        system = EncryptOnlySystem(MemoryController(), encryption_mode=EncryptionMode.COUNTER)
+        system = build_configuration("encrypt_only_ctr")
         system.write(0x1000, 0)
-        assert system.metadata_cache.flush()
+        # Data line 64 is the first of the second counter line's 64 lines.
+        assert system.metadata_cache.flush() == [system.layout.counter_region_base + 64]
 
     def test_xts_write_has_no_metadata(self):
-        system = EncryptOnlySystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
+        system = build_configuration("encrypt_only_xts")
         system.write(0x1000, 0)
         assert system.metadata_cache.flush() == []
+        assert system.stats.metadata_accesses == 0
+
+
+class TestCounterLines:
+    def test_a_counter_line_covers_counters_per_line_data_lines(self):
+        for name, per_line in (("encrypt_only_ctr_pack8", 8), ("encrypt_only_ctr", 64),
+                               ("encrypt_only_ctr_pack128", 128)):
+            system = build_configuration(name)
+            system.read(0, 0)
+            # The last data line the counter line covers hits; the next misses.
+            assert system.access_breakdown((per_line - 1) * 64, 1000).metadata_misses == 0, name
+            assert system.access_breakdown(per_line * 64, 2000).metadata_misses == 1, name
 
 
 class TestTdxBaseline:
-    def test_integrity_without_replay_protection(self):
-        system = TdxBaselineSystem(MemoryController())
-        assert system.provides_integrity
-        assert not system.provides_replay_protection
-
     def test_timing_matches_encrypt_only_xts(self):
         # MACs ride the ECC bus, so the baseline's timing equals encrypt-only.
-        baseline = TdxBaselineSystem(MemoryController())
-        encrypt_only = EncryptOnlySystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
-        b_completion, b_extra = baseline.read(0x1000, 0)
-        e_completion, e_extra = encrypt_only.read(0x1000, 0)
-        assert b_completion == e_completion
-        assert b_extra == e_extra
+        baseline = build_configuration("tdx_baseline")
+        encrypt_only = build_configuration("encrypt_only_xts")
+        assert baseline.path == encrypt_only.path
+        assert baseline.read(0x1000, 0) == encrypt_only.read(0x1000, 0)
 
 
 class TestSecDDR:
     def test_replay_protection_without_tree_traffic(self):
-        system = SecDDRSystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
-        assert system.provides_replay_protection
+        system = build_configuration("secddr_xts")
         breakdown = system.access_breakdown(0x1000, 0)
         # No tree, no MAC traffic: identical metadata profile to encrypt-only.
         assert breakdown.metadata_lines_touched == 0
         assert breakdown.extra_cpu_cycles == 40.0
 
     def test_ctr_variant_touches_only_counters(self):
-        system = SecDDRSystem(MemoryController(), encryption_mode=EncryptionMode.COUNTER)
+        system = build_configuration("secddr_ctr")
         breakdown = system.access_breakdown(0x1000, 0)
         assert breakdown.metadata_lines_touched == 1
 
-    def test_write_burst_beats(self):
-        assert SecDDRSystem(MemoryController()).write_burst_beats == SECDDR_WRITE_BURST_BEATS_DDR4
-        assert SECDDR_WRITE_BURST_BEATS_DDR4 == 10
-        assert SECDDR_WRITE_BURST_BEATS_DDR5 == 18
-        assert SecDDRSystem(MemoryController(), ewcrc_enabled=False).write_burst_beats == 8
-
     def test_extended_write_burst_slows_writes_only(self):
-        normal_controller = MemoryController()
-        secddr_controller = MemoryController(ControllerConfig(write_burst_cycles=5))
-        normal = EncryptOnlySystem(normal_controller, encryption_mode=EncryptionMode.XTS)
-        secddr = SecDDRSystem(secddr_controller, encryption_mode=EncryptionMode.XTS)
+        normal = build_configuration("encrypt_only_xts")
+        secddr = build_configuration("secddr_xts")
         # Reads are unaffected.
         n_read, _ = normal.read(0x1000, 0)
         s_read, _ = secddr.read(0x1000, 0)
@@ -92,34 +80,28 @@ class TestSecDDR:
         # Writes occupy the bus one cycle longer.
         normal.write(0x2000, 1000)
         secddr.write(0x2000, 1000)
-        assert secddr_controller.flush() == normal_controller.flush() + 1
+        assert secddr.controller.flush() == normal.controller.flush() + 1
 
 
 class TestInvisiMem:
     def test_channel_mac_latency_on_reads(self):
-        system = InvisiMemSystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
+        system = build_configuration("invisimem_unrealistic_xts")
         _, extra = system.read(0x1000, 0)
         # XTS decrypt (40) + 2x per-transaction MAC (80).
         assert extra == 120.0
 
-    def test_requires_trusted_module(self):
-        system = InvisiMemSystem(MemoryController())
-        assert system.requires_trusted_module
-        assert system.provides_replay_protection
-
     def test_ctr_variant_also_pays_channel_macs(self):
-        system = InvisiMemSystem(MemoryController(), encryption_mode=EncryptionMode.COUNTER)
+        system = build_configuration("invisimem_unrealistic_ctr")
         breakdown = system.access_breakdown(0x1000, 0)
         # Counter miss: 40 (OTP) + 80 (channel MACs).
         assert breakdown.extra_cpu_cycles == 120.0
-
-    def test_realistic_flag_reflected_in_name(self):
-        assert "realistic" in InvisiMemSystem(MemoryController(), realistic=True).name
-        assert "unrealistic" in InvisiMemSystem(MemoryController(), realistic=False).name
+        system.read(0x1000, 0)
+        # Counter hit: the OTP is free, the channel MACs are not.
+        assert system.access_breakdown(0x1040, 5000).extra_cpu_cycles == 80.0
 
     def test_read_latency_exceeds_secddr(self):
-        secddr = SecDDRSystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
-        invisimem = InvisiMemSystem(MemoryController(), encryption_mode=EncryptionMode.XTS)
+        secddr = build_configuration("secddr_xts")
+        invisimem = build_configuration("invisimem_unrealistic_xts")
         _, secddr_extra = secddr.read(0x1000, 0)
         _, invisimem_extra = invisimem.read(0x1000, 0)
         assert invisimem_extra > secddr_extra

@@ -26,15 +26,15 @@ from repro.dram.address_mapping import AddressMapping
 from repro.dram.timing import DDR4_2400, DDR4_3200, DDR5_4800
 from repro.errors import UnknownEngineError
 from repro.secure.base import MetadataPath, SecureMemorySystem
-from repro.secure.baseline import EncryptOnlySystem
 from repro.secure.configs import (
     CONFIGURATIONS,
     REGISTRY,
+    EncryptionMode,
     build_configuration,
     configuration_names,
+    metadata_path,
     resolve_configuration,
 )
-from repro.secure.encryption import EncryptionMode
 from repro.sim.engines import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -624,7 +624,7 @@ class TestSecDDRCostsOnlyItsWriteBurst:
         assert all(result == results[0] for result in results[1:])
 
 
-class SkewedReadSystem(EncryptOnlySystem):
+class SkewedReadSystem(SecureMemorySystem):
     """Adds read latency in an overridden hook, outside its MetadataPath."""
 
     def _expand_read(self, address, cycle):
@@ -632,7 +632,7 @@ class SkewedReadSystem(EncryptOnlySystem):
         return completion, extra + 7.0, touched, missed
 
 
-class SkewedPublicReadSystem(EncryptOnlySystem):
+class SkewedPublicReadSystem(SecureMemorySystem):
     """Adds read latency in the public read(), past every expansion hook."""
 
     def read(self, address, dram_cycle):
@@ -650,11 +650,8 @@ def register_custom_mechanism(name, system_class, metadata_cache_class=None):
     def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
         if metadata_cache_class is not None:
             metadata_cache = metadata_cache_class()
-        return system_class(
-            controller, metadata_cache, layout, crypto_latency,
-            encryption_mode=spec.encryption,
-            counters_per_line=spec.counters_per_line,
-        )
+        path = metadata_path(resolve_configuration("encrypt_only_ctr"))
+        return system_class(controller, metadata_cache, layout, path)
 
     REGISTRY.register_mechanism(name, factory, cache_token=name + "/v1")
     return REGISTRY.register(
@@ -668,7 +665,7 @@ class TestCustomMechanisms:
         [
             (SkewedReadSystem, None, "SkewedReadSystem overrides _expand_read"),
             (SkewedPublicReadSystem, None, "SkewedPublicReadSystem overrides read"),
-            (EncryptOnlySystem, PrivateMetadataCache, "EncryptOnlySystem uses PrivateMetadataCache"),
+            (SecureMemorySystem, PrivateMetadataCache, "SecureMemorySystem uses PrivateMetadataCache"),
         ],
     )
     def test_unreplayable_system_is_reference_only(

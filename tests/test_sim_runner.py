@@ -1,13 +1,17 @@
 """Tests for the parallel experiment runner and its on-disk result cache."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 from repro import obs
+from repro.secure.configs import configuration_names
 from repro.sim.experiment import Comparison, ExperimentConfig, run_comparison, run_simulation
 from repro.sim.runner import (
     CACHE_SCHEMA_VERSION,
+    GRID_DIGESTS,
     JobEvent,
     JobFailedError,
     JobFailure,
@@ -16,7 +20,7 @@ from repro.sim.runner import (
     SimulationJob,
     workload_cache_token,
 )
-from repro.workloads.registry import build_workload
+from repro.workloads.registry import build_workload, workload_names
 
 FAST = ExperimentConfig(num_accesses=300, num_cores=2)
 
@@ -192,6 +196,27 @@ class TestResultCache:
         again = build_workload("gcc", num_accesses=300, seed=1)
         assert workload_cache_token(trace) == workload_cache_token(again)
         assert workload_cache_token(trace) is workload_cache_token(trace)
+
+
+class TestGridDigest:
+    def test_the_schema_version_pins_the_result_bytes(self):
+        # The one-core third of CI's batch grid digest.
+        experiment = ExperimentConfig(
+            num_accesses=300, num_cores=1, enable_prefetcher=False, metadata_cache_bytes=32 * 1024
+        )
+        digest, count = hashlib.sha256(), 0
+        for workload in workload_names():
+            trace = build_workload(workload, num_accesses=300, seed=experiment.seed)
+            for configuration in configuration_names():
+                result = run_simulation(trace, configuration, experiment, engine="batch")
+                digest.update(json.dumps(dataclasses.asdict(result), sort_keys=True).encode())
+                count += 1
+        assert count == 580
+        assert digest.hexdigest()[:16] == GRID_DIGESTS[CACHE_SCHEMA_VERSION], (
+            "the simulator's results moved (grid digest %s): a model change needs a new "
+            "CACHE_SCHEMA_VERSION and a new GRID_DIGESTS entry for it; never edit an entry"
+            % digest.hexdigest()[:16]
+        )
 
 
 class TestComparisonMatrix:
@@ -474,16 +499,14 @@ class TestReplayKeys:
     def test_every_replay_input_changes_the_key(self, clean_registries):
         from repro.controller.memory_controller import MemoryController
         from repro.dram.timing import DDR4_2400
-        from repro.secure.baseline import EncryptOnlySystem
-        from repro.secure.configs import REGISTRY, resolve_configuration
+        from repro.secure.base import SecureMemorySystem
+        from repro.secure.configs import REGISTRY, metadata_path, resolve_configuration
 
         def memory_side(latency):
             def factory(spec, controller, metadata_cache, layout, crypto_latency, protected_bytes):
                 config = dataclasses.replace(controller.config, memory_side_read_latency=latency)
-                return EncryptOnlySystem(
-                    MemoryController(config), metadata_cache, layout, crypto_latency,
-                    encryption_mode=spec.encryption, counters_per_line=spec.counters_per_line,
-                )
+                path = metadata_path(resolve_configuration("encrypt_only_ctr"))
+                return SecureMemorySystem(MemoryController(config), metadata_cache, layout, path)
             name = "memory_side_%d" % latency
             REGISTRY.register_mechanism(name, factory, cache_token=name + "/v1")
             return resolve_configuration("encrypt_only_ctr").derive(name=name, mechanism=name)
