@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.attacks.adversary import BusAdversary
-from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.results import AttackOutcome, AttackResult, check_read
 from repro.core.memory_system import FunctionalMemorySystem
 from repro.core.protocol import IntegrityViolation, WriteTransaction
 
@@ -38,7 +38,7 @@ class AddressCorruptionAttack:
 
         # Initial state: the victim has written and read the line normally.
         memory.write(address, old_value)
-        assert memory.read(address) == old_value
+        check_read(memory, address, old_value)
 
         rejected_before = memory.stats.rejected_writes
         adversary = BusAdversary()

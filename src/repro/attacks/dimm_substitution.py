@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.results import AttackOutcome, AttackResult, check_read
 from repro.core.memory_system import FunctionalMemorySystem
 from repro.core.protocol import IntegrityViolation
 
@@ -35,7 +35,7 @@ class DimmSubstitutionAttack:
 
         # The victim is mid-execution with `old_value` in memory.
         memory.write(address, old_value)
-        assert memory.read(address) == old_value
+        check_read(memory, address, old_value)
 
         # Step 1: the attacker freezes the module -- capture the full DRAM
         # image *and* the on-DIMM counter registers of the frozen module.
@@ -48,7 +48,7 @@ class DimmSubstitutionAttack:
         # Step 2: the victim keeps running on the original module and makes
         # forward progress (new writes, new reads, counters advance).
         memory.write(address, new_value)
-        assert memory.read(address) == new_value
+        check_read(memory, address, new_value)
 
         # Step 3: the attacker swaps the frozen module back in.  The restored
         # module carries the old data image and the old counter values.

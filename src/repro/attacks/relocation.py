@@ -14,7 +14,7 @@ protection.
 
 from __future__ import annotations
 
-from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.results import AttackOutcome, AttackResult, check_read
 from repro.core.memory_system import FunctionalMemorySystem
 from repro.core.protocol import IntegrityViolation
 
@@ -35,7 +35,7 @@ class DataRelocationAttack:
         donor_value = b"\x99" * 64
         memory.write(self.victim_address, victim_value)
         memory.write(self.donor_address, donor_value)
-        assert memory.read(self.victim_address) == victim_value
+        check_read(memory, self.victim_address, victim_value)
 
         # Splice the donor's stored (ciphertext, MAC) tuple over the victim's
         # location -- a physical at-rest manipulation (malicious buffer chip

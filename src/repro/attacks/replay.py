@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from repro.attacks.adversary import RecordingAdversary
-from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.results import AttackOutcome, AttackResult, check_read
 from repro.core.memory_system import FunctionalMemorySystem
 from repro.core.protocol import IntegrityViolation, ReadCommand, ReadResponse
 
@@ -40,8 +40,7 @@ class BusReplayAttack:
         # t0: victim writes and reads the line; the adversary records the
         # response (ciphertext + MAC/E-MAC) as it crosses the bus.
         memory.write(address, old_value)
-        first_read = memory.read(address)
-        assert first_read == old_value, "sanity: unattacked read must return the data"
+        check_read(memory, address, old_value)
 
         # t1: victim updates the line.
         memory.write(address, new_value)
@@ -49,7 +48,8 @@ class BusReplayAttack:
         # t2: the adversary substitutes the recorded stale pair on the next
         # read response.
         recorded = adversary.recorded_response(address)
-        assert recorded is not None
+        if recorded is None:
+            raise RuntimeError("the adversary recorded no read response for 0x%x" % address)
 
         def replay_hook(command: ReadCommand, response: ReadResponse) -> ReadResponse:
             if command.address == address:

@@ -1,4 +1,4 @@
-"""Common result records for attack scenarios."""
+"""Common result records for attack scenarios, and their sanity read."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-__all__ = ["AttackOutcome", "AttackResult"]
+from repro.core.memory_system import FunctionalMemorySystem
+
+__all__ = ["AttackOutcome", "AttackResult", "check_read"]
 
 
 class AttackOutcome(enum.Enum):
@@ -49,3 +51,15 @@ class AttackResult:
             self.outcome.value,
             where,
         )
+
+
+def check_read(memory: FunctionalMemorySystem, address: int, expected: bytes) -> None:
+    """Read ``address`` and raise ``RuntimeError`` unless it returns ``expected``.
+
+    An attack makes this read before it tampers, to confirm that the victim's
+    line verifies.  The read is part of the scenario: it advances the
+    transaction counters and crosses the bus, so it must run under ``python
+    -O`` too, which an ``assert`` would not.
+    """
+    if memory.read(address) != expected:
+        raise RuntimeError("sanity: an unattacked read of 0x%x returned other data" % address)

@@ -11,7 +11,7 @@ tree / authenticated channel).
 from __future__ import annotations
 
 from repro.attacks.adversary import BusAdversary
-from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.results import AttackOutcome, AttackResult, check_read
 from repro.core.memory_system import FunctionalMemorySystem
 from repro.core.protocol import IntegrityViolation, ReadCommand, ReadResponse
 
@@ -31,7 +31,7 @@ class RowHammerAttack:
         address = self.target_address
         value = b"\x99" * 64
         memory.write(address, value)
-        assert memory.read(address) == value
+        check_read(memory, address, value)
 
         # Disturbance errors flip bits directly in the array.
         memory.storage.corrupt_line(address, bit_flips=self.bit_flips)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.attacks.adversary import BusAdversary
-from repro.attacks.results import AttackOutcome, AttackResult
+from repro.attacks.results import AttackOutcome, AttackResult, check_read
 from repro.core.memory_system import FunctionalMemorySystem
 from repro.core.protocol import IntegrityViolation, WriteTransaction
 
@@ -37,7 +37,7 @@ class WriteDropAttack:
         new_value = b"\x44" * 64
 
         memory.write(address, old_value)
-        assert memory.read(address) == old_value
+        check_read(memory, address, old_value)
 
         adversary = BusAdversary()
 
@@ -98,7 +98,7 @@ class WriteToReadConversionAttack:
         new_value = b"\x66" * 64
 
         memory.write(address, old_value)
-        assert memory.read(address) == old_value
+        check_read(memory, address, old_value)
 
         adversary = BusAdversary()
         decoded = memory.mapping.decode(address)

@@ -139,10 +139,14 @@ class FunctionalMemorySystem:
         does the same: it provisions one system per configuration and runs
         every attack or scenario on a copy.  The copy keeps this system's
         ``Kt``, data and MAC keys, counters and stored lines.  Its ECC chips
-        share the copy's own storage, and nothing mutable is shared with
-        this system.
+        share the copy's own storage.  The copy shares ``config``,
+        ``mapping`` and ``topology`` with this system and its other copies,
+        because only their constructors assign them; everything mutable
+        (storage, counters, keys, bus, stats, certificate authority,
+        identities and attestation) is copied.
         """
-        return deepcopy(self)
+        shared = (self.config, self.mapping, self.topology)
+        return deepcopy(self, {id(part): part for part in shared})
 
     # ------------------------------------------------------------------
     def attach_adversary(self, adversary) -> None:

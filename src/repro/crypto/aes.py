@@ -14,14 +14,19 @@ secret bytes, so this code is not constant-time: it models the cipher for the
 functional stack and is not a deployable implementation (see
 ``docs/architecture.md``, "Substitutions").  The timing simulation never calls
 it.
+
+SecDDR sets its keys at boot and each rank's ``Kt`` at attestation, so a
+hardware engine expands each key schedule once.  :func:`shared_cipher` does
+the same for the modes in :mod:`repro.crypto.modes` and :mod:`repro.crypto.mac`.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Callable, List, Optional, Tuple
 
-__all__ = ["AES128"]
+__all__ = ["AES128", "shared_cipher"]
 
 # The AES S-box (FIPS-197, Figure 7).
 _SBOX = [
@@ -131,6 +136,9 @@ class AES128:
         self._key = bytes(key)
         self._round_keys = self._expand_key(self._key)
         self._decrypt_keys: Optional[List[int]] = None
+        #: CMAC's subkeys ``(K1, K2)``, derived by :mod:`repro.crypto.mac`
+        #: on this cipher's first MAC.
+        self.cmac_subkeys: Optional[Tuple[bytes, bytes]] = None
 
     @property
     def key(self) -> bytes:
@@ -251,3 +259,17 @@ class AES128:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return "AES128(key=%s...)" % self._key[:4].hex()
+
+
+_cipher = functools.lru_cache(maxsize=64)(AES128)
+
+
+def shared_cipher(key: bytes) -> AES128:
+    """The :class:`AES128` for ``key``, its schedule expanded once.
+
+    Calls with equal keys return one object while it stays among the 64 most
+    recently used keys, so callers must not change it.  A key of the wrong
+    length raises ``ValueError`` on every call, because a failed construction
+    is not remembered.
+    """
+    return _cipher(bytes(key))

@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import struct
+from typing import Tuple
 
-from repro.crypto.aes import AES128
+from repro.crypto.aes import AES128, shared_cipher
 from repro.crypto.modes import xor_bytes
 
 __all__ = ["cmac_aes128", "hmac_sha256", "truncated_mac", "line_mac"]
@@ -36,22 +37,24 @@ def _shift_left_one(data: bytes) -> bytes:
     return value.to_bytes(len(data), "big")
 
 
-def _cmac_subkeys(cipher: AES128) -> tuple:
-    """Derive the CMAC subkeys K1 and K2 from the cipher (SP 800-38B)."""
-    const_rb = 0x87
-    l_block = cipher.encrypt_block(bytes(_BLOCK))
-    k1 = _shift_left_one(l_block)
-    if l_block[0] & 0x80:
-        k1 = k1[:-1] + bytes([k1[-1] ^ const_rb])
-    k2 = _shift_left_one(k1)
-    if k1[0] & 0x80:
-        k2 = k2[:-1] + bytes([k2[-1] ^ const_rb])
-    return k1, k2
+def _cmac_subkeys(cipher: AES128) -> Tuple[bytes, bytes]:
+    """The CMAC subkeys K1 and K2 of the cipher (SP 800-38B), derived once."""
+    if cipher.cmac_subkeys is None:
+        const_rb = 0x87
+        l_block = cipher.encrypt_block(bytes(_BLOCK))
+        k1 = _shift_left_one(l_block)
+        if l_block[0] & 0x80:
+            k1 = k1[:-1] + bytes([k1[-1] ^ const_rb])
+        k2 = _shift_left_one(k1)
+        if k1[0] & 0x80:
+            k2 = k2[:-1] + bytes([k2[-1] ^ const_rb])
+        cipher.cmac_subkeys = (k1, k2)
+    return cipher.cmac_subkeys
 
 
 def cmac_aes128(key: bytes, message: bytes) -> bytes:
     """Compute the 16-byte AES-CMAC of ``message`` under ``key``."""
-    cipher = AES128(key)
+    cipher = shared_cipher(key)
     k1, k2 = _cmac_subkeys(cipher)
 
     if len(message) == 0:

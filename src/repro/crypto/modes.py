@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
-from repro.crypto.aes import AES128
+from repro.crypto.aes import shared_cipher
 
 __all__ = [
     "xor_bytes",
@@ -54,7 +54,7 @@ def aes_ctr_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     block index the low 8 bytes, mirroring the split-counter organization of
     memory-encryption engines.
     """
-    cipher = AES128(key)
+    cipher = shared_cipher(key)
     out = bytearray()
     block_index = 0
     while len(out) < length:
@@ -126,8 +126,8 @@ def xts_encrypt(key1: bytes, key2: bytes, tweak: int, plaintext: bytes) -> bytes
     same address always produces the same ciphertext -- precisely the
     property the paper notes when comparing AES-XTS with counter mode.
     """
-    data_cipher = AES128(key1)
-    tweak_cipher = AES128(key2)
+    data_cipher = shared_cipher(key1)
+    tweak_cipher = shared_cipher(key2)
     t = tweak_cipher.encrypt_block(struct.pack("<QQ", tweak & (2**64 - 1), 0))
     out = bytearray()
     for block in _xts_blocks(plaintext):
@@ -139,8 +139,8 @@ def xts_encrypt(key1: bytes, key2: bytes, tweak: int, plaintext: bytes) -> bytes
 
 def xts_decrypt(key1: bytes, key2: bytes, tweak: int, ciphertext: bytes) -> bytes:
     """AES-XTS decrypt (inverse of :func:`xts_encrypt`)."""
-    data_cipher = AES128(key1)
-    tweak_cipher = AES128(key2)
+    data_cipher = shared_cipher(key1)
+    tweak_cipher = shared_cipher(key2)
     t = tweak_cipher.encrypt_block(struct.pack("<QQ", tweak & (2**64 - 1), 0))
     out = bytearray()
     for block in _xts_blocks(ciphertext):
@@ -180,7 +180,7 @@ def one_time_pad(
     address:
         When given, produces the write-specific ``OTPw_t``.
     """
-    cipher = AES128(key)
+    cipher = shared_cipher(key)
     addr_val = 0 if address is None else (address & (2**63 - 1)) | (1 << 63)
     out = bytearray()
     block_index = 0

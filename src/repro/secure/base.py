@@ -140,7 +140,7 @@ class SecureMemorySystem:
     def read(self, address: int, dram_cycle: float) -> Tuple[float, float]:
         """Serve a demand read; returns (completion DRAM cycle, extra CPU cycles)."""
         self.stats.demand_reads += 1
-        breakdown = self.access_breakdown(address, dram_cycle, is_write=False)
+        breakdown = self.access_breakdown(address, dram_cycle)
         return breakdown.completion, breakdown.extra_cpu_cycles
 
     def write(self, address: int, dram_cycle: float) -> None:
@@ -156,7 +156,7 @@ class SecureMemorySystem:
             )
         )
 
-    def access_breakdown(self, address: int, dram_cycle: float, is_write: bool = False) -> AccessBreakdown:
+    def access_breakdown(self, address: int, dram_cycle: float) -> AccessBreakdown:
         """Full accounting of a read (used by tests and the read path)."""
         cycle = int(dram_cycle)
         metadata_completion, extra_cpu, touched, missed = self._expand_read(address, cycle)

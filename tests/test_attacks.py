@@ -7,6 +7,11 @@ encrypted eWCRC is still vulnerable to misdirected-write (stale data) attacks
 -- which is exactly why Section III-B introduces it.
 """
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.attacks import (
@@ -327,3 +332,41 @@ class TestCampaign:
             for attack in standard_attacks()
         ]
         assert oracle == results
+
+
+def battery_reads():
+    """``[configuration, attack, outcome, bus reads]`` for the standard battery.
+
+    Each attack runs on a copy of one provisioned system per configuration,
+    as a campaign does, and the copy's bus counts the reads it carried.
+    """
+    rows = []
+    for name, config in STANDARD_CONFIGURATIONS.items():
+        provisioned = FunctionalMemorySystem(config=config, initial_counter=0)
+        for attack in standard_attacks():
+            memory = provisioned.copy()
+            outcome = attack.run(memory, name).outcome.value
+            rows.append([name, attack.name, outcome, memory.bus.reads_observed])
+    return rows
+
+
+class TestWithoutAsserts:
+    def test_battery_is_unchanged_under_python_O(self):
+        # python -O strips assert statements, so no attack step may sit in one.
+        here = Path(__file__).resolve().parent
+        script = (
+            "import json, sys; sys.path[:0] = [%r, %r]; import test_attacks; "
+            "print(json.dumps([sys.flags.optimize, test_attacks.battery_reads()]))"
+            % (str(here.parent / "src"), str(here))
+        )
+        process = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=300
+        )
+        assert process.returncode == 0, process.stderr
+        optimize, optimized = json.loads(process.stdout)
+        assert optimize == 1
+        rows = battery_reads()
+        assert optimized == rows
+        reads = {(name, attack): count for name, attack, _, count in rows}
+        # Two sanity reads before the module swap, and the victim's read after it.
+        assert reads["secddr", "dimm_substitution"] == 3

@@ -168,6 +168,23 @@ class TestCopy:
             assert chip.storage is copy.storage
             assert chip is not secddr_memory.ecc_chips[rank]
 
+    def test_copies_share_only_what_construction_alone_assigns(self, secddr_memory):
+        original = secddr_memory
+        first, sibling = original.copy(), original.copy()
+        for copy in (first, sibling):
+            for name in ("config", "mapping", "topology"):
+                assert getattr(copy, name) is getattr(original, name), name
+            assert copy.processor.mapping is original.mapping
+            assert copy.processor.config is original.config
+        for name in ("processor", "storage", "bus", "stats", "certificate_authority",
+                     "identities", "attestation"):
+            parts = [getattr(system, name) for system in (original, first, sibling)]
+            assert len({id(part) for part in parts}) == 3, name
+        for rank in original.ecc_chips:
+            chips = [system.ecc_chips[rank] for system in (original, first, sibling)]
+            assert len({id(chip) for chip in chips}) == 3
+            assert len({id(chip.counter) for chip in chips}) == 3
+
     def test_unwritten_line_on_a_copy_fails_verification(self, secddr_memory):
         with pytest.raises(IntegrityViolation):
             secddr_memory.copy().read(0x123440)

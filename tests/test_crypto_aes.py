@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import _SBOX, AES128
+from repro.crypto import aes
+from repro.crypto.aes import _SBOX, AES128, shared_cipher
 
 # FIPS-197 Appendix C.1 test vector.
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -214,3 +215,46 @@ class TestAes128Properties:
         cipher = AES128(key)
         assert cipher.encrypt_block(block) == reference_encrypt(key, block)
         assert cipher.decrypt_block(block) == reference_decrypt(key, block)
+
+
+def other_keys(count):
+    """``count`` distinct keys, none of them a test vector's."""
+    return [(index + 1).to_bytes(16, "big") for index in range(count)]
+
+
+class TestSharedCipher:
+    def test_equal_keys_share_one_cipher(self):
+        cipher = shared_cipher(FIPS_KEY)
+        assert shared_cipher(bytes(FIPS_KEY)) is cipher
+        assert shared_cipher(bytearray(FIPS_KEY)) is cipher
+        assert cipher.key == FIPS_KEY
+
+    def test_different_keys_get_different_ciphers(self):
+        assert shared_cipher(FIPS_KEY) is not shared_cipher(SP800_38A_KEY)
+
+    @pytest.mark.parametrize("key", [b"short", bytes(24), bytearray(15)])
+    def test_bad_key_raises_on_every_call(self, key):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                shared_cipher(key)
+
+    def test_memo_holds_at_most_64_keys(self):
+        first = shared_cipher(FIPS_KEY)
+        keys = other_keys(64)
+        ciphers = [shared_cipher(key) for key in keys]
+        assert aes._cipher.cache_info().maxsize == 64
+        assert aes._cipher.cache_info().currsize <= 64
+        # The least recently used key was dropped and is expanded again.
+        assert shared_cipher(FIPS_KEY) is not first
+        assert shared_cipher(FIPS_KEY).encrypt_block(FIPS_PLAINTEXT) == FIPS_CIPHERTEXT
+        assert all(shared_cipher(key) is cipher for key, cipher in zip(keys[1:], ciphers[1:]))
+
+    @pytest.mark.parametrize("others", [3, 64])
+    def test_fips197_vector_on_first_and_repeated_calls(self, others):
+        aes._cipher.cache_clear()
+        for _ in range(2):
+            cipher = shared_cipher(FIPS_KEY)
+            assert cipher.encrypt_block(FIPS_PLAINTEXT) == FIPS_CIPHERTEXT
+            assert cipher.decrypt_block(FIPS_CIPHERTEXT) == FIPS_PLAINTEXT
+            for key in other_keys(others):
+                shared_cipher(key).decrypt_block(shared_cipher(key).encrypt_block(FIPS_PLAINTEXT))

@@ -4,19 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes
+from repro.crypto.aes import AES128
 from repro.crypto.mac import cmac_aes128, hmac_sha256, line_mac, truncated_mac
 
 # NIST SP 800-38B Appendix D.1 vectors (AES-128).
 NIST_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+ONE_BLOCK = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
+EMPTY_MAC = "bb1d6929e95937287fa37d129b756746"
+ONE_BLOCK_MAC = "070a16b46b4d4144f79bdd9dd04a287c"
 
 
 class TestCmacVectors:
     def test_empty_message(self):
-        assert cmac_aes128(NIST_KEY, b"").hex() == "bb1d6929e95937287fa37d129b756746"
+        assert cmac_aes128(NIST_KEY, b"").hex() == EMPTY_MAC
 
     def test_one_block_message(self):
-        msg = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-        assert cmac_aes128(NIST_KEY, msg).hex() == "070a16b46b4d4144f79bdd9dd04a287c"
+        assert cmac_aes128(NIST_KEY, ONE_BLOCK).hex() == ONE_BLOCK_MAC
 
     def test_40_byte_message(self):
         msg = bytes.fromhex(
@@ -30,6 +34,35 @@ class TestCmacVectors:
             "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"
         )
         assert cmac_aes128(NIST_KEY, msg).hex() == "51f0bebf7e3b9d92fc49741779363cfe"
+
+
+class TestCmacThroughTheSharedCipher:
+    @pytest.mark.parametrize("others", [3, 64])
+    def test_vectors_on_first_and_repeated_calls(self, others):
+        # The empty message takes subkey K2, the whole block K1.
+        aes._cipher.cache_clear()
+        for _ in range(2):
+            assert cmac_aes128(NIST_KEY, b"").hex() == EMPTY_MAC
+            assert cmac_aes128(NIST_KEY, ONE_BLOCK).hex() == ONE_BLOCK_MAC
+            for index in range(others):
+                cmac_aes128((index + 1).to_bytes(16, "big"), ONE_BLOCK)
+
+    def test_subkeys_cost_one_block_per_key(self, monkeypatch):
+        blocks = []
+        encrypt = AES128.encrypt_block
+
+        def counting(cipher, block):
+            blocks.append(block)
+            return encrypt(cipher, block)
+
+        aes._cipher.cache_clear()
+        monkeypatch.setattr(AES128, "encrypt_block", counting)
+        two_blocks = b"\x01" * 20
+        cmac_aes128(NIST_KEY, two_blocks)
+        cmac_aes128(NIST_KEY, two_blocks)
+        # The zero block once for the subkeys, then two blocks per MAC.
+        assert blocks.count(bytes(16)) == 1
+        assert len(blocks) == 5
 
 
 class TestMacBehaviour:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import aes
+from repro.crypto.aes import AES128
 from repro.crypto.modes import (
     aes_ctr_keystream,
     ctr_decrypt,
@@ -16,6 +18,8 @@ from repro.crypto.modes import (
 
 KEY = bytes(range(16))
 KEY2 = bytes(range(16, 32))
+# IEEE P1619 Vector 1: all-zero keys, tweak 0, 32 zero bytes.
+P1619_VECTOR1 = "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e"
 
 
 class TestXorBytes:
@@ -86,11 +90,34 @@ class TestCtrMode:
 
 class TestXtsMode:
     def test_ieee_p1619_vector1(self):
-        # IEEE P1619 Vector 1: all-zero keys, tweak 0, 32 zero bytes.
         ct = xts_encrypt(bytes(16), bytes(16), 0, bytes(32))
-        assert ct.hex() == (
-            "917cf69ebd68b2ec9b9fe9a3eadda692cd43d2f59598ed858c02c2652fbf922e"
-        )
+        assert ct.hex() == P1619_VECTOR1
+
+    @pytest.mark.parametrize("others", [3, 64])
+    def test_ieee_p1619_vector1_on_first_and_repeated_calls(self, others):
+        aes._cipher.cache_clear()
+        for _ in range(2):
+            assert xts_encrypt(bytes(16), bytes(16), 0, bytes(32)).hex() == P1619_VECTOR1
+            assert xts_decrypt(bytes(16), bytes(16), 0, bytes.fromhex(P1619_VECTOR1)) == bytes(32)
+            for index in range(others):
+                key = (index + 1).to_bytes(16, "big")
+                xts_decrypt(key, KEY2, 1, xts_encrypt(key, KEY2, 1, bytes(32)))
+
+    def test_each_key_is_expanded_once(self, monkeypatch):
+        expansions = []
+        expand = AES128._expand_key
+
+        def counting(key):
+            expansions.append(key)
+            return expand(key)
+
+        monkeypatch.setattr(AES128, "_expand_key", staticmethod(counting))
+        aes._cipher.cache_clear()
+        for tweak in range(4):
+            xts_decrypt(KEY, KEY2, tweak, xts_encrypt(KEY, KEY2, tweak, bytes(64)))
+            one_time_pad(KEY2, tweak, 8)
+            aes_ctr_keystream(KEY, bytes(8), 16)
+        assert sorted(expansions) == [KEY, KEY2]
 
     def test_round_trip(self):
         data = bytes(range(64))
